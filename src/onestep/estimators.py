@@ -9,6 +9,7 @@ confidence intervals need no variance plug-in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .core import (
     _require_finite,
     _require_in_domain,
     degeneracy_tolerance,
+    exact_sum,
     m_prime_values,
     m_values,
     moment_values,
@@ -62,6 +64,16 @@ VARIANCE_FLOOR = 1e-300
 MAX_HALVINGS = 50
 
 
+@functools.lru_cache(maxsize=8)
+def _critical_value(alpha: float) -> float:
+    """Two-sided standard normal critical value z_{1-alpha/2}.
+
+    A campaign studentizes every replication at one alpha, so the quantile is
+    computed once per level rather than once per call.
+    """
+    return normal_quantile(1.0 - 0.5 * alpha)
+
+
 @dataclass(frozen=True)
 class EstimateResult:
     """A one-step estimate with the quantities needed to report it.
@@ -92,8 +104,8 @@ def _newton_update(
 ) -> EstimateResult:
     _require_finite("score terms", num_terms)
     _require_finite("score derivative terms", den_terms)
-    num = math.fsum(num_terms)
-    den = math.fsum(den_terms)
+    num = exact_sum(num_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError(
             f"one-step denominator {den!r} is numerically zero"
@@ -172,16 +184,16 @@ def studentize(
         _require_in_domain(t, wf.domain)
     num_terms = weight_values(wf, theta_star, s.n) * m_prime_values(fam, theta_star, s.x)
     _require_finite("studentizer numerator terms", num_terms)
-    num = math.fsum(num_terms)
+    num = exact_sum(num_terms)
     if abs(num) <= degeneracy_tolerance(num_terms):
         raise DegenerateDenominatorError("studentizer centering sum is numerically zero")
     sq_terms = np.square(weight_values(wf, theta_hat, s.n) * m_values(fam, theta_hat, s.x))
     _require_finite("studentizer variance terms", sq_terms)
-    ssq = math.fsum(sq_terms)
+    ssq = exact_sum(sq_terms)
     if ssq <= VARIANCE_FLOOR:
         raise DegenerateDenominatorError("studentizer variance sum is zero")
     d_star = num / math.sqrt(ssq)
-    half = normal_quantile(1.0 - 0.5 * alpha) / abs(d_star)
+    half = _critical_value(alpha) / abs(d_star)
     return d_star, (theta_hat - half, theta_hat + half)
 
 
@@ -255,11 +267,11 @@ def efficiency_ratio(
         )
     i_terms = h * h * e2
     j_terms = h * ed
-    i_nh = math.fsum(i_terms)
-    j_nh = math.fsum(j_terms)
+    i_nh = exact_sum(i_terms)
+    j_nh = exact_sum(j_terms)
     if abs(j_nh) <= degeneracy_tolerance(j_terms):
         raise DegenerateError("centering sum J is numerically zero")
-    quality = math.fsum(ed[active] * ed[active] / e2[active])
+    quality = exact_sum(ed[active] * ed[active] / e2[active])
     ratio = (i_nh / (j_nh * j_nh)) * quality
     spread = float(np.max(ratios) / np.min(ratios))
     root = math.sqrt(spread)
@@ -296,7 +308,7 @@ def newton_solve(
     def score(t: float) -> float:
         terms = h * m_values(fam, t, s.x)
         _require_finite("score terms", terms)
-        return math.fsum(terms)
+        return exact_sum(terms)
 
     t = float(theta_start)
     g = score(t)
@@ -305,7 +317,7 @@ def newton_solve(
             return t
         der_terms = h * m_prime_values(fam, t, s.x)
         _require_finite("score derivative terms", der_terms)
-        der = math.fsum(der_terms)
+        der = exact_sum(der_terms)
         if abs(der) <= degeneracy_tolerance(der_terms):
             raise DegenerateDenominatorError("score derivative is numerically zero")
         step = g / der

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EstimatingFamily, Sample, WeightFamily, asymptotic_moments
+from .core import EstimatingFamily, Sample, WeightFamily, asymptotic_moments, exact_sum
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError
 from .estimators import newton_solve, one_step_factorized, one_step_weighted, studentize
 from .normal import normal_cdf, normal_quantile
@@ -312,13 +312,13 @@ def _replicate(cfg: SimConfig, scn: Scenario, r: int) -> SimulationRecord:
 
 
 def _mean(values: np.ndarray) -> float:
-    return math.fsum(values) / values.size
+    return exact_sum(values) / values.size
 
 
 def _sample_var(values: np.ndarray, center: float) -> float:
     if values.size < 2:
         return math.nan
-    return math.fsum(np.square(values - center)) / (values.size - 1)
+    return exact_sum(np.square(values - center)) / (values.size - 1)
 
 
 def summarize(cfg: SimConfig, scn: Scenario, records: Sequence[SimulationRecord]) -> SimSummary:

@@ -30,6 +30,7 @@ from .core import (
     _require_finite,
     _require_in_domain,
     degeneracy_tolerance,
+    exact_sum,
 )
 from .errors import (
     ConstraintError,
@@ -532,10 +533,10 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
     den_terms = wfp * _fp_vec(model, theta_star)
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("weighted design sum is numerically zero")
-    theta_hat = theta_star + math.fsum(num_terms) / den
+    theta_hat = theta_star + exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
         raise NonFiniteError("one-step update is not finite")
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
@@ -556,10 +557,10 @@ def lse_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estima
     den_terms = fp * fp - resid * _fsec_vec(model, theta_star)
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("curvature sum is numerically zero")
-    theta_hat = theta_star + math.fsum(num_terms) / den
+    theta_hat = theta_star + exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
         raise NonFiniteError("one-step update is not finite")
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
@@ -573,7 +574,7 @@ def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = No
         raise ValueError(f"n must lie in 1..{model.n}")
     terms = (_w_vec(model, theta) * np.square(_fp_vec(model, theta)))[:n]
     _require_finite("information terms", terms)
-    total = math.fsum(terms)
+    total = exact_sum(terms)
     if total <= 0.0:
         raise DegenerateError("information sum is zero")
     return model.sigma * model.sigma / total
@@ -582,7 +583,7 @@ def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = No
 # --- contrasts and explicit preliminary estimators ---
 
 def _validate_sum_zero(c: np.ndarray) -> None:
-    if abs(math.fsum(c)) > 1e-12 * math.fsum(np.abs(c)):
+    if abs(exact_sum(c)) > 1e-12 * exact_sum(np.abs(c)):
         raise ConstraintError("contrast coefficients must sum to zero")
 
 
@@ -590,7 +591,7 @@ def _validate_b_orthogonal(c: np.ndarray, b: np.ndarray | None) -> None:
     if b is None:
         return
     prods = c * b
-    if abs(math.fsum(prods)) > 1e-12 * math.fsum(np.abs(prods)):
+    if abs(exact_sum(prods)) > 1e-12 * exact_sum(np.abs(prods)):
         raise ConstraintError("contrast coefficients must be orthogonal to b")
 
 
@@ -606,14 +607,14 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
     a = s.a
     n = s.n
     if kind == "sum_zero":
-        c = a - math.fsum(a) / n
-        c = c - math.fsum(c) / n
+        c = a - exact_sum(a) / n
+        c = c - exact_sum(c) / n
     elif kind == "b_orthogonal":
         b = s.b if s.b is not None else np.zeros(n)
-        bb = math.fsum(b * b)
-        c = a - (math.fsum(a * b) / bb) * b if bb > 0.0 else a.copy()
+        bb = exact_sum(b * b)
+        c = a - (exact_sum(a * b) / bb) * b if bb > 0.0 else a.copy()
         if bb > 0.0:
-            c = c - (math.fsum(c * b) / bb) * b
+            c = c - (exact_sum(c * b) / bb) * b
     else:
         raise ValueError(f"unknown constraint kind {kind!r}")
     peak = float(np.max(np.abs(c)))
@@ -627,7 +628,7 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         den_terms = c * w * a
     else:
         den_terms = c * a
-    if abs(math.fsum(den_terms)) <= degeneracy_tolerance(den_terms):
+    if abs(exact_sum(den_terms)) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
     return Contrasts(c=c, constraint_kind=kind)
 
@@ -644,10 +645,10 @@ def preliminary_sqrt(c: Contrasts, s: Sample) -> float:
     _validate_sum_zero(cv)
     w = s.w_known if s.w_known is not None else np.ones(s.n)
     den_terms = cv * w * s.a
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
-    num = math.fsum(cv * w * (np.square(s.x) - 1.0))
+    num = exact_sum(cv * w * (np.square(s.x) - 1.0))
     theta = num / den
     if not math.isfinite(theta):
         raise NonFiniteError("preliminary estimate is not finite")
@@ -665,10 +666,10 @@ def preliminary_plinear(c: Contrasts, s: Sample) -> float:
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
     _validate_b_orthogonal(cv, s.b)
     den_terms = cv * s.a
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
-    theta = math.fsum(cv * s.x) / den
+    theta = exact_sum(cv * s.x) / den
     if not math.isfinite(theta):
         raise NonFiniteError("preliminary estimate is not finite")
     return theta
@@ -700,10 +701,10 @@ def plinear_one_step(
     den_terms = wv * slope * slope
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("weighted design sum is numerically zero")
-    theta_hat = theta_star + math.fsum(num_terms) / den
+    theta_hat = theta_star + exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
         raise NonFiniteError("one-step update is not finite")
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
@@ -721,10 +722,10 @@ def preliminary_mm(c, s: Sample) -> float:
     if s.b is None:
         raise ValueError("sample carries no b covariate")
     den_terms = cv * s.b * s.x
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("coefficient denominator is numerically zero")
-    theta = math.fsum(cv * (s.a - s.x)) / den
+    theta = exact_sum(cv * (s.a - s.x)) / den
     if not math.isfinite(theta):
         raise NonFiniteError("preliminary estimate is not finite")
     return theta
@@ -751,10 +752,10 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
     den_terms = wp * p
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("design sum is numerically zero")
-    theta_hat = theta_star - math.fsum(num_terms) / den
+    theta_hat = theta_star - exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
         raise NonFiniteError("one-step update is not finite")
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
@@ -778,10 +779,10 @@ def mm_closed_form(model: RegressionModel, theta_star: float, s: Sample) -> floa
     den_terms = wv * a * np.square(b) * s.x / q3
     _require_finite("numerator terms", num_terms)
     _require_finite("denominator terms", den_terms)
-    den = math.fsum(den_terms)
+    den = exact_sum(den_terms)
     if abs(den) <= degeneracy_tolerance(den_terms):
         raise DegenerateDenominatorError("response-weighted design sum is numerically zero")
-    theta = math.fsum(num_terms) / den
+    theta = exact_sum(num_terms) / den
     if not math.isfinite(theta):
         raise NonFiniteError("closed-form estimate is not finite")
     return theta

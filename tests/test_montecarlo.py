@@ -88,6 +88,23 @@ def test_thread_count_does_not_change_results():
     assert sum1 == sum4 == sum8
 
 
+def test_thread_count_does_not_change_results_on_long_vectors():
+    # n above the exact-sum crossover, so every reduction takes the vector path
+    cfg = SimConfig(
+        model_id="sqrt",
+        theta_true=1.0,
+        sigma=0.5,
+        n=4096,
+        replications=6,
+        seed=11,
+        noise="scaled-laplace",
+        pipeline="newton_oracle",
+    )
+    rec1, sum1 = run(cfg, threads=1)
+    rec2, sum2 = run(cfg, threads=2)
+    assert repr(rec1) + repr(sum1) == repr(rec2) + repr(sum2)
+
+
 def test_replications_are_keyed_by_index():
     # each replication depends only on (seed, rep), so a shorter campaign is a
     # prefix of a longer one
