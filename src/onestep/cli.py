@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -113,30 +114,62 @@ def _write_csv(path: Path, name: str, header: list[str], rows, digest: str | Non
             writer.writerow([_fmt(v) for v in row])
 
 
-def _read_commented_csv(path: Path) -> tuple[list[str], list[str], list[dict[str, str]]]:
-    """Returns (comment lines, header, rows as dicts)."""
-    comments: list[str] = []
+def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], range | list[int]]:
+    """Read a CSV file after its leading ``#`` lines, column by column.
+
+    Returns (comment lines, header, the cell texts of each column keyed by
+    name, the file line number of each data row).  Diagnostics number data
+    rows from 1 and name the file line as well, e.g. ``row 2 (line 3)``.
+    """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
-    body_start = 0
-    for line in lines:
-        if line.startswith("#"):
-            comments.append(line)
-            body_start += 1
-        else:
-            break
-    body = lines[body_start:]
-    if not body:
+    skip = 0
+    while skip < len(lines) and lines[skip].startswith("#"):
+        skip += 1
+    comments = lines[:skip]
+    if skip == len(lines):
         raise ValueError(f"{path}: no header row")
-    reader = csv.reader(body)
-    rows = list(reader)
-    header = rows[0]
-    out = []
-    for idx, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {idx} has {len(row)} fields, expected {len(header)}")
-        out.append(dict(zip(header, row)))
-    return comments, header, out
+    header_rows = csv.reader(islice(lines, skip, None))
+    header = next(header_rows)
+    start = skip + header_rows.line_num  # lines before the first data row
+    seen: set[str] = set()
+    for col in header:
+        if col in seen:
+            raise ValueError(f"{path}: duplicate column {col!r}")
+        seen.add(col)
+    width = len(header)
+    del lines[:start]
+
+    # Lines without quotes and with exactly width - 1 commas split into the
+    # same fields as csv.reader gives them; anything else goes through
+    # csv.reader.  A one-column file has no commas to count, so a blank
+    # line (no fields for csv.reader) would pass.  Each intermediate is
+    # dropped as soon as it is used up, to keep the peak memory down.
+    joined = None
+    if width > 1 and set(map(str.count, lines, repeat(","))) <= {width - 1}:
+        joined = ",".join(lines)
+    if joined is not None and '"' not in joined:
+        del lines
+        flat = joined.split(",") if joined else []
+        del joined
+        columns = {col: flat[j::width] for j, col in enumerate(header)}
+        return comments, header, columns, range(start + 1, start + 1 + len(flat) // width)
+
+    rows: list[list[str]] = []
+    row_lines: list[int] = []
+    reader = csv.reader(lines)
+    line = start + 1
+    for row in reader:
+        if len(row) != width:
+            raise ValueError(
+                f"{path}: row {len(rows) + 1} (line {line}) has {len(row)} fields, "
+                f"expected {width}"
+            )
+        rows.append(row)
+        row_lines.append(line)
+        line = start + reader.line_num + 1
+    columns = {col: [row[j] for row in rows] for j, col in enumerate(header)}
+    return comments, header, columns, row_lines
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -148,7 +181,7 @@ def _parse_float(text: str, where: str) -> float:
 
 def _load_data_csv(path: Path) -> Sample:
     """Read an estimate input: columns x, a, optional b, optional w."""
-    _, header, rows = _read_commented_csv(path)
+    _, header, columns, row_lines = _read_table(path)
     allowed = {"x", "a", "b", "w"}
     unknown = [col for col in header if col not in allowed]
     if unknown:
@@ -156,31 +189,44 @@ def _load_data_csv(path: Path) -> Sample:
     for required in ("x", "a"):
         if required not in header:
             raise ValueError(f"{path}: missing required column {required!r}")
-    if not rows:
+    if not row_lines:
         raise ValueError(f"{path}: no data rows")
-    cols: dict[str, list[float]] = {col: [] for col in header}
-    for idx, row in enumerate(rows, start=1):
-        for col in header:
-            cols[col].append(_parse_float(row[col], f"{path}: row {idx}, column {col!r}"))
+    # numpy converts str with float()'s syntax and rounding; only when it
+    # fails are the cells scanned in row order to name the first bad one.
+    try:
+        arrays = {col: np.array(columns[col], dtype=np.float64) for col in header}
+    except ValueError:
+        for k, line in enumerate(row_lines):
+            for col in header:
+                _parse_float(columns[col][k], f"{path}: row {k + 1} (line {line}), column {col!r}")
+        raise
+    del columns
     return Sample(
-        x=np.array(cols["x"]),
-        a=np.array(cols["a"]),
-        b=np.array(cols["b"]) if "b" in cols else None,
-        w_known=np.array(cols["w"]) if "w" in cols else None,
+        x=arrays["x"],
+        a=arrays["a"],
+        b=arrays.get("b"),
+        w_known=arrays.get("w"),
     )
 
 
 def _load_contrast_file(path: Path, n: int) -> np.ndarray:
-    values = []
+    texts: list[str] = []
+    line_numbers: list[int] = []
     with open(path) as fh:
         for idx, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            values.append(_parse_float(text, f"{path}: line {idx}"))
+            if text:
+                texts.append(text)
+                line_numbers.append(idx)
+    try:
+        values = np.array(texts, dtype=np.float64)
+    except ValueError:
+        for text, idx in zip(texts, line_numbers):
+            _parse_float(text, f"{path}: line {idx}")
+        raise
     if len(values) != n:
         raise ValueError(f"{path}: {len(values)} coefficients for {n} observations")
-    return np.array(values)
+    return values
 
 
 def _build_estimate_model(model_id: str, s: Sample, weights):
@@ -482,7 +528,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for name in args.summaries:
         path = Path(name)
         try:
-            comments, header, data = _read_commented_csv(path)
+            comments, header, columns, row_lines = _read_table(path)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -498,10 +544,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         if missing:
             print(f"error: {path}: missing column {missing[0]!r}", file=sys.stderr)
             return 1
-        if not data:
+        if not row_lines:
             print(f"error: {path}: no summary row", file=sys.stderr)
             return 1
-        rows.append([data[0][col] for col in _COMPARISON_COLUMNS])
+        rows.append([columns[col][0] for col in _COMPARISON_COLUMNS])
     out_path = Path(args.out)
     _write_csv(out_path, "comparison", _COMPARISON_COLUMNS, rows)
     print(f"wrote {out_path}")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from onestep import cli
 from onestep import (
     Sample,
     mm_model,
@@ -326,3 +327,73 @@ def test_report_rejects_missing_file(tmp_path):
     cp = run_cli("report", tmp_path / "ghost.csv", "--out", tmp_path / "c.csv")
     assert cp.returncode == 1
     assert "ghost.csv" in cp.stderr
+
+
+def run_in_process(capsys, *args):
+    """Run the command line in this process; returns (exit code, stderr)."""
+    code = cli.main([str(a) for a in args])
+    return code, capsys.readouterr().err
+
+
+def test_estimate_rejects_duplicate_column(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x,x,a,b\n1.1,1.1,2.0,1.0\n0.9,0.9,3.0,2.0\n")
+    code, err = run_in_process(capsys, "estimate", data, "--model", "mm", "--out", tmp_path / "r.csv")
+    assert code == 1
+    assert f"{data}: duplicate column 'x'" in err
+
+
+def test_report_rejects_duplicate_column(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    header = ["model", "model", *cli._COMPARISON_COLUMNS[1:]]
+    summary.write_text(
+        "# onestep/summary/v1\n" + ",".join(header) + "\n" + ",".join(["mm"] * len(header)) + "\n"
+    )
+    code, err = run_in_process(capsys, "report", summary, "--out", tmp_path / "c.csv")
+    assert code == 1
+    assert f"{summary}: duplicate column 'model'" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a blank line is a data row with no fields
+        ("x,a,b\n1.1,2.0,1.0\n\n0.9,3.0,2.0\n", "row 2 (line 3) has 0 fields, expected 3"),
+        ("x\n1.1\n\n0.9\n", "row 2 (line 3) has 0 fields, expected 1"),
+        ("x,a,b\n1.1,2.0,1.0\n0.9,3.0\n", "row 2 (line 3) has 2 fields, expected 3"),
+        # comment lines count as file lines but not as rows
+        ("# note\n#\nx,a,b\n1.1,2.0,1.0\n0.9,3.0\n", "row 2 (line 5) has 2 fields, expected 3"),
+        ("# note\nx,a,b\n1.1,2.0,1.0\n0.9,oops,2.0\n", "row 2 (line 4), column 'a': cannot parse 'oops'"),
+    ],
+)
+def test_estimate_row_numbering(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    code, err = run_in_process(capsys, "estimate", data, "--model", "mm", "--out", tmp_path / "r.csv")
+    assert code == 1
+    assert f"{data}: {message}" in err
+
+
+def test_contrast_file_bad_coefficient_names_its_line(tmp_path):
+    cfile = tmp_path / "contrasts.txt"
+    cfile.write_text("# header\n2.0\n\n1.0x  # typo\n")
+    with pytest.raises(ValueError, match=r"contrasts\.txt: line 4: cannot parse '1\.0x'"):
+        cli._load_contrast_file(cfile, 2)
+
+
+def test_contrast_file_values_match_float(tmp_path, capsys):
+    texts = ["0.1", "-2.5e-310", "1_000.25", " 3 ", "7", "-0.0"]
+    cfile = tmp_path / "contrasts.txt"
+    cfile.write_text("".join(f"{t}  # c{i}\n" for i, t in enumerate(texts)))
+    values = cli._load_contrast_file(cfile, len(texts))
+    expected = np.array([float(t) for t in texts])
+    assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,b\n" + "".join(f"{1 + i / 7!r},{2 + i!r},{1 + i / 3!r}\n" for i in range(6)))
+    out = tmp_path / "report.csv"
+    code, err = run_in_process(capsys, "estimate", data, "--model", "mm", "--contrasts", cfile, "--out", out)
+    assert code == 0, err
+    s = cli._load_data_csv(data)
+    assert read_report(out)["theta_star"] == repr(preliminary_mm(expected, s))
