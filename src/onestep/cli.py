@@ -45,6 +45,7 @@ from .montecarlo import (
     MODEL_IDS,
     SimConfig,
     normal_quantile,
+    rows_per_block,
     run,
 )
 from .regression import (
@@ -85,6 +86,10 @@ class RunManifest:
     tool_version: str
     config_digest: str
     created_utc: str
+    python_version: str
+    numpy_version: str
+    threads: int
+    rows_per_block: int
 
 
 def _fmt(value) -> str:
@@ -120,7 +125,16 @@ def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]],
     Returns (comment lines, header, the cell texts of each column keyed by
     name, the file line number of each data row).  Diagnostics number data
     rows from 1 and name the file line as well, e.g. ``row 2 (line 3)``.
+    A file csv.reader refuses, say for a field over its size limit, raises
+    ValueError naming the file.
     """
+    try:
+        return _split_table(path)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _split_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], range | list[int]]:
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     skip = 0
@@ -495,6 +509,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             tool_version=__version__,
             config_digest=digest,
             created_utc=datetime.now(timezone.utc).isoformat(),
+            python_version=sys.version.split()[0],
+            numpy_version=np.__version__,
+            threads=threads,
+            rows_per_block=rows_per_block(cfg.n),
         )
         path = out_dir / "manifest.json"
         with open(path, "w") as fh:

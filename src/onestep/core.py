@@ -10,6 +10,11 @@ correctly rounded exact sum and is therefore bitwise equal to math.fsum.
 That makes every score sum reproducible bitwise under permutation of the
 observation indices and under any chunked or threaded evaluation order,
 which the simulation harness relies on.
+
+A SampleBlock stacks B samples of one design as the rows of a (B, n)
+matrix.  The estimators that accept one take a (B,) parameter vector,
+evaluate the families at it as a (B, 1) column, and sum row by row, so each
+row's result is bitwise what the same call gives on that row's Sample.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "FULL_LINE",
     "Interval",
     "Sample",
+    "SampleBlock",
     "EstimatingFamily",
     "WeightFamily",
     "MomentProvider",
@@ -68,19 +74,31 @@ class Interval:
 FULL_LINE = Interval()
 
 
-def _as_vector(name: str, values, *, n: int | None = None) -> np.ndarray:
+def _as_array(name: str, values, *, n: int | None = None, ndim: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if n is not None and arr.size != n:
-        raise ValueError(f"{name} has length {arr.size}, expected {n}")
+    if n is not None and arr.shape[-1] != n:
+        raise ValueError(f"{name} has length {arr.shape[-1]}, expected {n}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _freeze_design(obj, n: int) -> None:
+    """Validate, copy and freeze the covariates a, b and w_known of obj."""
+    object.__setattr__(obj, "a", _as_array("a", obj.a, n=n))
+    if obj.b is not None:
+        object.__setattr__(obj, "b", _as_array("b", obj.b, n=n))
+    if obj.w_known is not None:
+        w = _as_array("w_known", obj.w_known, n=n)
+        if np.any(w <= 0.0):
+            raise ValueError("w_known entries must be strictly positive")
+        object.__setattr__(obj, "w_known", w)
 
 
 @dataclass(frozen=True)
@@ -98,20 +116,51 @@ class Sample:
     w_known: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        x = _as_vector("x", self.x)
+        x = _as_array("x", self.x)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "a", _as_vector("a", self.a, n=x.size))
-        if self.b is not None:
-            object.__setattr__(self, "b", _as_vector("b", self.b, n=x.size))
-        if self.w_known is not None:
-            w = _as_vector("w_known", self.w_known, n=x.size)
-            if np.any(w <= 0.0):
-                raise ValueError("w_known entries must be strictly positive")
-            object.__setattr__(self, "w_known", w)
+        _freeze_design(self, x.size)
 
     @property
     def n(self) -> int:
         return int(self.x.size)
+
+
+class SampleBlock:
+    """B samples of one fixed design: row r of x holds the responses of sample r.
+
+    x has shape (B, n); a, b and w_known are shared by every row and are
+    validated, copied and frozen as in Sample.  A plain class, unlike
+    Sample, because building a dataclass costs a millisecond at import.
+    """
+
+    __slots__ = ("x", "a", "b", "w_known")
+
+    def __init__(self, x, a, b=None, w_known=None) -> None:
+        self.x = _as_array("x", x, ndim=2)
+        self.a, self.b, self.w_known = a, b, w_known
+        _freeze_design(self, self.x.shape[1])
+
+    @property
+    def n(self) -> int:
+        return int(self.x.shape[1])
+
+    @property
+    def rows(self) -> int:
+        return int(self.x.shape[0])
+
+    def sample(self, r: int) -> Sample:
+        """Row r as a Sample."""
+        return Sample(x=self.x[r], a=self.a, b=self.b, w_known=self.w_known)
+
+
+def _column(t, s: Sample | SampleBlock):
+    """The parameter as the evaluators take it: t for a Sample, a (B, 1) column for a block."""
+    if isinstance(s, SampleBlock):
+        t = np.asarray(t, dtype=np.float64)
+        if t.shape != (s.rows,):
+            raise ValueError(f"a block of {s.rows} rows needs a ({s.rows},) parameter vector")
+        return t[:, None]
+    return t
 
 
 @dataclass(frozen=True)
@@ -158,23 +207,39 @@ class MomentProvider:
     e_mprime_values: Callable[[float], np.ndarray] | None = None
 
 
-def _require_in_domain(t: float, domain: Interval) -> None:
+def _require_in_domain(t, domain: Interval) -> None:
+    """Raise unless t (a float, or an array of parameter values) lies inside domain."""
+    if isinstance(t, np.ndarray):
+        if not _all_finite(t):
+            raise NonFiniteError("a parameter value is not finite")
+        if not np.all((domain.lo < t) & (t < domain.hi)):
+            raise DomainError(f"a parameter value lies outside domain ({domain.lo}, {domain.hi})")
+        return
     if math.isnan(t) or math.isinf(t):
         raise NonFiniteError(f"parameter value {t!r} is not finite")
     if not domain.contains(t):
         raise DomainError(f"parameter {t!r} outside domain ({domain.lo}, {domain.hi})")
 
 
+def _all_finite(values) -> bool:
+    return bool(np.isfinite(values).all())
+
+
 def _require_finite(name: str, terms: np.ndarray) -> None:
-    if not np.all(np.isfinite(terms)):
+    if not _all_finite(terms):
         raise NonFiniteError(f"non-finite value in {name}")
 
 
+def _width(vals: np.ndarray) -> int:
+    """Observations covered by evaluator output: the last axis of a block's (B, n)."""
+    return vals.shape[-1] if vals.ndim > 1 else vals.size
+
+
 def weight_values(wf: WeightFamily, t: float, n: int) -> np.ndarray:
-    """Evaluate h_i(t) for i = 0..n-1 as a float64 vector."""
+    """Evaluate h_i(t) for i = 0..n-1 as a float64 vector (rows of it for a (B, 1) t)."""
     if wf.h_values is not None:
         vals = np.asarray(wf.h_values(t), dtype=np.float64)
-        if vals.size != n:
+        if _width(vals) != n:
             raise ValueError(f"weight evaluator returned {vals.size} values, expected {n}")
         return vals
     return np.fromiter((wf.h(i, t) for i in range(n)), dtype=np.float64, count=n)
@@ -184,7 +249,7 @@ def weight_prime_values(wf: WeightFamily, t: float, n: int) -> np.ndarray:
     """Evaluate h_i'(t) for i = 0..n-1; requires the family to carry it."""
     if wf.h_prime_values is not None:
         vals = np.asarray(wf.h_prime_values(t), dtype=np.float64)
-        if vals.size != n:
+        if _width(vals) != n:
             raise ValueError(f"weight derivative returned {vals.size} values, expected {n}")
         return vals
     if wf.h_prime is None:
@@ -205,7 +270,7 @@ def m_prime_values(fam: EstimatingFamily, t: float, xs: np.ndarray) -> np.ndarra
     if fam.m_prime_terms is not None:
         vals = np.asarray(fam.m_prime_terms(t, xs), dtype=np.float64)
         if vals.ndim == 0:
-            vals = np.full(xs.size, float(vals))
+            vals = np.full(xs.shape, float(vals))
         return vals
     n = xs.size
     return np.fromiter((fam.m_prime(i, t, xs[i]) for i in range(n)), dtype=np.float64, count=n)
@@ -230,19 +295,31 @@ def moment_values(mp: MomentProvider, theta: float, n: int) -> tuple[np.ndarray,
     return e2, ed
 
 
-def exact_sum(values) -> float:
+def exact_sum(values):
     """Correctly rounded sum of float64 values, bitwise equal to math.fsum.
 
-    Long vectors are split by error-free extraction (Rump, Ogita and Oishi,
-    "Accurate floating-point summation", SIAM J. Sci. Comput. 2008): with
-    sigma a power of two at least 2(n+1) times max|p|, each q = (sigma + p)
-    - sigma is a multiple of 2**-53 sigma and p - q is exact, so numpy sums
-    the q exactly in any order.  Repeating on the residual p - q until it
-    vanishes leaves a few exact partial sums, which math.fsum rounds once.
-    Non-finite input and magnitudes near overflow or deep in the subnormals
-    go to math.fsum as they are, so its exceptions and NaN/inf results hold.
+    A 2-D array gives one such sum per row, as a float64 vector; any other
+    input is summed as one flat vector and gives a float.
+
+    Long vectors, and every block of rows, are split by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation",
+    SIAM J. Sci. Comput. 2008): with sigma a power of two at least 2(n+1)
+    times max|p| over a row, each q = (sigma + p) - sigma is a multiple of
+    2**-53 sigma and p - q is exact, so numpy sums the q of a row exactly in
+    any order.  Repeating on the residual p - q until it vanishes leaves a
+    few exact partial sums per row, which math.fsum rounds once.  A row
+    with non-finite values, with magnitudes near overflow or deep in the
+    subnormals, or of zeros only goes to math.fsum as it is, so its
+    exceptions, NaN/inf results and signed zeros hold.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim == 2:
+        if v.shape[0] == 1:
+            # the row-wise loop's per-round bookkeeping on small arrays
+            # costs more than the scalar loop below on one long row
+            return np.array([exact_sum(v[0])])
+        return _row_sums(v)
+    v = v.ravel()
     if v.size < _VECTOR_SUM_MIN_TERMS:
         return math.fsum(v.tolist())
     lg = v.size.bit_length() + 1
@@ -252,7 +329,8 @@ def exact_sum(values) -> float:
     while True:
         peak = max(float(p.max()), -float(p.min()))
         if peak == 0.0:
-            return math.fsum(parts)
+            # on the first round p is v, whose zeros fsum gives their sign
+            return math.fsum(parts or p.tolist())
         k = math.frexp(peak)[1] + lg
         if not math.isfinite(peak) or k > 1022 or k < -1021:
             return math.fsum(parts + p.tolist())
@@ -264,9 +342,68 @@ def exact_sum(values) -> float:
         p = p - q if p is v else np.subtract(p, q, out=p)
 
 
-def degeneracy_tolerance(terms: np.ndarray) -> float:
-    """Relative tolerance below which a signed sum of these terms counts as zero."""
-    return DEGENERACY_SCALE * (1.0 + exact_sum(np.abs(terms)))
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """exact_sum of each row of a (B, n) block, by the same extraction with a per-row sigma."""
+    rows, n = v.shape
+    if not v.size:
+        return np.zeros(rows)
+    lg = n.bit_length() + 1
+    parts: list[np.ndarray] = []  # one exact partial sum per row and round
+    slow: list[int] = []  # rows left to math.fsum
+    live = np.arange(rows)  # rows whose residual is not yet zero
+    p = v
+    while True:
+        peak = np.maximum(p.max(axis=1), -p.min(axis=1))
+        k = np.frexp(peak)[1] + lg
+        # rows for math.fsum: as in the 1-D loop, plus rows of zeros only
+        bad = ~np.isfinite(peak) | (k > 1022) | (k < -1021)
+        if p is v:
+            bad |= peak == 0.0
+        stop = bad | (peak == 0.0)
+        if stop.any():
+            slow += live[bad].tolist()
+            keep = ~stop
+            live, p, k = live[keep], p[keep], k[keep]
+            if not live.size:
+                break
+        sigma = np.ldexp(1.0, k)[:, None]
+        q = np.add(p, sigma)
+        np.subtract(q, sigma, out=q)
+        part = np.zeros(rows)
+        part[live] = q.sum(axis=1)
+        parts.append(part)
+        # the first residual is a new array, so the caller's values stay intact
+        p = p - q if p is v else np.subtract(p, q, out=p)
+    out = np.array([math.fsum(row) for row in np.stack(parts, axis=1).tolist()]) \
+        if parts else np.zeros(rows)
+    for r in slow:
+        out[r] = math.fsum(v[r].tolist())
+    return out
+
+
+def degeneracy_tolerance(terms: np.ndarray, total=None):
+    """Relative tolerance below which a signed sum of these terms counts as zero.
+
+    It is DEGENERACY_SCALE * (1 + exact_sum(|terms|)), one value per row of a
+    2-D array.  total, the exact sum of terms, spares that second sum for
+    every row whose terms share one sign, where |total| equals it bit for bit.
+    """
+    terms = np.asarray(terms, dtype=np.float64)
+    if total is None:
+        return DEGENERACY_SCALE * (1.0 + exact_sum(np.abs(terms)))
+    mixed = (terms.min(axis=-1) < 0.0) & (terms.max(axis=-1) > 0.0)
+    if terms.ndim < 2:
+        size = exact_sum(np.abs(terms)) if mixed else abs(total)
+    else:
+        size = np.abs(total)
+        if mixed.any():
+            size[mixed] = exact_sum(np.abs(terms[mixed]))
+    return DEGENERACY_SCALE * (1.0 + size)
+
+
+def _vanishes(total, terms: np.ndarray) -> bool:
+    """Whether an exact sum of terms (any row's, for a block) counts as zero."""
+    return bool(np.any(abs(total) <= degeneracy_tolerance(terms, total)))
 
 
 def score_sums(
@@ -316,6 +453,6 @@ def asymptotic_moments(
     j_nh = exact_sum(j_terms)
     if i_nh <= 0.0:
         raise DegenerateError("variance sum I is zero")
-    if abs(j_nh) <= degeneracy_tolerance(j_terms):
+    if _vanishes(j_nh, j_terms):
         raise DegenerateError("centering sum J is numerically zero")
     return i_nh, j_nh

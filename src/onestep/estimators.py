@@ -5,6 +5,10 @@ single Newton update of the weighted estimating equation, with the weights
 frozen at theta_star.  Its asymptotic variance is I/J^2 from
 core.asymptotic_moments; the studentizer removes the unknown moments so
 confidence intervals need no variance plug-in.
+
+one_step_weighted, one_step_factorized, studentize and newton_solve also
+take a SampleBlock with a (B,) parameter vector and return one value per
+row, each bitwise what the call gives on that row's Sample.
 """
 
 from __future__ import annotations
@@ -21,10 +25,13 @@ from .core import (
     Interval,
     MomentProvider,
     Sample,
+    SampleBlock,
     WeightFamily,
+    _all_finite,
+    _column,
     _require_finite,
     _require_in_domain,
-    degeneracy_tolerance,
+    _vanishes,
     exact_sum,
     m_prime_values,
     m_values,
@@ -106,12 +113,12 @@ def _newton_update(
     _require_finite("score derivative terms", den_terms)
     num = exact_sum(num_terms)
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError(
             f"one-step denominator {den!r} is numerically zero"
         )
     theta_hat = theta_star - num / den
-    if not math.isfinite(theta_hat):
+    if not _all_finite(theta_hat):
         raise DegenerateDenominatorError("one-step update is not finite")
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
@@ -125,23 +132,24 @@ def one_step(fam: EstimatingFamily, theta_star: float, s: Sample) -> EstimateRes
 
 
 def one_step_weighted(
-    fam: EstimatingFamily, wf: WeightFamily, theta_star: float, s: Sample
+    fam: EstimatingFamily, wf: WeightFamily, theta_star: float | np.ndarray, s: Sample | SampleBlock
 ) -> EstimateResult:
     """Single Newton step on sum_i h_i(t) M_i(t, x_i), weights frozen at theta_star.
 
     theta_hat = theta_star - sum h_i M_i / sum h_i M_i', both sums at
     theta_star.  Invariant under h -> c h for any c != 0.
     """
-    _require_in_domain(theta_star, fam.domain)
-    _require_in_domain(theta_star, wf.domain)
-    h = weight_values(wf, theta_star, s.n)
-    num_terms = h * m_values(fam, theta_star, s.x)
-    den_terms = h * m_prime_values(fam, theta_star, s.x)
+    t = _column(theta_star, s)
+    _require_in_domain(t, fam.domain)
+    _require_in_domain(t, wf.domain)
+    h = weight_values(wf, t, s.n)
+    num_terms = h * m_values(fam, t, s.x)
+    den_terms = h * m_prime_values(fam, t, s.x)
     return _newton_update(theta_star, num_terms, den_terms)
 
 
 def one_step_factorized(
-    fam: EstimatingFamily, wf: WeightFamily, theta_star: float, s: Sample
+    fam: EstimatingFamily, wf: WeightFamily, theta_star: float | np.ndarray, s: Sample | SampleBlock
 ) -> EstimateResult:
     """One-step variant whose denominator differentiates the weights too.
 
@@ -150,22 +158,25 @@ def one_step_factorized(
     """
     if wf.h_prime is None and wf.h_prime_values is None:
         raise MissingDerivativeError("weight family carries no derivative")
-    _require_in_domain(theta_star, fam.domain)
-    _require_in_domain(theta_star, wf.domain)
-    h = weight_values(wf, theta_star, s.n)
-    hp = weight_prime_values(wf, theta_star, s.n)
-    m = m_values(fam, theta_star, s.x)
+    t = _column(theta_star, s)
+    _require_in_domain(t, fam.domain)
+    _require_in_domain(t, wf.domain)
+    h = weight_values(wf, t, s.n)
+    hp = weight_prime_values(wf, t, s.n)
+    m = m_values(fam, t, s.x)
     num_terms = h * m
-    den_terms = np.concatenate([h * m_prime_values(fam, theta_star, s.x), hp * m])
+    # a block's two halves may broadcast differently (constant h M' rows)
+    halves = np.broadcast_arrays(h * m_prime_values(fam, t, s.x), hp * m)
+    den_terms = np.concatenate(halves, axis=-1)
     return _newton_update(theta_star, num_terms, den_terms)
 
 
 def studentize(
     fam: EstimatingFamily,
     wf: WeightFamily,
-    theta_star: float,
-    theta_hat: float,
-    s: Sample,
+    theta_star: float | np.ndarray,
+    theta_hat: float | np.ndarray,
+    s: Sample | SampleBlock,
     alpha: float = 0.05,
 ) -> tuple[float, tuple[float, float]]:
     """Self-normalizing statistic d_star and a level (1 - alpha) interval.
@@ -179,20 +190,22 @@ def studentize(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    for t in (theta_star, theta_hat):
+    t_star, t_hat = _column(theta_star, s), _column(theta_hat, s)
+    for t in (t_star, t_hat):
         _require_in_domain(t, fam.domain)
         _require_in_domain(t, wf.domain)
-    num_terms = weight_values(wf, theta_star, s.n) * m_prime_values(fam, theta_star, s.x)
+    num_terms = weight_values(wf, t_star, s.n) * m_prime_values(fam, t_star, s.x)
     _require_finite("studentizer numerator terms", num_terms)
     num = exact_sum(num_terms)
-    if abs(num) <= degeneracy_tolerance(num_terms):
+    if _vanishes(num, num_terms):
         raise DegenerateDenominatorError("studentizer centering sum is numerically zero")
-    sq_terms = np.square(weight_values(wf, theta_hat, s.n) * m_values(fam, theta_hat, s.x))
+    sq_terms = np.square(weight_values(wf, t_hat, s.n) * m_values(fam, t_hat, s.x))
     _require_finite("studentizer variance terms", sq_terms)
     ssq = exact_sum(sq_terms)
-    if ssq <= VARIANCE_FLOOR:
+    if np.any(ssq <= VARIANCE_FLOOR):
         raise DegenerateDenominatorError("studentizer variance sum is zero")
-    d_star = num / math.sqrt(ssq)
+    # math.sqrt keeps a single sample's d_star a float; both are correctly rounded
+    d_star = num / (np.sqrt(ssq) if isinstance(ssq, np.ndarray) else math.sqrt(ssq))
     half = _critical_value(alpha) / abs(d_star)
     return d_star, (theta_hat - half, theta_hat + half)
 
@@ -269,7 +282,7 @@ def efficiency_ratio(
     j_terms = h * ed
     i_nh = exact_sum(i_terms)
     j_nh = exact_sum(j_terms)
-    if abs(j_nh) <= degeneracy_tolerance(j_terms):
+    if _vanishes(j_nh, j_terms):
         raise DegenerateError("centering sum J is numerically zero")
     quality = exact_sum(ed[active] * ed[active] / e2[active])
     ratio = (i_nh / (j_nh * j_nh)) * quality
@@ -282,20 +295,27 @@ def efficiency_ratio(
 def newton_solve(
     fam: EstimatingFamily,
     wf: WeightFamily,
-    theta_start: float,
-    s: Sample,
+    theta_start: float | np.ndarray,
+    s: Sample | SampleBlock,
     max_iter: int = 100,
     tol: float = 1e-10,
-) -> float:
+) -> float | np.ndarray:
     """Damped Newton root of the weighted score with weights frozen at the start.
 
     Solves sum_i h_i(theta_start) M_i(t, x_i) = 0 for t, halving each Newton
     step (at most 50 times) until the absolute score decreases and the
     iterate stays inside the family domain.  Returns t with |score(t)| <= tol.
+    A block is solved row by row, since rows take different numbers of steps.
 
     Raises NoConvergenceError when the budget is exhausted and
     DegenerateDenominatorError when the score derivative is numerically zero.
     """
+    if isinstance(s, SampleBlock):
+        starts = _column(theta_start, s)[:, 0].tolist()
+        return np.array([
+            newton_solve(fam, wf, start, s.sample(r), max_iter, tol)
+            for r, start in enumerate(starts)
+        ])
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not tol > 0.0:
@@ -318,7 +338,7 @@ def newton_solve(
         der_terms = h * m_prime_values(fam, t, s.x)
         _require_finite("score derivative terms", der_terms)
         der = exact_sum(der_terms)
-        if abs(der) <= degeneracy_tolerance(der_terms):
+        if _vanishes(der, der_terms):
             raise DegenerateDenominatorError("score derivative is numerically zero")
         step = g / der
         accepted = False

@@ -6,6 +6,12 @@ degree of parallelism produces identical records.  Aggregation walks the
 records in replication order with exact summation, making the whole run
 deterministic down to the last bit.
 
+Replications are evaluated in blocks: the rows of a (B, n) SampleBlock go
+through the preliminary, the pipeline and the studentizer together, and
+each row's record is bitwise the one its own Sample gives.  A block in
+which any row fails is evaluated again one row at a time, so a degenerate
+replication fails exactly as it would alone.
+
 Fixed design grids (documented here, used by every scenario):
 
     a_i = 0.5 + 2 i / (n - 1),   i = 0..n-1
@@ -27,7 +33,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EstimatingFamily, Sample, WeightFamily, asymptotic_moments, exact_sum
+from .core import (
+    EstimatingFamily,
+    Sample,
+    SampleBlock,
+    WeightFamily,
+    asymptotic_moments,
+    exact_sum,
+)
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError
 from .estimators import newton_solve, one_step_factorized, one_step_weighted, studentize
 from .normal import normal_cdf, normal_quantile
@@ -55,6 +68,7 @@ __all__ = [
     "SimulationRecord",
     "SimSummary",
     "run",
+    "rows_per_block",
     "ks_statistic",
     "normal_cdf",
     "normal_quantile",
@@ -73,6 +87,12 @@ COVARIATE_SPECS = ("default-grid",)
 
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
+
+# A block holds about this many responses.  At n = 500 its 65 rows make the
+# row-wise sums several times cheaper per row than one sum per replication,
+# its (B, n) temporaries stay a few hundred kB each, and from n = 2**15 on a
+# block is one replication, as before blocks existed.
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -195,8 +215,8 @@ class Scenario:
     mean: np.ndarray
     noise_sd: np.ndarray
     sample_b: np.ndarray | None
-    preliminary: Callable[[Sample], float]
-    pipeline: Callable[[float, Sample], float]
+    preliminary: Callable[[Sample | SampleBlock], float]
+    pipeline: Callable[[float, Sample | SampleBlock], float]
     z_scale: float
     i_nh: float
     j_nh: float
@@ -288,10 +308,32 @@ def _unit_noise(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.laplace(0.0, _LAPLACE_SCALE, n)
 
 
-def _replicate(cfg: SimConfig, scn: Scenario, r: int) -> SimulationRecord:
-    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, r], dtype=np.uint64)))
-    x = scn.mean + scn.noise_sd * _unit_noise(cfg.noise, rng, cfg.n)
-    s = Sample(x=x, a=scn.model.a, b=scn.sample_b)
+def rows_per_block(n: int) -> int:
+    """Replications evaluated together when each has n observations."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
+def _draw(cfg: SimConfig, scn: Scenario, reps: range) -> np.ndarray:
+    """Responses of replications reps: row i from the Philox stream keyed (seed, reps[i]).
+
+    One generator serves the block.  Before each row it is set to its state
+    when new (zero counter, empty buffer) under the key (seed, r), so the
+    row's draws are those of a fresh Generator(Philox(key=[seed, r])).
+    """
+    bitgen = np.random.Philox(key=np.array([cfg.seed, reps[0]], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    x = np.empty((len(reps), cfg.n))
+    for i, r in enumerate(reps):
+        fresh["state"]["key"] = np.array([cfg.seed, r], dtype=np.uint64)
+        bitgen.state = fresh
+        x[i] = _unit_noise(cfg.noise, rng, cfg.n)
+    x *= scn.noise_sd
+    x += scn.mean
+    return x
+
+
+def _replicate(cfg: SimConfig, scn: Scenario, r: int, s: Sample) -> SimulationRecord:
     try:
         theta_star = scn.preliminary(s)
         theta_hat = scn.pipeline(theta_star, s)
@@ -309,6 +351,38 @@ def _replicate(cfg: SimConfig, scn: Scenario, r: int) -> SimulationRecord:
         covered=bool(ci[0] <= cfg.theta_true <= ci[1]),
         degenerate=False,
     )
+
+
+def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[SimulationRecord]:
+    x = _draw(cfg, scn, reps)
+    # a single row gains nothing from the block form, whose (1, n) arrays
+    # run slower than vectors, so it takes the per-replication path below
+    if len(reps) > 1:
+        block = SampleBlock(x=x, a=scn.model.a, b=scn.sample_b)
+        try:
+            theta_star = scn.preliminary(block)
+            theta_hat = scn.pipeline(theta_star, block)
+            d_star, (lo, hi) = studentize(scn.fam, scn.wf, theta_star, theta_hat, block, cfg.alpha)
+        except EstimationError:
+            pass  # evaluate each row alone, so a failing row fails as it would alone
+        else:
+            err = theta_hat - cfg.theta_true
+            covered = (lo <= cfg.theta_true) & (cfg.theta_true <= hi)
+            return [
+                SimulationRecord(r, *values, covered=ok, degenerate=False)
+                for r, *values, ok in zip(
+                    reps,
+                    theta_star.tolist(),
+                    theta_hat.tolist(),
+                    (scn.z_scale * err).tolist(),
+                    (d_star * err).tolist(),
+                    covered.tolist(),
+                )
+            ]
+    return [
+        _replicate(cfg, scn, r, Sample(x=row, a=scn.model.a, b=scn.sample_b))
+        for r, row in zip(reps, x)
+    ]
 
 
 def _mean(values: np.ndarray) -> float:
@@ -352,15 +426,19 @@ def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSu
 
     Records come back ordered by replication index and are identical for any
     threads value; estimator failures inside a replication are recorded as
-    degenerate rather than aborting the run.
+    degenerate rather than aborting the run.  The threads share out the
+    blocks of rows_per_block(n) replications.
     """
     if threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     scn = build_scenario(cfg)
-    reps = range(cfg.replications)
+    reps, size = range(cfg.replications), rows_per_block(cfg.n)
+    blocks = [reps[start : start + size] for start in range(0, len(reps), size)]
+    evaluate = lambda reps: _replicate_block(cfg, scn, reps)
     if threads == 1:
-        records = [_replicate(cfg, scn, r) for r in reps]
+        results = map(evaluate, blocks)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda r: _replicate(cfg, scn, r), reps))
+            results = list(pool.map(evaluate, blocks))
+    records = [rec for block in results for rec in block]
     return records, summarize(cfg, scn, records)

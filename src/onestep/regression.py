@@ -10,6 +10,10 @@ which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
 M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 (square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
 explicit preliminary estimators, plus the adapters between representations.
+
+The preliminary estimators, lse_one_step and mm_closed_form also take a
+SampleBlock with a (B,) parameter vector, and the model evaluators take a
+(B, 1) parameter column, giving one row per sample.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ from .core import (
     Interval,
     MomentProvider,
     Sample,
+    SampleBlock,
     WeightFamily,
+    _all_finite,
+    _column,
     _require_finite,
     _require_in_domain,
-    degeneracy_tolerance,
+    _vanishes,
     exact_sum,
 )
 from .errors import (
@@ -152,7 +159,12 @@ def _const_weight_vector(weights, n: int) -> np.ndarray:
     return w
 
 
-def _check_sample(model: RegressionModel, s: Sample) -> None:
+def _per_observation(value, n: int) -> np.ndarray:
+    """A value shared by all n observations, repeated along the last axis."""
+    return np.full(np.shape(value)[:-1] + (n,), value, dtype=np.float64)
+
+
+def _check_sample(model: RegressionModel, s: Sample | SampleBlock) -> None:
     if s.n != model.n:
         raise ValueError(f"sample has {s.n} observations, model expects {model.n}")
 
@@ -360,10 +372,10 @@ def mm_model(
 
     if weight_fn is not None:
         w = lambda i, t: float(weight_fn(t))
-        w_values = lambda t: np.full(n, float(weight_fn(t)))
+        w_values = lambda t: _per_observation(weight_fn(t), n)
         if weight_fn_prime is not None:
             w_prime = lambda i, t: float(weight_fn_prime(t))
-            w_prime_values = lambda t: np.full(n, float(weight_fn_prime(t)))
+            w_prime_values = lambda t: _per_observation(weight_fn_prime(t), n)
         else:
             w_prime = None
             w_prime_values = None
@@ -534,7 +546,7 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("weighted design sum is numerically zero")
     theta_hat = theta_star + exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
@@ -542,7 +554,9 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
-def lse_one_step(model: RegressionModel, theta_star: float, s: Sample) -> EstimateResult:
+def lse_one_step(
+    model: RegressionModel, theta_star: float | np.ndarray, s: Sample | SampleBlock
+) -> EstimateResult:
     """One Newton step on the least-squares normal equation:
 
     theta_hat = theta_star + sum (x - f) f' / sum (f'^2 - (x - f) f'').
@@ -551,17 +565,18 @@ def lse_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estima
     _check_sample(model, s)
     if model.f_second is None and model.f_second_values is None:
         raise MissingDerivativeError("least-squares step needs f''")
-    fp = _fp_vec(model, theta_star)
-    resid = s.x - _f_vec(model, theta_star)
+    t = _column(theta_star, s)
+    fp = _fp_vec(model, t)
+    resid = s.x - _f_vec(model, t)
     num_terms = resid * fp
-    den_terms = fp * fp - resid * _fsec_vec(model, theta_star)
+    den_terms = fp * fp - resid * _fsec_vec(model, t)
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("curvature sum is numerically zero")
     theta_hat = theta_star + exact_sum(num_terms) / den
-    if not math.isfinite(theta_hat):
+    if not _all_finite(theta_hat):
         raise NonFiniteError("one-step update is not finite")
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
@@ -628,12 +643,12 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         den_terms = c * w * a
     else:
         den_terms = c * a
-    if abs(exact_sum(den_terms)) <= degeneracy_tolerance(den_terms):
+    if _vanishes(exact_sum(den_terms), den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
     return Contrasts(c=c, constraint_kind=kind)
 
 
-def preliminary_sqrt(c: Contrasts, s: Sample) -> float:
+def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarray:
     """Explicit start for the square-root mean with known constant weights:
 
     theta_star = sum c w (x^2 - 1) / sum c w a, requiring sum c = 0 so the
@@ -646,16 +661,16 @@ def preliminary_sqrt(c: Contrasts, s: Sample) -> float:
     w = s.w_known if s.w_known is not None else np.ones(s.n)
     den_terms = cv * w * s.a
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
     num = exact_sum(cv * w * (np.square(s.x) - 1.0))
     theta = num / den
-    if not math.isfinite(theta):
+    if not _all_finite(theta):
         raise NonFiniteError("preliminary estimate is not finite")
     return theta
 
 
-def preliminary_plinear(c: Contrasts, s: Sample) -> float:
+def preliminary_plinear(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarray:
     """Explicit start for the partially linear mean:
 
     theta_star = sum c x / sum c a, requiring sum c b = 0 so the nonlinear
@@ -667,10 +682,10 @@ def preliminary_plinear(c: Contrasts, s: Sample) -> float:
     _validate_b_orthogonal(cv, s.b)
     den_terms = cv * s.a
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
     theta = exact_sum(cv * s.x) / den
-    if not math.isfinite(theta):
+    if not _all_finite(theta):
         raise NonFiniteError("preliminary estimate is not finite")
     return theta
 
@@ -702,7 +717,7 @@ def plinear_one_step(
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("weighted design sum is numerically zero")
     theta_hat = theta_star + exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
@@ -710,7 +725,7 @@ def plinear_one_step(
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
-def preliminary_mm(c, s: Sample) -> float:
+def preliminary_mm(c, s: Sample | SampleBlock) -> float | np.ndarray:
     """Explicit start for the saturation curve:
 
     theta_star = sum c (a - x) / sum c b x.  Any fixed coefficient vector c
@@ -723,10 +738,10 @@ def preliminary_mm(c, s: Sample) -> float:
         raise ValueError("sample carries no b covariate")
     den_terms = cv * s.b * s.x
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("coefficient denominator is numerically zero")
     theta = exact_sum(cv * (s.a - s.x)) / den
-    if not math.isfinite(theta):
+    if not _all_finite(theta):
         raise NonFiniteError("preliminary estimate is not finite")
     return theta
 
@@ -753,7 +768,7 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
     _require_finite("update terms", num_terms)
     _require_finite("denominator terms", den_terms)
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("design sum is numerically zero")
     theta_hat = theta_star - exact_sum(num_terms) / den
     if not math.isfinite(theta_hat):
@@ -761,7 +776,9 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
-def mm_closed_form(model: RegressionModel, theta_star: float, s: Sample) -> float:
+def mm_closed_form(
+    model: RegressionModel, theta_star: float | np.ndarray, s: Sample | SampleBlock
+) -> float | np.ndarray:
     """Closed-form refinement for the saturation curve:
 
     theta = sum w a b (a - x) / (1+b t)^3 / sum w a b^2 x / (1+b t)^3,
@@ -771,18 +788,19 @@ def mm_closed_form(model: RegressionModel, theta_star: float, s: Sample) -> floa
     _check_sample(model, s)
     if model.a is None or model.b is None:
         raise ValueError("model does not carry the a, b covariates this update needs")
-    _require_in_domain(theta_star, model.domain)
+    t = _column(theta_star, s)
+    _require_in_domain(t, model.domain)
     a, b = model.a, model.b
-    q3 = (1.0 + b * theta_star) ** 3
-    wv = _w_vec(model, theta_star)
+    q3 = (1.0 + b * t) ** 3
+    wv = _w_vec(model, t)
     num_terms = wv * a * b * (a - s.x) / q3
     den_terms = wv * a * np.square(b) * s.x / q3
     _require_finite("numerator terms", num_terms)
     _require_finite("denominator terms", den_terms)
     den = exact_sum(den_terms)
-    if abs(den) <= degeneracy_tolerance(den_terms):
+    if _vanishes(den, den_terms):
         raise DegenerateDenominatorError("response-weighted design sum is numerically zero")
     theta = exact_sum(num_terms) / den
-    if not math.isfinite(theta):
+    if not _all_finite(theta):
         raise NonFiniteError("closed-form estimate is not finite")
     return theta

@@ -1,0 +1,202 @@
+"""The block engine: row-wise exact sums and campaigns evaluated in (B, n) blocks.
+
+Every check compares against a replication replayed on its own, through
+the public functions on a one-row Sample, as campaigns ran before blocks.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onestep import SimConfig, run
+from onestep.core import _VECTOR_SUM_MIN_TERMS, Sample, SampleBlock, exact_sum
+from onestep.errors import DegenerateDenominatorError, EstimationError
+from onestep.estimators import studentize
+from onestep.montecarlo import (
+    MODEL_IDS,
+    NOISE_KINDS,
+    PIPELINES,
+    SimulationRecord,
+    _draw,
+    _unit_noise,
+    build_scenario,
+    rows_per_block,
+)
+from onestep.regression import preliminary_mm
+
+# --- row-wise exact sums ---
+
+
+def row_bits(v):
+    """Bits of math.fsum of each row, or the exception it raised."""
+    out = []
+    for row in v.tolist():
+        try:
+            out.append(math.fsum(row).hex())
+        except (OverflowError, ValueError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def assert_rows_match_fsum(v):
+    want = row_bits(v)
+    raised = [bits for bits in want if bits.endswith("Error")]
+    if raised:
+        with pytest.raises((OverflowError, ValueError)):
+            exact_sum(v)
+    else:
+        assert [total.hex() for total in exact_sum(v).tolist()] == want
+
+
+def scaled_row(rng, n, kind):
+    if kind == "zeros":
+        return np.zeros(n) if rng.random() < 0.5 else np.full(n, -0.0)
+    if kind == "subnormal":
+        return rng.integers(-(2**40), 2**40, n) * 2.0**-1074
+    if kind == "huge":
+        return rng.uniform(-1.0, 1.0, n) * 2.0**1020
+    if kind == "cancel":
+        x = rng.standard_normal((n + 1) // 2) * 2.0 ** rng.integers(-60, 60, (n + 1) // 2)
+        return rng.permutation(np.concatenate([x, -x * (1.0 + 2.0**-52)])[:n])
+    if kind == "same-sign":
+        return rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0, n)
+    return rng.standard_normal(n) * 2.0 ** int(rng.integers(-900, 900))
+
+
+ROW_KINDS = ["zeros", "subnormal", "huge", "cancel", "same-sign", "scaled"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=2, max_size=9),
+    n=st.one_of(st.integers(1, 40), st.integers(_VECTOR_SUM_MIN_TERMS - 2, 3000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sums_match_fsum_per_row(kinds, n, seed):
+    # rows of very different magnitudes share one block; zero rows, rows
+    # near overflow and subnormal rows take math.fsum row by row
+    rng = np.random.default_rng(seed)
+    v = np.stack([scaled_row(rng, n, kind) for kind in kinds])
+    if "huge" in kinds and rng.random() < 0.5:
+        v[kinds.index("huge"), :2] = 1.7e308  # a row whose sum overflows
+    assert_rows_match_fsum(v)
+
+
+def test_row_sums_shapes_and_nonfinite_rows():
+    assert exact_sum(np.zeros((0, 5))).shape == (0,)
+    assert exact_sum(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    one = np.random.default_rng(1).standard_normal((1, 3000))
+    assert exact_sum(one).tolist() == [math.fsum(one[0].tolist())]
+    v = np.random.default_rng(2).standard_normal((4, 1200))
+    v[1, 7], v[2, 9] = math.nan, -math.inf
+    assert_rows_match_fsum(v)
+
+
+# --- campaigns: blocks against a replay one replication at a time ---
+
+
+def replay(cfg):
+    """Records as each replication gives them alone, through the public functions."""
+    scn = build_scenario(cfg)
+    records = []
+    for r in range(cfg.replications):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, r], dtype=np.uint64)))
+        x = scn.mean + scn.noise_sd * _unit_noise(cfg.noise, rng, cfg.n)
+        records.append(replay_row(cfg, scn, r, Sample(x=x, a=scn.model.a, b=scn.sample_b)))
+    return records
+
+
+def replay_row(cfg, scn, r, s):
+    try:
+        theta_star = scn.preliminary(s)
+        theta_hat = scn.pipeline(theta_star, s)
+        d_star, ci = studentize(scn.fam, scn.wf, theta_star, theta_hat, s, cfg.alpha)
+    except EstimationError:
+        nan = math.nan
+        return SimulationRecord(r, nan, nan, nan, nan, covered=False, degenerate=True)
+    err = theta_hat - cfg.theta_true
+    return SimulationRecord(
+        r, theta_star, theta_hat, scn.z_scale * err, d_star * err,
+        covered=bool(ci[0] <= cfg.theta_true <= ci[1]), degenerate=False,
+    )
+
+
+def campaign(model_id, pipeline, noise, n, replications, seed=5):
+    return SimConfig(
+        model_id=model_id, theta_true=1.0, sigma=0.05, n=n,
+        replications=replications, seed=seed, noise=noise, pipeline=pipeline,
+    )
+
+
+# n = 40 and 700 sit below the exact-sum crossover and 1500 above it; at 700
+# and 1500 the replication counts leave a ragged last block
+SIZES = {40: 30, 700: rows_per_block(700) + 4, 1500: rows_per_block(1500) + 4}
+COMBOS = [
+    (model_id, pipeline)
+    for model_id in MODEL_IDS
+    for pipeline in PIPELINES
+    if pipeline != "mm_closed_form" or model_id == "mm"
+]
+
+
+@pytest.mark.parametrize("n", sorted(SIZES))
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+@pytest.mark.parametrize("model_id,pipeline", COMBOS)
+def test_blocks_match_replay(model_id, pipeline, noise, n):
+    cfg = campaign(model_id, pipeline, noise, n, SIZES[n])
+    records, _ = run(cfg)
+    assert repr(records) == repr(replay(cfg))
+
+
+def test_block_with_a_failing_row(monkeypatch):
+    # an all-zero response row makes the mm preliminary's denominator vanish
+    from onestep import montecarlo
+
+    cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 30)
+    draw = montecarlo._draw
+
+    def draw_with_zero_row(cfg, scn, reps):
+        x = draw(cfg, scn, reps)
+        x[3] = 0.0
+        return x
+
+    monkeypatch.setattr(montecarlo, "_draw", draw_with_zero_row)
+    records, summary = run(cfg)
+    scn = build_scenario(cfg)
+    block = SampleBlock(x=draw_with_zero_row(cfg, scn, range(5)), a=scn.model.a, b=scn.sample_b)
+    with pytest.raises(DegenerateDenominatorError):
+        preliminary_mm(np.ones(cfg.n), block)
+    expected = replay(cfg)
+    expected[3] = replay_row(cfg, scn, 3, Sample(x=np.zeros(cfg.n), a=scn.model.a, b=scn.sample_b))
+    assert [rec.rep for rec in records if rec.degenerate] == [3]
+    assert summary.degenerate_count == 1
+    assert repr(records) == repr(expected)
+
+
+def test_threads_share_ragged_blocks():
+    cfg = campaign("sqrt", "one_step_weighted", "scaled-uniform", 700, 3 * rows_per_block(700) + 5)
+    base = repr(run(cfg, threads=1))
+    assert repr(run(cfg, threads=2)) == base
+    assert repr(run(cfg, threads=3)) == base
+
+
+def test_rows_per_block_follows_the_element_budget():
+    assert rows_per_block(500) == 65
+    assert rows_per_block(20000) == 1
+    assert rows_per_block(2**15) == 1
+    assert rows_per_block(2) == 2**14
+
+
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+def test_reused_generator_draws_as_fresh_ones(noise):
+    cfg = campaign("mm", "one_step_weighted", noise, 300, 1, seed=2**64 - 2)
+    scn = build_scenario(cfg)
+    reps = range(5, 12)
+    x = _draw(cfg, scn, reps)
+    for i, r in enumerate(reps):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, r], dtype=np.uint64)))
+        fresh = scn.mean + scn.noise_sd * _unit_noise(noise, rng, cfg.n)
+        assert x[i].tobytes() == fresh.tobytes()

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from onestep import cli
+from onestep.montecarlo import rows_per_block
 from onestep import (
     Sample,
     mm_model,
@@ -221,6 +223,14 @@ def test_simulate_outputs(tmp_path):
     assert manifest["config_digest"] == digest
     assert manifest["tool_version"]
     assert manifest["config_path"] == str(cfgfile)
+    # provenance follows the original keys, which keep their order
+    assert list(manifest)[:5] == [
+        "config_path", "output_dir", "tool_version", "config_digest", "created_utc",
+    ]
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["threads"] == 1
+    assert manifest["rows_per_block"] == rows_per_block(30)
 
 
 def test_simulate_reruns_identically(tmp_path):
@@ -352,6 +362,26 @@ def test_report_rejects_duplicate_column(tmp_path, capsys):
     code, err = run_in_process(capsys, "report", summary, "--out", tmp_path / "c.csv")
     assert code == 1
     assert f"{summary}: duplicate column 'model'" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_estimate_and_report_refuse_an_oversized_field(tmp_path, capsys):
+    # csv.reader's field limit is 131072 characters
+    big = '"' + "1" * 140000 + '"'
+    data = tmp_path / "data.csv"
+    data.write_text(f"x,a,b\n{big},2.0,1.0\n0.9,3.0,2.0\n")
+    code, err = run_in_process(capsys, "estimate", data, "--model", "mm", "--out", tmp_path / "r.csv")
+    assert code == 1
+    assert f"error: {data}: field larger than field limit (131072)" in err
+
+    summary = tmp_path / "summary.csv"
+    summary.write_text(
+        "# onestep/summary/v1\n" + ",".join(cli._COMPARISON_COLUMNS) + "\n"
+        + ",".join([big] * len(cli._COMPARISON_COLUMNS)) + "\n"
+    )
+    code, err = run_in_process(capsys, "report", summary, "--out", tmp_path / "c.csv")
+    assert code == 1
+    assert f"error: {summary}: field larger than field limit (131072)" in err
     assert not (tmp_path / "c.csv").exists()
 
 

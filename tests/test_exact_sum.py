@@ -1,4 +1,5 @@
-"""Property tests: exact_sum is bitwise equal to math.fsum on both of its paths."""
+"""Property tests: exact_sum is bitwise equal to math.fsum on both of its paths,
+and the degeneracy tolerance built on it keeps its value when given the sum."""
 
 import math
 
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep.core import _VECTOR_SUM_MIN_TERMS, exact_sum
+from onestep.core import (
+    _VECTOR_SUM_MIN_TERMS,
+    DEGENERACY_SCALE,
+    degeneracy_tolerance,
+    exact_sum,
+)
 
 CROSSOVER = _VECTOR_SUM_MIN_TERMS
 
@@ -133,3 +139,35 @@ def test_input_is_left_untouched():
     before = v.copy()
     exact_sum(v)
     assert np.array_equal(v, before)
+
+
+def signed_row(rng, n, kind):
+    v = rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n)
+    v[rng.random(n) < 0.2] = 0.0
+    v[rng.random(n) < 0.2] = -0.0
+    if kind == "nonnegative":
+        return np.where(v < 0.0, -v, v)
+    if kind == "nonpositive":
+        return np.where(v > 0.0, -v, v)
+    if kind == "zeros":
+        return np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["nonnegative", "nonpositive", "zeros", "mixed"]), min_size=1, max_size=6
+    ),
+    n=lengths.filter(bool),
+    seed=seeds,
+)
+def test_tolerance_from_the_signed_sum_is_unchanged(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    block = np.stack([signed_row(rng, n, kind) for kind in kinds])
+    want = [DEGENERACY_SCALE * (1.0 + math.fsum(np.abs(row).tolist())) for row in block]
+    got = degeneracy_tolerance(block, exact_sum(block))
+    assert [t.hex() for t in got.tolist()] == [t.hex() for t in want]
+    row = block[0]
+    assert degeneracy_tolerance(row, exact_sum(row)).hex() == want[0].hex()
+    assert degeneracy_tolerance(row).hex() == want[0].hex()
