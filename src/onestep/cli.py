@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -34,30 +33,19 @@ from .errors import (
     NoConvergenceError,
     ZeroVarianceError,
 )
-from .estimators import (
-    EstimateResult,
-    newton_solve,
-    one_step_factorized,
-    one_step_weighted,
-    studentize,
-)
+from .estimators import studentize
 from .montecarlo import (
-    MODEL_IDS,
     SimConfig,
     normal_quantile,
     rows_per_block,
     run,
 )
 from .regression import (
-    Contrasts,
-    default_contrasts,
-    lse_one_step,
-    mm_closed_form,
+    PIPELINES,
     mm_model,
     plinear_model,
-    preliminary_mm,
-    preliminary_plinear,
-    preliminary_sqrt,
+    resolve_pipeline,
+    resolve_preliminary,
     sqrt_model,
     to_families,
 )
@@ -66,13 +54,6 @@ SCHEMA_PREFIX = "onestep"
 SCHEMA_VERSION = "v1"
 
 ESTIMATE_MODELS = ("sqrt", "plinear", "mm")
-ESTIMATE_PIPELINES = (
-    "one_step_weighted",
-    "one_step_factorized",
-    "lse_one_step",
-    "mm_closed_form",
-    "newton_oracle",
-)
 
 _DEGENERATE_EXITS = (DegenerateError, NoConvergenceError, ZeroVarianceError)
 
@@ -262,29 +243,6 @@ def _build_estimate_model(model_id: str, s: Sample, weights):
     raise ConfigError(f"model must be one of {ESTIMATE_MODELS}, got {model_id!r}")
 
 
-def _estimate_preliminary(model_id: str, s: Sample, contrast_arg: str) -> float:
-    if model_id == "mm":
-        c = (
-            np.ones(s.n)
-            if contrast_arg == "default"
-            else _load_contrast_file(Path(contrast_arg), s.n)
-        )
-        return preliminary_mm(c, s)
-    if model_id == "sqrt":
-        contrasts = (
-            default_contrasts(s, "sum_zero")
-            if contrast_arg == "default"
-            else Contrasts(_load_contrast_file(Path(contrast_arg), s.n), "sum_zero")
-        )
-        return preliminary_sqrt(contrasts, s)
-    contrasts = (
-        default_contrasts(s, "b_orthogonal")
-        if contrast_arg == "default"
-        else Contrasts(_load_contrast_file(Path(contrast_arg), s.n), "b_orthogonal")
-    )
-    return preliminary_plinear(contrasts, s)
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     warnings: list[str] = []
@@ -294,9 +252,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         s = _load_data_csv(Path(args.data))
         model = _build_estimate_model(args.model, s, s.w_known)
-        if args.pipeline == "mm_closed_form" and args.model != "mm":
-            raise ConfigError("the closed-form pipeline applies to the mm model only")
         fam, wf = to_families(model)
+        update = resolve_pipeline(args.pipeline, model, fam, wf, newton_tol=1e-10)
         if not wf.h_prime_exact:
             warnings.append("weight derivative approximated numerically")
     except (EstimationError, ValueError, OSError) as exc:
@@ -309,29 +266,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         warnings.append(str(exc))
     if not degenerate:
         try:
-            theta_star = (
-                float(args.theta_start)
-                if args.theta_start is not None
-                else _estimate_preliminary(args.model, s, args.contrasts)
-            )
-            if args.pipeline == "one_step_weighted":
-                res = one_step_weighted(fam, wf, theta_star, s)
-            elif args.pipeline == "one_step_factorized":
-                res = one_step_factorized(fam, wf, theta_star, s)
-            elif args.pipeline == "lse_one_step":
-                res = lse_one_step(model, theta_star, s)
-            elif args.pipeline == "mm_closed_form":
-                res = EstimateResult(
-                    theta_star=theta_star,
-                    theta_hat=mm_closed_form(model, theta_star, s),
-                    denominator=math.nan,
+            if args.theta_start is not None:
+                theta_star = float(args.theta_start)
+            else:
+                custom = (
+                    None if args.contrasts == "default"
+                    else _load_contrast_file(Path(args.contrasts), s.n)
                 )
-            else:  # newton_oracle
-                res = EstimateResult(
-                    theta_star=theta_star,
-                    theta_hat=newton_solve(fam, wf, theta_star, s),
-                    denominator=math.nan,
-                )
+                theta_star = resolve_preliminary(model, s, custom)(s)
+            res = update(theta_star, s)
             theta_hat, denominator = res.theta_hat, res.denominator
             d_star, ci = studentize(fam, wf, theta_star, theta_hat, s, args.alpha)
         except _DEGENERATE_EXITS as exc:
@@ -582,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate from a CSV file (columns x, a[, b][, w])")
     p_est.add_argument("data", help="input CSV path")
     p_est.add_argument("--model", required=True, choices=ESTIMATE_MODELS)
-    p_est.add_argument("--pipeline", default="one_step_weighted", choices=ESTIMATE_PIPELINES)
+    p_est.add_argument("--pipeline", default="one_step_weighted", choices=PIPELINES)
     p_est.add_argument("--alpha", type=float, default=0.05, help="interval miss level")
     p_est.add_argument(
         "--contrasts",

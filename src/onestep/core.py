@@ -5,6 +5,12 @@ estimating functions M_i(t, x) with derivatives in t, a family of
 parameter-dependent weights h_i(t), and a moment provider giving
 E M_i^2(t, X_i) and E M_i'(t, X_i) for variance work.
 
+Each family is defined by vector evaluators that give every index at once
+(m_terms, h_values, e_m2_values, ...); the per-index accessors (fam.m,
+wf.h, mp.e_m2, ...) read entry i of those vectors.  A family may instead be
+built from per-index callables alone, which the *_values functions here
+evaluate index by index.
+
 All reductions over observations go through exact_sum, which returns the
 correctly rounded exact sum and is therefore bitwise equal to math.fsum.
 That makes every score sum reproducible bitwise under permutation of the
@@ -20,12 +26,13 @@ row's result is bitwise what the same call gives on that row's Sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, NonFiniteError
+from .errors import DegenerateDenominatorError, DegenerateError, DomainError, NonFiniteError
 
 __all__ = [
     "FULL_LINE",
@@ -74,7 +81,10 @@ class Interval:
 FULL_LINE = Interval()
 
 
-def _as_array(name: str, values, *, n: int | None = None, ndim: int = 1) -> np.ndarray:
+def _as_array(
+    name: str, values, *, n: int | None = None, ndim: int = 1, positive: bool = False
+) -> np.ndarray:
+    """values as a validated, copied and read-only float64 array."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
@@ -84,6 +94,8 @@ def _as_array(name: str, values, *, n: int | None = None, ndim: int = 1) -> np.n
         raise ValueError(f"{name} has length {arr.shape[-1]}, expected {n}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
+    if positive and np.any(arr <= 0.0):
+        raise ValueError(f"{name} entries must be strictly positive")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -95,10 +107,7 @@ def _freeze_design(obj, n: int) -> None:
     if obj.b is not None:
         object.__setattr__(obj, "b", _as_array("b", obj.b, n=n))
     if obj.w_known is not None:
-        w = _as_array("w_known", obj.w_known, n=n)
-        if np.any(w <= 0.0):
-            raise ValueError("w_known entries must be strictly positive")
-        object.__setattr__(obj, "w_known", w)
+        object.__setattr__(obj, "w_known", _as_array("w_known", obj.w_known, n=n, positive=True))
 
 
 @dataclass(frozen=True)
@@ -163,48 +172,88 @@ def _column(t, s: Sample | SampleBlock):
     return t
 
 
+def _entry(values, i: int, *args) -> float:
+    """Entry i of values(*args): the per-index accessor of a vector evaluator."""
+    vals = np.asarray(values(*args), dtype=np.float64)
+    return float(vals[i] if vals.ndim else vals)
+
+
+def _index_accessors(family, *pairs: tuple[str, str], optional: str = "") -> None:
+    """Set each (scalar, vector) accessor of family to entry i of its vector evaluator.
+
+    A scalar the caller gave is kept, and one derived before (as when
+    dataclasses.replace swaps the vector evaluator) is derived again.
+    """
+    for scalar, vector in pairs:
+        given, values = getattr(family, scalar), getattr(family, vector)
+        derived = isinstance(given, partial) and given.func is _entry
+        if values is not None and (given is None or derived):
+            object.__setattr__(family, scalar, partial(_entry, values))
+        elif given is None and scalar != optional:
+            raise ValueError(f"{type(family).__name__} needs {vector} or {scalar}")
+
+
 @dataclass(frozen=True)
 class EstimatingFamily:
     """Per-observation estimating functions M_i(t, x) and their t-derivatives.
 
-    m and m_prime are scalar evaluators (index, parameter, response).  The
-    optional m_terms / m_prime_terms evaluate all indices at once against a
-    response vector; they must agree bitwise with the scalar path and exist
-    purely so large simulations stay vectorized.
+    m_terms(t, xs) and m_prime_terms(t, xs) define the family: they evaluate
+    every index at once against the responses xs (a vector, or a (B, n)
+    block with t a (B, 1) column), broadcasting over a scalar x too.  m and
+    m_prime are the per-index accessors (index, parameter, response), which
+    read entry i of those vectors.  A family built from m and m_prime alone
+    is evaluated index by index.
     """
 
-    m: Callable[[int, float, float], float]
-    m_prime: Callable[[int, float, float], float]
+    m: Callable[[int, float, float], float] | None = None
+    m_prime: Callable[[int, float, float], float] | None = None
     domain: Interval = FULL_LINE
     m_terms: Callable[[float, np.ndarray], np.ndarray] | None = None
     m_prime_terms: Callable[[float, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        _index_accessors(self, ("m", "m_terms"), ("m_prime", "m_prime_terms"))
 
 
 @dataclass(frozen=True)
 class WeightFamily:
     """Parameter-dependent weights h_i(t), optionally with derivatives.
 
-    h_prime is the analytic derivative of h when available.  Adapters that
-    fall back to a finite-difference derivative mark it by setting
-    h_prime_exact to False so downstream consumers can surface a warning.
+    h_values(t) and h_prime_values(t) define the family, one value per
+    index; h and h_prime are the per-index accessors (index, parameter),
+    which read entry i of those vectors, or define a family given by them
+    alone.  h_prime is the analytic derivative of h when available.
+    Adapters that fall back to a finite-difference derivative mark it by
+    setting h_prime_exact to False so downstream consumers can surface a
+    warning.
     """
 
-    h: Callable[[int, float], float]
+    h: Callable[[int, float], float] | None = None
     h_prime: Callable[[int, float], float] | None = None
     domain: Interval = FULL_LINE
     h_values: Callable[[float], np.ndarray] | None = None
     h_prime_values: Callable[[float], np.ndarray] | None = None
     h_prime_exact: bool = True
 
+    def __post_init__(self) -> None:
+        _index_accessors(self, ("h", "h_values"), ("h_prime", "h_prime_values"), optional="h_prime")
+
 
 @dataclass(frozen=True)
 class MomentProvider:
-    """Supplies E M_i^2(t, X_i) >= 0 and E M_i'(t, X_i) for each index."""
+    """Supplies E M_i^2(t, X_i) >= 0 and E M_i'(t, X_i) for each index.
 
-    e_m2: Callable[[int, float], float]
-    e_mprime: Callable[[int, float], float]
+    As in the families, the *_values evaluators define it and e_m2 and
+    e_mprime read one index, or define it alone.
+    """
+
+    e_m2: Callable[[int, float], float] | None = None
+    e_mprime: Callable[[int, float], float] | None = None
     e_m2_values: Callable[[float], np.ndarray] | None = None
     e_mprime_values: Callable[[float], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        _index_accessors(self, ("e_m2", "e_m2_values"), ("e_mprime", "e_mprime_values"))
 
 
 def _require_in_domain(t, domain: Interval) -> None:
@@ -230,64 +279,56 @@ def _require_finite(name: str, terms: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite value in {name}")
 
 
-def _width(vals: np.ndarray) -> int:
-    """Observations covered by evaluator output: the last axis of a block's (B, n)."""
-    return vals.shape[-1] if vals.ndim > 1 else vals.size
+def _evaluate(vector, scalar, n: int, t, xs=None) -> np.ndarray:
+    """vector(t), or vector(t, xs), as float64; without a vector evaluator,
+    scalar(i, t), or scalar(i, t, xs[i]), at every index i < n.
+
+    The one bridge from per-index callables to vectors.  Raises ValueError
+    when a vector evaluator gives other than n values per row, except that
+    one evaluated against responses may give a single value for all.
+    """
+    if vector is None:
+        if xs is None:
+            items = (scalar(i, t) for i in range(n))
+        else:
+            items = (scalar(i, t, x) for i, x in enumerate(xs))
+        return np.fromiter(items, dtype=np.float64, count=n)
+    vals = np.asarray(vector(t) if xs is None else vector(t, xs), dtype=np.float64)
+    width = vals.shape[-1] if vals.ndim > 1 else vals.size  # per row of a block
+    if width != n and (vals.ndim or xs is None):
+        raise ValueError(f"a vector evaluator returned {width} values, expected {n}")
+    return vals
 
 
 def weight_values(wf: WeightFamily, t: float, n: int) -> np.ndarray:
     """Evaluate h_i(t) for i = 0..n-1 as a float64 vector (rows of it for a (B, 1) t)."""
-    if wf.h_values is not None:
-        vals = np.asarray(wf.h_values(t), dtype=np.float64)
-        if _width(vals) != n:
-            raise ValueError(f"weight evaluator returned {vals.size} values, expected {n}")
-        return vals
-    return np.fromiter((wf.h(i, t) for i in range(n)), dtype=np.float64, count=n)
+    return _evaluate(wf.h_values, wf.h, n, t)
 
 
 def weight_prime_values(wf: WeightFamily, t: float, n: int) -> np.ndarray:
     """Evaluate h_i'(t) for i = 0..n-1; requires the family to carry it."""
-    if wf.h_prime_values is not None:
-        vals = np.asarray(wf.h_prime_values(t), dtype=np.float64)
-        if _width(vals) != n:
-            raise ValueError(f"weight derivative returned {vals.size} values, expected {n}")
-        return vals
     if wf.h_prime is None:
         raise ValueError("weight family carries no derivative")
-    return np.fromiter((wf.h_prime(i, t) for i in range(n)), dtype=np.float64, count=n)
+    return _evaluate(wf.h_prime_values, wf.h_prime, n, t)
 
 
 def m_values(fam: EstimatingFamily, t: float, xs: np.ndarray) -> np.ndarray:
     """Evaluate M_i(t, x_i) across the sample."""
-    if fam.m_terms is not None:
-        return np.asarray(fam.m_terms(t, xs), dtype=np.float64)
-    n = xs.size
-    return np.fromiter((fam.m(i, t, xs[i]) for i in range(n)), dtype=np.float64, count=n)
+    return _evaluate(fam.m_terms, fam.m, xs.shape[-1], t, xs)
 
 
 def m_prime_values(fam: EstimatingFamily, t: float, xs: np.ndarray) -> np.ndarray:
     """Evaluate M_i'(t, x_i) across the sample."""
-    if fam.m_prime_terms is not None:
-        vals = np.asarray(fam.m_prime_terms(t, xs), dtype=np.float64)
-        if vals.ndim == 0:
-            vals = np.full(xs.shape, float(vals))
-        return vals
-    n = xs.size
-    return np.fromiter((fam.m_prime(i, t, xs[i]) for i in range(n)), dtype=np.float64, count=n)
+    vals = _evaluate(fam.m_prime_terms, fam.m_prime, xs.shape[-1], t, xs)
+    if vals.ndim == 0:
+        vals = np.full(xs.shape, float(vals))
+    return vals
 
 
 def moment_values(mp: MomentProvider, theta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (E M_i^2, E M_i') vectors at theta."""
-    if mp.e_m2_values is not None:
-        e2 = np.asarray(mp.e_m2_values(theta), dtype=np.float64)
-    else:
-        e2 = np.fromiter((mp.e_m2(i, theta) for i in range(n)), dtype=np.float64, count=n)
-    if mp.e_mprime_values is not None:
-        ed = np.asarray(mp.e_mprime_values(theta), dtype=np.float64)
-    else:
-        ed = np.fromiter((mp.e_mprime(i, theta) for i in range(n)), dtype=np.float64, count=n)
-    if e2.size != n or ed.size != n:
-        raise ValueError("moment provider returned wrong number of values")
+    e2 = _evaluate(mp.e_m2_values, mp.e_m2, n, theta)
+    ed = _evaluate(mp.e_mprime_values, mp.e_mprime, n, theta)
     _require_finite("second moments", e2)
     _require_finite("derivative moments", ed)
     if np.any(e2 < 0.0):
@@ -406,6 +447,39 @@ def _vanishes(total, terms: np.ndarray) -> bool:
     return bool(np.any(abs(total) <= degeneracy_tolerance(terms, total)))
 
 
+def _ratio(num_terms, den_terms, degenerate: str,
+           names: tuple[str, str] = ("numerator terms", "denominator terms")):
+    """(exact sum of num_terms / exact sum of den_terms, the latter sum).
+
+    Every one-step update and explicit preliminary divides two such sums
+    (one per row of a block).  Raises NonFiniteError naming names[0] or
+    names[1] when a term is not finite, and DegenerateDenominatorError with
+    the message degenerate, formatted with the denominator, when the
+    denominator vanishes against its terms.
+    """
+    _require_finite(names[0], num_terms)
+    _require_finite(names[1], den_terms)
+    den = exact_sum(den_terms)
+    if _vanishes(den, den_terms):
+        raise DegenerateDenominatorError(degenerate.format(den))
+    return exact_sum(num_terms) / den, den
+
+
+def _finite(value, message: str, error: type[Exception] = NonFiniteError):
+    """value (a float, or one per row of a block), unless any of it is not finite."""
+    if not _all_finite(value):
+        raise error(message)
+    return value
+
+
+def _score_terms(fam: EstimatingFamily, wf: WeightFamily, t, s: Sample | SampleBlock):
+    """The terms h_i(t) M_i(t, x_i) and h_i(t) M_i'(t, x_i), t checked against both domains."""
+    _require_in_domain(t, fam.domain)
+    _require_in_domain(t, wf.domain)
+    h = weight_values(wf, t, s.n)
+    return h * m_values(fam, t, s.x), h * m_prime_values(fam, t, s.x)
+
+
 def score_sums(
     fam: EstimatingFamily, wf: WeightFamily, t: float, s: Sample
 ) -> tuple[float, float]:
@@ -418,11 +492,7 @@ def score_sums(
     Raises DomainError if t is outside either family's domain and
     NonFiniteError if any term fails to be finite.
     """
-    _require_in_domain(t, fam.domain)
-    _require_in_domain(t, wf.domain)
-    h = weight_values(wf, t, s.n)
-    num_terms = h * m_values(fam, t, s.x)
-    den_terms = h * m_prime_values(fam, t, s.x)
+    num_terms, den_terms = _score_terms(fam, wf, t, s)
     _require_finite("score terms", num_terms)
     _require_finite("score derivative terms", den_terms)
     return exact_sum(num_terms), exact_sum(den_terms)
@@ -446,7 +516,11 @@ def asymptotic_moments(
         raise ValueError("n must be at least 1")
     h = weight_values(wf, theta, n)
     _require_finite("weights", h)
-    e2, ed = moment_values(mp, theta, n)
+    return _moment_sums(h, *moment_values(mp, theta, n))
+
+
+def _moment_sums(h: np.ndarray, e2: np.ndarray, ed: np.ndarray) -> tuple[float, float]:
+    """I = sum_i h_i^2 E M_i^2 and J = sum_i h_i E M_i', unless either vanishes."""
     i_terms = h * h * e2
     j_terms = h * ed
     i_nh = exact_sum(i_terms)

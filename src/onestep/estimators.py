@@ -27,10 +27,13 @@ from .core import (
     Sample,
     SampleBlock,
     WeightFamily,
-    _all_finite,
     _column,
+    _finite,
+    _moment_sums,
+    _ratio,
     _require_finite,
     _require_in_domain,
+    _score_terms,
     _vanishes,
     exact_sum,
     m_prime_values,
@@ -109,17 +112,13 @@ def unit_weights(domain: Interval = FULL_LINE) -> WeightFamily:
 def _newton_update(
     theta_star: float, num_terms: np.ndarray, den_terms: np.ndarray
 ) -> EstimateResult:
-    _require_finite("score terms", num_terms)
-    _require_finite("score derivative terms", den_terms)
-    num = exact_sum(num_terms)
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError(
-            f"one-step denominator {den!r} is numerically zero"
-        )
-    theta_hat = theta_star - num / den
-    if not _all_finite(theta_hat):
-        raise DegenerateDenominatorError("one-step update is not finite")
+    ratio, den = _ratio(
+        num_terms, den_terms, "one-step denominator {!r} is numerically zero",
+        ("score terms", "score derivative terms"),
+    )
+    theta_hat = _finite(
+        theta_star - ratio, "one-step update is not finite", DegenerateDenominatorError
+    )
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -139,12 +138,7 @@ def one_step_weighted(
     theta_hat = theta_star - sum h_i M_i / sum h_i M_i', both sums at
     theta_star.  Invariant under h -> c h for any c != 0.
     """
-    t = _column(theta_star, s)
-    _require_in_domain(t, fam.domain)
-    _require_in_domain(t, wf.domain)
-    h = weight_values(wf, t, s.n)
-    num_terms = h * m_values(fam, t, s.x)
-    den_terms = h * m_prime_values(fam, t, s.x)
+    num_terms, den_terms = _score_terms(fam, wf, _column(theta_star, s), s)
     return _newton_update(theta_star, num_terms, den_terms)
 
 
@@ -156,7 +150,7 @@ def one_step_factorized(
     theta_hat = theta_star - sum h_i M_i / (sum h_i M_i' + sum h_i' M_i).
     Requires the weight family to carry its derivative.
     """
-    if wf.h_prime is None and wf.h_prime_values is None:
+    if wf.h_prime is None:
         raise MissingDerivativeError("weight family carries no derivative")
     t = _column(theta_star, s)
     _require_in_domain(t, fam.domain)
@@ -235,8 +229,6 @@ def optimal_weights(mp: MomentProvider, theta: float, n: int) -> WeightFamily:
     ho = ed / e2
     ho.flags.writeable = False
     return WeightFamily(
-        h=lambda i, t: float(ho[i]),
-        h_prime=lambda i, t: 0.0,
         domain=FULL_LINE,
         h_values=lambda t: ho,
         h_prime_values=lambda t: np.zeros(n),
@@ -278,12 +270,7 @@ def efficiency_ratio(
         raise SignMismatchError(
             "weight signs do not match the optimal weight signs at every index"
         )
-    i_terms = h * h * e2
-    j_terms = h * ed
-    i_nh = exact_sum(i_terms)
-    j_nh = exact_sum(j_terms)
-    if _vanishes(j_nh, j_terms):
-        raise DegenerateError("centering sum J is numerically zero")
+    i_nh, j_nh = _moment_sums(h, e2, ed)
     quality = exact_sum(ed[active] * ed[active] / e2[active])
     ratio = (i_nh / (j_nh * j_nh)) * quality
     spread = float(np.max(ratios) / np.min(ratios))

@@ -27,6 +27,7 @@ linear one) and all-ones coefficients for the saturation curve.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,20 +43,18 @@ from .core import (
     exact_sum,
 )
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError
-from .estimators import newton_solve, one_step_factorized, one_step_weighted, studentize
+from .estimators import studentize
 from .normal import normal_cdf, normal_quantile
 from .regression import (
+    PIPELINES,
     RegressionModel,
-    default_contrasts,
+    check_pipeline,
     linear_model,
-    lse_one_step,
-    mm_closed_form,
     mm_model,
     moment_provider,
     plinear_model,
-    preliminary_mm,
-    preliminary_plinear,
-    preliminary_sqrt,
+    resolve_pipeline,
+    resolve_preliminary,
     sqrt_model,
     to_families,
 )
@@ -76,13 +75,6 @@ __all__ = [
 
 MODEL_IDS = ("sqrt", "plinear", "mm", "custom-linear")
 NOISE_KINDS = ("gaussian", "scaled-uniform", "scaled-laplace")
-PIPELINES = (
-    "one_step_weighted",
-    "one_step_factorized",
-    "lse_one_step",
-    "mm_closed_form",
-    "newton_oracle",
-)
 COVARIATE_SPECS = ("default-grid",)
 
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
@@ -115,14 +107,11 @@ class SimConfig:
             raise ConfigError(f"model must be one of {MODEL_IDS}, got {self.model_id!r}")
         if self.noise not in NOISE_KINDS:
             raise ConfigError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        if self.pipeline not in PIPELINES:
-            raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+        check_pipeline(self.pipeline, self.model_id)
         if self.covariate_spec not in COVARIATE_SPECS:
             raise ConfigError(
                 f"covariates must be one of {COVARIATE_SPECS}, got {self.covariate_spec!r}"
             )
-        if self.pipeline == "mm_closed_form" and self.model_id != "mm":
-            raise ConfigError("the closed-form pipeline applies to the mm model only")
         if not isinstance(self.n, int) or self.n < 2:
             raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.replications, int) or self.replications < 1:
@@ -249,39 +238,10 @@ def build_scenario(cfg: SimConfig) -> Scenario:
     model = build_model(cfg.model_id, cfg.n, cfg.sigma)
     fam, wf = to_families(model)
     theta = cfg.theta_true
-    mean = model.f_values(theta) if model.f_values else None
-    if mean is None:
-        mean = np.fromiter((model.f(i, theta) for i in range(model.n)), np.float64, model.n)
-    noise_sd = cfg.sigma / np.sqrt(model.w_values(theta))
-    template = Sample(x=mean, a=model.a, b=model.b)
-
-    if cfg.model_id == "sqrt":
-        contrasts = default_contrasts(template, "sum_zero")
-        preliminary = lambda s: preliminary_sqrt(contrasts, s)
-        sample_b = None
-    elif cfg.model_id == "plinear":
-        contrasts = default_contrasts(template, "b_orthogonal")
-        preliminary = lambda s: preliminary_plinear(contrasts, s)
-        sample_b = model.b
-    elif cfg.model_id == "mm":
-        ones = np.ones(cfg.n)
-        preliminary = lambda s: preliminary_mm(ones, s)
-        sample_b = model.b
-    else:  # custom-linear
-        contrasts = default_contrasts(Sample(x=mean, a=model.a), "sum_zero")
-        preliminary = lambda s: preliminary_plinear(contrasts, s)
-        sample_b = None
-
-    if cfg.pipeline == "one_step_weighted":
-        pipeline = lambda ts, s: one_step_weighted(fam, wf, ts, s).theta_hat
-    elif cfg.pipeline == "one_step_factorized":
-        pipeline = lambda ts, s: one_step_factorized(fam, wf, ts, s).theta_hat
-    elif cfg.pipeline == "lse_one_step":
-        pipeline = lambda ts, s: lse_one_step(model, ts, s).theta_hat
-    elif cfg.pipeline == "mm_closed_form":
-        pipeline = lambda ts, s: mm_closed_form(model, ts, s)
-    else:  # newton_oracle
-        pipeline = lambda ts, s: newton_solve(fam, wf, ts, s, max_iter=100, tol=1e-9)
+    mean = model.values("f", theta)
+    noise_sd = cfg.sigma / np.sqrt(model.values("w", theta))
+    preliminary = resolve_preliminary(model, Sample(x=mean, a=model.a, b=model.b))
+    update = resolve_pipeline(cfg.pipeline, model, fam, wf, newton_tol=1e-9)
 
     i_nh, j_nh = asymptotic_moments(moment_provider(model), wf, theta, model.n)
     z_scale = j_nh / math.sqrt(i_nh)
@@ -291,9 +251,9 @@ def build_scenario(cfg: SimConfig) -> Scenario:
         wf=wf,
         mean=mean,
         noise_sd=noise_sd,
-        sample_b=sample_b,
+        sample_b=model.b,
         preliminary=preliminary,
-        pipeline=pipeline,
+        pipeline=lambda ts, s: update(ts, s).theta_hat,
         z_scale=z_scale,
         i_nh=i_nh,
         j_nh=j_nh,
@@ -427,7 +387,8 @@ def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSu
     Records come back ordered by replication index and are identical for any
     threads value; estimator failures inside a replication are recorded as
     degenerate rather than aborting the run.  The threads share out the
-    blocks of rows_per_block(n) replications.
+    blocks of rows_per_block(n) replications; no more of them start than
+    there are blocks or processors.
     """
     if threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
@@ -435,10 +396,11 @@ def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSu
     reps, size = range(cfg.replications), rows_per_block(cfg.n)
     blocks = [reps[start : start + size] for start in range(0, len(reps), size)]
     evaluate = lambda reps: _replicate_block(cfg, scn, reps)
-    if threads == 1:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
         results = map(evaluate, blocks)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, blocks))
     records = [rec for block in results for rec in block]
     return records, summarize(cfg, scn, records)

@@ -1,15 +1,20 @@
-"""Nonlinear regression models and their one-step estimators.
+"""Nonlinear regression models, their one-step estimators, and the pipeline table.
 
 A model here is a fixed-design mean function f_i(t) with derivatives, a
 variance-weight function w_i(t) scaling Var X_i = sigma^2 / w_i(t), and an
-open parameter domain.  The quasi-likelihood estimating equation is
+open parameter domain.  Vector evaluators that give every observation at
+once define it; model.f(i, t) and the other per-index accessors read entry
+i of them.  The quasi-likelihood estimating equation is
 
     sum_i w_i(t) f_i'(t) (x_i - f_i(t)) = 0,
 
 which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
 M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 (square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
-explicit preliminary estimators, plus the adapters between representations.
+explicit preliminary estimators, the adapters to the core families, and
+the two tables the command line and the simulation harness share:
+resolve_preliminary, each model kind's preliminary estimator, and
+resolve_pipeline, the function of each update name they accept.
 
 The preliminary estimators, lse_one_step and mm_closed_form also take a
 SampleBlock with a (B,) parameter vector, and the model evaluators take a
@@ -32,26 +37,35 @@ from .core import (
     Sample,
     SampleBlock,
     WeightFamily,
-    _all_finite,
+    _as_array,
     _column,
+    _evaluate,
+    _finite,
+    _ratio,
     _require_finite,
     _require_in_domain,
     _vanishes,
     exact_sum,
 )
 from .errors import (
+    ConfigError,
     ConstraintError,
     DegenerateDenominatorError,
     DegenerateError,
     DivisionByZeroError,
     MissingDerivativeError,
-    NonFiniteError,
 )
-from .estimators import EstimateResult
+from .estimators import (
+    EstimateResult,
+    newton_solve,
+    one_step_factorized,
+    one_step_weighted,
+)
 
 __all__ = [
     "RegressionModel",
     "Contrasts",
+    "PIPELINES",
     "linear_model",
     "sqrt_model",
     "plinear_model",
@@ -69,6 +83,9 @@ __all__ = [
     "preliminary_mm",
     "mm_one_step",
     "mm_closed_form",
+    "check_pipeline",
+    "resolve_pipeline",
+    "resolve_preliminary",
 ]
 
 ContrastKind = Literal["sum_zero", "b_orthogonal"]
@@ -76,31 +93,32 @@ ContrastKind = Literal["sum_zero", "b_orthogonal"]
 # Relative step used when a weight derivative must be approximated.
 _FD_STEP = 1e-6
 
+# The names the term checks of the termwise one-step updates give.
+_UPDATE_TERMS = ("update terms", "denominator terms")
+_UPDATE_NOT_FINITE = "one-step update is not finite"
+
 
 @dataclass(frozen=True)
 class RegressionModel:
     """Mean function family with variance weights on an open domain.
 
-    f, f_prime, f_second, w, w_prime are scalar evaluators (index, t).
-    The *_values fields evaluate all indices at once and must agree with
-    the scalar path bitwise; factories in this module always provide them.
-    a and b hold the covariate grids when the model has them, and kind
-    names the family for dispatch ("linear", "sqrt", "plinear", "mm", or
-    "custom").
+    The vector evaluators f_values, f_prime_values, f_second_values,
+    w_values and w_prime_values define the model: each maps t, or a (B, 1)
+    column of parameter values, to one value per observation.  The last two
+    are optional.  The methods f, f_prime, f_second, w and w_prime (index,
+    t) give one observation's value, read off those vectors after checking
+    that t lies in the domain.  a and b hold the covariate grids when the
+    model has them, and kind names the family for dispatch ("linear",
+    "sqrt", "plinear", "mm", or "custom").
     """
 
     n: int
-    f: Callable[[int, float], float]
-    f_prime: Callable[[int, float], float]
-    w: Callable[[int, float], float]
+    f_values: Callable[[float], np.ndarray]
+    f_prime_values: Callable[[float], np.ndarray]
+    w_values: Callable[[float], np.ndarray]
     sigma: float
     domain: Interval = FULL_LINE
-    f_second: Callable[[int, float], float] | None = None
-    w_prime: Callable[[int, float], float] | None = None
-    f_values: Callable[[float], np.ndarray] | None = None
-    f_prime_values: Callable[[float], np.ndarray] | None = None
     f_second_values: Callable[[float], np.ndarray] | None = None
-    w_values: Callable[[float], np.ndarray] | None = None
     w_prime_values: Callable[[float], np.ndarray] | None = None
     a: np.ndarray | None = None
     b: np.ndarray | None = None
@@ -112,6 +130,33 @@ class RegressionModel:
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
+    def values(self, name: str, t) -> np.ndarray:
+        """The evaluator {name}_values at t, name one of f, f_prime, f_second, w, w_prime.
+
+        Raises DomainError (NonFiniteError) unless t lies in the domain and
+        MissingDerivativeError when the model does not carry the evaluator.
+        """
+        _require_in_domain(t, self.domain)
+        values = getattr(self, f"{name}_values")
+        if values is None:
+            raise MissingDerivativeError(f"model carries no {name}_values")
+        return np.asarray(values(t), dtype=np.float64)
+
+    def f(self, i: int, t: float) -> float:
+        return float(self.values("f", t)[i])
+
+    def f_prime(self, i: int, t: float) -> float:
+        return float(self.values("f_prime", t)[i])
+
+    def f_second(self, i: int, t: float) -> float:
+        return float(self.values("f_second", t)[i])
+
+    def w(self, i: int, t: float) -> float:
+        return float(self.values("w", t)[i])
+
+    def w_prime(self, i: int, t: float) -> float:
+        return float(self.values("w_prime", t)[i])
+
 
 @dataclass(frozen=True)
 class Contrasts:
@@ -121,42 +166,19 @@ class Contrasts:
     constraint_kind: ContrastKind
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=np.float64)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("contrast vector must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise NonFiniteError("contrast vector contains non-finite entries")
+        object.__setattr__(self, "c", _as_array("contrast vector", self.c))
         if self.constraint_kind not in ("sum_zero", "b_orthogonal"):
             raise ValueError(f"unknown constraint kind {self.constraint_kind!r}")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
 
 
-def _covariate(name: str, values, *, positive: bool = False) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    if positive and np.any(arr <= 0.0):
-        raise ValueError(f"{name} entries must be strictly positive")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def _const_weight_vector(weights, n: int) -> np.ndarray:
+def _constant_weights(weights, n: int) -> dict:
+    """w_values and w_prime_values of variance weights constant in t (ones by default)."""
     if weights is None:
-        w = np.ones(n)
+        wv = np.ones(n)
+        wv.flags.writeable = False
     else:
-        w = _covariate("weights", weights).copy()
-        if w.size != n:
-            raise ValueError(f"weights have length {w.size}, expected {n}")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be strictly positive")
-    w.flags.writeable = False
-    return w
+        wv = _as_array("weights", weights, n=n, positive=True)
+    return {"w_values": lambda t: wv, "w_prime_values": lambda t: np.zeros(n)}
 
 
 def _per_observation(value, n: int) -> np.ndarray:
@@ -169,67 +191,20 @@ def _check_sample(model: RegressionModel, s: Sample | SampleBlock) -> None:
         raise ValueError(f"sample has {s.n} observations, model expects {model.n}")
 
 
-# --- vector evaluation helpers with scalar fallback ---
-
-def _f_vec(model: RegressionModel, t: float) -> np.ndarray:
-    _require_in_domain(t, model.domain)
-    if model.f_values is not None:
-        return np.asarray(model.f_values(t), dtype=np.float64)
-    return np.fromiter((model.f(i, t) for i in range(model.n)), np.float64, model.n)
-
-
-def _fp_vec(model: RegressionModel, t: float) -> np.ndarray:
-    _require_in_domain(t, model.domain)
-    if model.f_prime_values is not None:
-        return np.asarray(model.f_prime_values(t), dtype=np.float64)
-    return np.fromiter((model.f_prime(i, t) for i in range(model.n)), np.float64, model.n)
-
-
-def _fsec_vec(model: RegressionModel, t: float) -> np.ndarray:
-    _require_in_domain(t, model.domain)
-    if model.f_second_values is not None:
-        return np.asarray(model.f_second_values(t), dtype=np.float64)
-    if model.f_second is None:
-        raise MissingDerivativeError("model carries no second derivative of f")
-    return np.fromiter((model.f_second(i, t) for i in range(model.n)), np.float64, model.n)
-
-
-def _w_vec(model: RegressionModel, t: float) -> np.ndarray:
-    _require_in_domain(t, model.domain)
-    if model.w_values is not None:
-        return np.asarray(model.w_values(t), dtype=np.float64)
-    return np.fromiter((model.w(i, t) for i in range(model.n)), np.float64, model.n)
-
-
-def _wp_vec(model: RegressionModel, t: float) -> np.ndarray | None:
-    if model.w_prime_values is not None:
-        return np.asarray(model.w_prime_values(t), dtype=np.float64)
-    if model.w_prime is not None:
-        return np.fromiter((model.w_prime(i, t) for i in range(model.n)), np.float64, model.n)
-    return None
-
-
 # --- model factories ---
 
 def linear_model(a, sigma: float = 1.0, weights=None) -> RegressionModel:
     """Straight line through the origin: f_i(t) = a_i t."""
-    a = _covariate("a", a)
+    a = _as_array("a", a)
     n = a.size
-    wv = _const_weight_vector(weights, n)
     return RegressionModel(
         n=n,
-        f=lambda i, t: float(a[i] * t),
-        f_prime=lambda i, t: float(a[i]),
-        f_second=lambda i, t: 0.0,
-        w=lambda i, t: float(wv[i]),
-        w_prime=lambda i, t: 0.0,
         sigma=sigma,
         domain=FULL_LINE,
         f_values=lambda t: a * t,
         f_prime_values=lambda t: a,
         f_second_values=lambda t: np.zeros(n),
-        w_values=lambda t: wv,
-        w_prime_values=lambda t: np.zeros(n),
+        **_constant_weights(weights, n),
         a=a,
         kind="linear",
     )
@@ -241,38 +216,16 @@ def sqrt_model(a, sigma: float = 1.0, weights=None) -> RegressionModel:
     The domain is the largest open interval on which every 1 + a_i t stays
     positive; evaluation outside it raises DomainError rather than clamping.
     """
-    a = _covariate("a", a, positive=True)
+    a = _as_array("a", a, positive=True)
     n = a.size
-    wv = _const_weight_vector(weights, n)
-    domain = Interval(-1.0 / float(np.max(a)), math.inf)
-
-    def f(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        return math.sqrt(1.0 + a[i] * t)
-
-    def f_prime(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        return float(a[i] / (2.0 * np.sqrt(1.0 + a[i] * t)))
-
-    def f_second(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        u = 1.0 + a[i] * t
-        return float(-(a[i] * a[i]) / (4.0 * u * np.sqrt(u)))
-
     return RegressionModel(
         n=n,
-        f=f,
-        f_prime=f_prime,
-        f_second=f_second,
-        w=lambda i, t: float(wv[i]),
-        w_prime=lambda i, t: 0.0,
         sigma=sigma,
-        domain=domain,
+        domain=Interval(-1.0 / float(np.max(a)), math.inf),
         f_values=lambda t: np.sqrt(1.0 + a * t),
         f_prime_values=lambda t: a / (2.0 * np.sqrt(1.0 + a * t)),
         f_second_values=lambda t: -(a * a) / (4.0 * (1.0 + a * t) * np.sqrt(1.0 + a * t)),
-        w_values=lambda t: wv,
-        w_prime_values=lambda t: np.zeros(n),
+        **_constant_weights(weights, n),
         a=a,
         kind="sqrt",
     )
@@ -289,45 +242,19 @@ def plinear_model(
     domain: Interval = FULL_LINE,
 ) -> RegressionModel:
     """Partially linear mean: f_i(t) = a_i t + b_i g(t), g a scalar function."""
-    a = _covariate("a", a)
-    b = _covariate("b", b)
+    a = _as_array("a", a)
+    b = _as_array("b", b)
     if b.size != a.size:
         raise ValueError("a and b must have equal length")
     n = a.size
-    wv = _const_weight_vector(weights, n)
-
-    def f(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        return float(a[i] * t + b[i] * g(t))
-
-    def f_prime(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        return float(a[i] + b[i] * g_prime(t))
-
-    f_second = None
-    f_second_values = None
-    if g_second is not None:
-        def f_second(i: int, t: float) -> float:
-            _require_in_domain(t, domain)
-            return float(b[i] * g_second(t))
-
-        def f_second_values(t: float) -> np.ndarray:
-            return b * g_second(t)
-
     return RegressionModel(
         n=n,
-        f=f,
-        f_prime=f_prime,
-        f_second=f_second,
-        w=lambda i, t: float(wv[i]),
-        w_prime=lambda i, t: 0.0,
         sigma=sigma,
         domain=domain,
         f_values=lambda t: a * t + b * g(t),
         f_prime_values=lambda t: a + b * g_prime(t),
-        f_second_values=f_second_values,
-        w_values=lambda t: wv,
-        w_prime_values=lambda t: np.zeros(n),
+        f_second_values=None if g_second is None else lambda t: b * g_second(t),
+        **_constant_weights(weights, n),
         a=a,
         b=b,
         kind="plinear",
@@ -349,57 +276,25 @@ def mm_model(
     """
     if weights is not None and weight_fn is not None:
         raise ValueError("pass constant weights or weight_fn, not both")
-    a = _covariate("a", a, positive=True)
-    b = _covariate("b", b, positive=True)
+    a = _as_array("a", a, positive=True)
+    b = _as_array("b", b, positive=True)
     if b.size != a.size:
         raise ValueError("a and b must have equal length")
     n = a.size
-    domain = Interval(-1.0 / float(np.max(b)), math.inf)
-
-    def f(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        return float(a[i] / (1.0 + b[i] * t))
-
-    def f_prime(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        q = 1.0 + b[i] * t
-        return float(-(a[i] * b[i]) / (q * q))
-
-    def f_second(i: int, t: float) -> float:
-        _require_in_domain(t, domain)
-        q = 1.0 + b[i] * t
-        return float(2.0 * a[i] * b[i] * b[i] / (q * q * q))
-
-    if weight_fn is not None:
-        w = lambda i, t: float(weight_fn(t))
-        w_values = lambda t: _per_observation(weight_fn(t), n)
-        if weight_fn_prime is not None:
-            w_prime = lambda i, t: float(weight_fn_prime(t))
-            w_prime_values = lambda t: _per_observation(weight_fn_prime(t), n)
-        else:
-            w_prime = None
-            w_prime_values = None
+    if weight_fn is None:
+        w_evaluators = _constant_weights(weights, n)
     else:
-        wv = _const_weight_vector(weights, n)
-        w = lambda i, t: float(wv[i])
-        w_values = lambda t: wv
-        w_prime = lambda i, t: 0.0
-        w_prime_values = lambda t: np.zeros(n)
-
+        w_evaluators = {"w_values": lambda t: _per_observation(weight_fn(t), n)}
+        if weight_fn_prime is not None:
+            w_evaluators["w_prime_values"] = lambda t: _per_observation(weight_fn_prime(t), n)
     return RegressionModel(
         n=n,
-        f=f,
-        f_prime=f_prime,
-        f_second=f_second,
-        w=w,
-        w_prime=w_prime,
         sigma=sigma,
-        domain=domain,
+        domain=Interval(-1.0 / float(np.max(b)), math.inf),
         f_values=lambda t: a / (1.0 + b * t),
         f_prime_values=lambda t: -(a * b) / np.square(1.0 + b * t),
         f_second_values=lambda t: 2.0 * a * b * b / (1.0 + b * t) ** 3,
-        w_values=w_values,
-        w_prime_values=w_prime_values,
+        **w_evaluators,
         a=a,
         b=b,
         kind="mm",
@@ -416,52 +311,27 @@ def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]
     difference and the family is marked h_prime_exact=False.
     """
     fam = EstimatingFamily(
-        m=lambda i, t, x: float(x - model.f(i, t)),
-        m_prime=lambda i, t, x: float(-model.f_prime(i, t)),
         domain=model.domain,
-        m_terms=lambda t, xs: xs - _f_vec(model, t),
-        m_prime_terms=lambda t, xs: -_fp_vec(model, t),
+        m_terms=lambda t, xs: xs - model.values("f", t),
+        m_prime_terms=lambda t, xs: -model.values("f_prime", t),
     )
-
-    def h(i: int, t: float) -> float:
-        return float(model.w(i, t) * model.f_prime(i, t))
-
-    h_values = lambda t: _w_vec(model, t) * _fp_vec(model, t)
-
-    h_prime = None
+    exact = model.f_second_values is None or model.w_prime_values is not None
     h_prime_values = None
-    exact = True
-    if model.f_second is not None or model.f_second_values is not None:
-        if model.w_prime is not None or model.w_prime_values is not None:
-            def wp_scalar(i: int, t: float) -> float:
-                if model.w_prime is not None:
-                    return float(model.w_prime(i, t))
-                return float(_wp_vec(model, t)[i])
-
-            wp_vec = lambda t: _wp_vec(model, t)
+    if model.f_second_values is not None:
+        if exact:
+            wp = lambda t: model.values("w_prime", t)
         else:
-            exact = False
-
-            def wp_scalar(i: int, t: float) -> float:
+            def wp(t):
                 d = _FD_STEP * (1.0 + abs(t))
-                return float((model.w(i, t + d) - model.w(i, t - d)) / (2.0 * d))
+                return (model.values("w", t + d) - model.values("w", t - d)) / (2.0 * d)
 
-            def wp_vec(t: float) -> np.ndarray:
-                d = _FD_STEP * (1.0 + abs(t))
-                return (_w_vec(model, t + d) - _w_vec(model, t - d)) / (2.0 * d)
-
-        def h_prime(i: int, t: float) -> float:
-            fsec = model.f_second(i, t) if model.f_second is not None \
-                else float(_fsec_vec(model, t)[i])
-            return float(wp_scalar(i, t) * model.f_prime(i, t) + model.w(i, t) * fsec)
-
-        h_prime_values = lambda t: wp_vec(t) * _fp_vec(model, t) + _w_vec(model, t) * _fsec_vec(model, t)
+        h_prime_values = lambda t: (
+            wp(t) * model.values("f_prime", t) + model.values("w", t) * model.values("f_second", t)
+        )
 
     wf = WeightFamily(
-        h=h,
-        h_prime=h_prime,
         domain=model.domain,
-        h_values=h_values,
+        h_values=lambda t: model.values("w", t) * model.values("f_prime", t),
         h_prime_values=h_prime_values,
         h_prime_exact=exact,
     )
@@ -481,53 +351,34 @@ def generalized_families(
 
     The induced estimating equation is identical to the quasi-likelihood one,
     but the one-step update differs because the frozen weights differ.
-    Raises DivisionByZeroError wherever g_i(t) = 0.
+    g_values and g_prime_values, when given, evaluate g and g' at every
+    index at once.  Raises DivisionByZeroError wherever g_i(t) = 0.
     """
-
-    def g_vec(t: float) -> np.ndarray:
-        if g_values is not None:
-            return np.asarray(g_values(t), dtype=np.float64)
-        return np.fromiter((g(i, t) for i in range(model.n)), np.float64, model.n)
-
-    def gp_vec(t: float) -> np.ndarray:
-        if g_prime_values is not None:
-            return np.asarray(g_prime_values(t), dtype=np.float64)
-        return np.fromiter((g_prime(i, t) for i in range(model.n)), np.float64, model.n)
-
+    g_vec = lambda t: _evaluate(g_values, g, model.n, t)
+    gp_vec = lambda t: _evaluate(g_prime_values, g_prime, model.n, t)
     fam = EstimatingFamily(
-        m=lambda i, t, x: float(g(i, t) * (x - model.f(i, t))),
-        m_prime=lambda i, t, x: float(
-            g_prime(i, t) * (x - model.f(i, t)) - g(i, t) * model.f_prime(i, t)
-        ),
         domain=model.domain,
-        m_terms=lambda t, xs: g_vec(t) * (xs - _f_vec(model, t)),
-        m_prime_terms=lambda t, xs: gp_vec(t) * (xs - _f_vec(model, t)) - g_vec(t) * _fp_vec(model, t),
+        m_terms=lambda t, xs: g_vec(t) * (xs - model.values("f", t)),
+        m_prime_terms=lambda t, xs: (
+            gp_vec(t) * (xs - model.values("f", t)) - g_vec(t) * model.values("f_prime", t)
+        ),
     )
-
-    def h(i: int, t: float) -> float:
-        gi = g(i, t)
-        if gi == 0.0:
-            raise DivisionByZeroError(f"transform factor vanishes at index {i}, t={t!r}")
-        return float(model.w(i, t) * model.f_prime(i, t) / gi)
 
     def h_values(t: float) -> np.ndarray:
         gv = g_vec(t)
         if np.any(gv == 0.0):
             raise DivisionByZeroError(f"transform factor vanishes at t={t!r}")
-        return _w_vec(model, t) * _fp_vec(model, t) / gv
+        return model.values("w", t) * model.values("f_prime", t) / gv
 
-    wf = WeightFamily(h=h, h_prime=None, domain=model.domain, h_values=h_values)
-    return fam, wf
+    return fam, WeightFamily(domain=model.domain, h_values=h_values)
 
 
 def moment_provider(model: RegressionModel) -> MomentProvider:
     """Model moments: E M_i^2 = sigma^2 / w_i(theta), E M_i' = -f_i'(theta)."""
     s2 = model.sigma * model.sigma
     return MomentProvider(
-        e_m2=lambda i, t: float(s2 / model.w(i, t)),
-        e_mprime=lambda i, t: float(-model.f_prime(i, t)),
-        e_m2_values=lambda t: s2 / _w_vec(model, t),
-        e_mprime_values=lambda t: -_fp_vec(model, t),
+        e_m2_values=lambda t: s2 / model.values("w", t),
+        e_mprime_values=lambda t: -model.values("f_prime", t),
     )
 
 
@@ -539,18 +390,13 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
     theta_hat = theta_star + sum w f' (x - f) / sum w f'^2, all at theta_star.
     """
     _check_sample(model, s)
-    wfp = _w_vec(model, theta_star) * _fp_vec(model, theta_star)
-    resid = s.x - _f_vec(model, theta_star)
-    num_terms = wfp * resid
-    den_terms = wfp * _fp_vec(model, theta_star)
-    _require_finite("update terms", num_terms)
-    _require_finite("denominator terms", den_terms)
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("weighted design sum is numerically zero")
-    theta_hat = theta_star + exact_sum(num_terms) / den
-    if not math.isfinite(theta_hat):
-        raise NonFiniteError("one-step update is not finite")
+    fp = model.values("f_prime", theta_star)
+    wfp = model.values("w", theta_star) * fp
+    ratio, den = _ratio(
+        wfp * (s.x - model.values("f", theta_star)), wfp * fp,
+        "weighted design sum is numerically zero", _UPDATE_TERMS,
+    )
+    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -563,21 +409,16 @@ def lse_one_step(
     Requires the model's second derivative.
     """
     _check_sample(model, s)
-    if model.f_second is None and model.f_second_values is None:
+    if model.f_second_values is None:
         raise MissingDerivativeError("least-squares step needs f''")
     t = _column(theta_star, s)
-    fp = _fp_vec(model, t)
-    resid = s.x - _f_vec(model, t)
-    num_terms = resid * fp
-    den_terms = fp * fp - resid * _fsec_vec(model, t)
-    _require_finite("update terms", num_terms)
-    _require_finite("denominator terms", den_terms)
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("curvature sum is numerically zero")
-    theta_hat = theta_star + exact_sum(num_terms) / den
-    if not _all_finite(theta_hat):
-        raise NonFiniteError("one-step update is not finite")
+    fp = model.values("f_prime", t)
+    resid = s.x - model.values("f", t)
+    ratio, den = _ratio(
+        resid * fp, fp * fp - resid * model.values("f_second", t),
+        "curvature sum is numerically zero", _UPDATE_TERMS,
+    )
+    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -587,7 +428,7 @@ def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = No
         n = model.n
     if not 1 <= n <= model.n:
         raise ValueError(f"n must lie in 1..{model.n}")
-    terms = (_w_vec(model, theta) * np.square(_fp_vec(model, theta)))[:n]
+    terms = (model.values("w", theta) * np.square(model.values("f_prime", theta)))[:n]
     _require_finite("information terms", terms)
     total = exact_sum(terms)
     if total <= 0.0:
@@ -659,15 +500,10 @@ def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarra
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
     _validate_sum_zero(cv)
     w = s.w_known if s.w_known is not None else np.ones(s.n)
-    den_terms = cv * w * s.a
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("contrast denominator is numerically zero")
-    num = exact_sum(cv * w * (np.square(s.x) - 1.0))
-    theta = num / den
-    if not _all_finite(theta):
-        raise NonFiniteError("preliminary estimate is not finite")
-    return theta
+    theta, _ = _ratio(
+        cv * w * (np.square(s.x) - 1.0), cv * w * s.a, "contrast denominator is numerically zero"
+    )
+    return _finite(theta, "preliminary estimate is not finite")
 
 
 def preliminary_plinear(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarray:
@@ -680,14 +516,8 @@ def preliminary_plinear(c: Contrasts, s: Sample | SampleBlock) -> float | np.nda
     if cv.size != s.n:
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
     _validate_b_orthogonal(cv, s.b)
-    den_terms = cv * s.a
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("contrast denominator is numerically zero")
-    theta = exact_sum(cv * s.x) / den
-    if not _all_finite(theta):
-        raise NonFiniteError("preliminary estimate is not finite")
-    return theta
+    theta, _ = _ratio(cv * s.x, cv * s.a, "contrast denominator is numerically zero")
+    return _finite(theta, "preliminary estimate is not finite")
 
 
 def plinear_one_step(
@@ -708,20 +538,15 @@ def plinear_one_step(
     elif callable(w):
         wv = np.broadcast_to(np.asarray(w(theta_star), dtype=np.float64), (s.n,)).copy()
     else:
-        wv = _const_weight_vector(w, s.n)
+        wv = _as_array("weights", w, n=s.n, positive=True)
     gv = float(g(theta_star))
     slope = s.a + b * float(g_prime(theta_star))
     resid = s.x - (s.a * theta_star + b * gv)
-    num_terms = wv * slope * resid
-    den_terms = wv * slope * slope
-    _require_finite("update terms", num_terms)
-    _require_finite("denominator terms", den_terms)
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("weighted design sum is numerically zero")
-    theta_hat = theta_star + exact_sum(num_terms) / den
-    if not math.isfinite(theta_hat):
-        raise NonFiniteError("one-step update is not finite")
+    ratio, den = _ratio(
+        wv * slope * resid, wv * slope * slope,
+        "weighted design sum is numerically zero", _UPDATE_TERMS,
+    )
+    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -731,19 +556,15 @@ def preliminary_mm(c, s: Sample | SampleBlock) -> float | np.ndarray:
     theta_star = sum c (a - x) / sum c b x.  Any fixed coefficient vector c
     works; no linear constraint is required.
     """
-    cv = _covariate("c", c)
+    cv = _as_array("c", c)
     if cv.size != s.n:
         raise ValueError(f"coefficient length {cv.size} does not match sample size {s.n}")
     if s.b is None:
         raise ValueError("sample carries no b covariate")
-    den_terms = cv * s.b * s.x
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("coefficient denominator is numerically zero")
-    theta = exact_sum(cv * (s.a - s.x)) / den
-    if not _all_finite(theta):
-        raise NonFiniteError("preliminary estimate is not finite")
-    return theta
+    theta, _ = _ratio(
+        cv * (s.a - s.x), cv * s.b * s.x, "coefficient denominator is numerically zero"
+    )
+    return _finite(theta, "preliminary estimate is not finite")
 
 
 def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> EstimateResult:
@@ -755,24 +576,17 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
     _check_sample(model, s)
     if model.a is None or model.b is None:
         raise ValueError("model does not carry the a, b covariates this update needs")
-    _require_in_domain(theta_star, model.domain)
     a, b = model.a, model.b
+    wv = model.values("w", theta_star)
     q = 1.0 + b * theta_star
-    wv = _w_vec(model, theta_star)
     # p = a b / q^2 is shared by both sums so that the update agrees bitwise
     # with the quasi-likelihood step through the generic adapter
     p = (a * b) / np.square(q)
     wp = wv * p
-    num_terms = wp * (s.x - a / q)
-    den_terms = wp * p
-    _require_finite("update terms", num_terms)
-    _require_finite("denominator terms", den_terms)
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("design sum is numerically zero")
-    theta_hat = theta_star - exact_sum(num_terms) / den
-    if not math.isfinite(theta_hat):
-        raise NonFiniteError("one-step update is not finite")
+    ratio, den = _ratio(
+        wp * (s.x - a / q), wp * p, "design sum is numerically zero", _UPDATE_TERMS
+    )
+    theta_hat = _finite(theta_star - ratio, _UPDATE_NOT_FINITE)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -788,19 +602,86 @@ def mm_closed_form(
     _check_sample(model, s)
     if model.a is None or model.b is None:
         raise ValueError("model does not carry the a, b covariates this update needs")
-    t = _column(theta_star, s)
-    _require_in_domain(t, model.domain)
     a, b = model.a, model.b
+    t = _column(theta_star, s)
+    wv = model.values("w", t)
     q3 = (1.0 + b * t) ** 3
-    wv = _w_vec(model, t)
-    num_terms = wv * a * b * (a - s.x) / q3
-    den_terms = wv * a * np.square(b) * s.x / q3
-    _require_finite("numerator terms", num_terms)
-    _require_finite("denominator terms", den_terms)
-    den = exact_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError("response-weighted design sum is numerically zero")
-    theta = exact_sum(num_terms) / den
-    if not _all_finite(theta):
-        raise NonFiniteError("closed-form estimate is not finite")
-    return theta
+    theta, _ = _ratio(
+        wv * a * b * (a - s.x) / q3, wv * a * np.square(b) * s.x / q3,
+        "response-weighted design sum is numerically zero",
+    )
+    return _finite(theta, "closed-form estimate is not finite")
+
+
+# --- the preliminary and pipeline tables ---
+
+# The explicit preliminary of each model kind but mm, with the constraint
+# its contrasts satisfy.
+_CONTRAST_PRELIMINARIES = {
+    "sqrt": (preliminary_sqrt, "sum_zero"),
+    "plinear": (preliminary_plinear, "b_orthogonal"),
+    "linear": (preliminary_plinear, "sum_zero"),
+}
+
+
+def resolve_preliminary(
+    model: RegressionModel, design: Sample, coefficients: np.ndarray | None = None
+) -> Callable[[Sample | SampleBlock], float | np.ndarray]:
+    """The model's explicit preliminary estimator, as a function of the sample.
+
+    Its coefficients are the given ones or else the default for the design:
+    all ones for mm, default_contrasts (sum-zero for sqrt and linear,
+    b-orthogonal for plinear) otherwise.
+    """
+    if model.kind == "mm":
+        c = np.ones(design.n) if coefficients is None else coefficients
+        return lambda s: preliminary_mm(c, s)
+    if model.kind not in _CONTRAST_PRELIMINARIES:
+        raise ConfigError(f"no explicit preliminary for a {model.kind!r} model")
+    estimator, constraint = _CONTRAST_PRELIMINARIES[model.kind]
+    if coefficients is None:
+        contrasts = default_contrasts(design, constraint)
+    else:
+        contrasts = Contrasts(coefficients, constraint)
+    return lambda s: estimator(contrasts, s)
+
+
+PIPELINES = (
+    "one_step_weighted",
+    "one_step_factorized",
+    "lse_one_step",
+    "mm_closed_form",
+    "newton_oracle",
+)
+
+
+def check_pipeline(name: str, model_kind: str) -> None:
+    """Raise ConfigError unless name is a pipeline that applies to a model of model_kind."""
+    if name not in PIPELINES:
+        raise ConfigError(f"pipeline must be one of {PIPELINES}, got {name!r}")
+    if name == "mm_closed_form" and model_kind != "mm":
+        raise ConfigError("the closed-form pipeline applies to the mm model only")
+
+
+def resolve_pipeline(
+    name: str, model: RegressionModel, fam: EstimatingFamily, wf: WeightFamily, newton_tol: float
+) -> Callable[[float | np.ndarray, Sample | SampleBlock], EstimateResult]:
+    """The update named name, as a function (theta_star, sample) -> EstimateResult.
+
+    fam and wf are the model's families (to_families).  mm_closed_form and
+    newton_oracle have no single Newton denominator and report it as NaN;
+    newton_oracle solves to |score| <= newton_tol.  Raises ConfigError as
+    check_pipeline does.
+    """
+    check_pipeline(name, model.kind)
+    if name == "one_step_weighted":
+        return lambda ts, s: one_step_weighted(fam, wf, ts, s)
+    if name == "one_step_factorized":
+        return lambda ts, s: one_step_factorized(fam, wf, ts, s)
+    if name == "lse_one_step":
+        return lambda ts, s: lse_one_step(model, ts, s)
+    if name == "mm_closed_form":
+        solve = lambda ts, s: mm_closed_form(model, ts, s)
+    else:  # newton_oracle
+        solve = lambda ts, s: newton_solve(fam, wf, ts, s, max_iter=100, tol=newton_tol)
+    return lambda ts, s: EstimateResult(theta_star=ts, theta_hat=solve(ts, s), denominator=math.nan)

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import json
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from onestep import cli
-from onestep.montecarlo import rows_per_block
+from onestep.errors import ConfigError
+from onestep.montecarlo import PIPELINES, SimConfig, rows_per_block
 from onestep import (
     Sample,
     mm_model,
@@ -297,6 +299,32 @@ def test_simulate_config_errors(tmp_path):
     )
     assert cp.returncode == 1
     assert "ONESTEP_THREADS" in cp.stderr
+
+    outside = tmp_path / "outside.cfg"
+    write_config(outside, model="sqrt", theta_true=-5.0)
+    cp = run_cli("simulate", outside, "--out", tmp_path / "o")
+    assert cp.returncode == 1
+    assert cp.stderr == "error: parameter -5.0 outside domain (-0.4, inf)\n"
+
+
+def test_estimate_and_simulate_accept_the_same_pipelines(tmp_path, capsys):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = next(a.choices for a in sub.choices["estimate"]._actions if a.dest == "pipeline")
+    assert sorted(accepted) == sorted(PIPELINES)
+    for name in PIPELINES:
+        SimConfig(model_id="mm", theta_true=1.0, sigma=0.1, n=10, replications=1, seed=1, pipeline=name)
+    with pytest.raises(ConfigError):
+        SimConfig(model_id="mm", theta_true=1.0, sigma=0.1, n=10, replications=1, seed=1,
+                  pipeline="gradient_descent")
+
+    data = tmp_path / "data.csv"
+    data.write_text("x,a\n1.4,1.0\n2.1,3.0\n")
+    code, err = run_in_process(
+        capsys, "estimate", data, "--model", "sqrt", "--pipeline", "mm_closed_form",
+        "--out", tmp_path / "r.csv",
+    )
+    assert code == 1
+    assert "error: the closed-form pipeline applies to the mm model only" in err
 
 
 def test_report_combines_summaries(tmp_path):

@@ -1,12 +1,13 @@
 """Tests for the simulation harness: configs, determinism, aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from onestep import SimConfig, SimSummary, SimulationRecord, run
-from onestep.errors import ConfigError, DegenerateError
+from onestep import SimConfig, SimSummary, SimulationRecord, montecarlo, run
+from onestep.errors import ConfigError, DegenerateError, DomainError
 from onestep.montecarlo import (
     _unit_noise,
     build_model,
@@ -103,6 +104,48 @@ def test_thread_count_does_not_change_results_on_long_vectors():
     rec1, sum1 = run(cfg, threads=1)
     rec2, sum2 = run(cfg, threads=2)
     assert repr(rec1) + repr(sum1) == repr(rec2) + repr(sum2)
+
+
+def test_worker_pool_is_capped_by_blocks_and_processors(monkeypatch):
+    # a recorder in place of the pool runs the blocks serially, so the huge
+    # thread count below starts no thread
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    cfg = small_cfg(n=2**15, replications=6)  # one replication per block
+    expected = repr(run(cfg, threads=1))
+    assert requested == []
+    assert repr(run(cfg, threads=10**6)) == expected
+    assert requested == [4]
+    assert repr(run(small_cfg(n=2**14, replications=6), threads=10**6)[0]) == repr(
+        run(small_cfg(n=2**14, replications=6))[0]
+    )
+    assert requested == [4, 3]  # three blocks of two
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert repr(run(cfg, threads=10**6)) == expected
+    assert requested == [4, 3]  # one processor: no pool
+
+
+@pytest.mark.parametrize("model_id", ["sqrt", "mm"])
+def test_theta_true_outside_the_domain_raises_domain_error(model_id):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(DomainError, match=r"parameter -5\.0 outside domain \(-0\.[48]"):
+            build_scenario(small_cfg(model_id=model_id, theta_true=-5.0))
 
 
 def test_replications_are_keyed_by_index():

@@ -7,6 +7,7 @@ import pytest
 
 from onestep import (
     Contrasts,
+    Interval,
     Sample,
     asymptotic_variance,
     default_contrasts,
@@ -27,14 +28,22 @@ from onestep import (
     to_families,
     weighted_one_step,
 )
-from onestep.core import weight_prime_values, weight_values
+from onestep.core import (
+    m_prime_values,
+    m_values,
+    moment_values,
+    weight_prime_values,
+    weight_values,
+)
 from onestep.errors import (
     ConstraintError,
     DegenerateDenominatorError,
     DivisionByZeroError,
     DomainError,
     MissingDerivativeError,
+    NonFiniteError,
 )
+from onestep.montecarlo import default_grid
 
 
 def mm_example():
@@ -90,13 +99,68 @@ def test_mm_model_domain():
 
 
 def test_model_vector_paths_match_scalar():
-    for model, _ in (mm_example(), plinear_example()):
-        t = 0.7
+    # every per-index accessor of a model and of its adapters is entry i of
+    # the vector evaluator, bit for bit; on the 2000-point default grid mm's
+    # f'' written as q*q*q differs from (1 + b t)**3 at about a quarter of i
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+    a, b = default_grid(2000)
+    x = 1.0 + 0.1 * np.sin(np.arange(a.size))
+    models = [
+        mm_example()[0],
+        plinear_example()[0],
+        linear_model(a, weights=1.0 + b),
+        sqrt_model(a),
+        plinear_model(
+            a, b, g=lambda t: t * t, g_prime=lambda t: 2.0 * t, g_second=lambda t: 2.0,
+            domain=Interval(-1.0, 3.0),
+        ),
+        mm_model(a, b, weight_fn=lambda t: 1.0 + t * t, weight_fn_prime=lambda t: 2.0 * t),
+        mm_model(a, b, weights=1.0 + a),
+    ]
+    for model in models:
         n = model.n
-        fs = np.array([model.f(i, t) for i in range(n)])
-        assert np.array_equal(fs, model.f_values(t))
-        fps = np.array([model.f_prime(i, t) for i in range(n)])
-        assert np.array_equal(fps, model.f_prime_values(t))
+        xs = x[:n]
+        gb = np.asarray(model.b if model.b is not None else a[:n])
+        families = [
+            to_families(model),
+            generalized_families(
+                model,
+                g=lambda i, t: float(1.0 + gb[i] * t),
+                g_prime=lambda i, t: float(gb[i]),
+                g_values=lambda t: 1.0 + gb * t,
+                g_prime_values=lambda t: gb,
+            ),
+        ]
+        mp = moment_provider(model)
+        idx = range(0, n, 5)
+        for t in (0.3, 0.7):
+            for name in ("f", "f_prime", "f_second", "w", "w_prime"):
+                vector = np.broadcast_to(getattr(model, f"{name}_values")(t), (n,))
+                assert bits([getattr(model, name)(i, t) for i in idx]) == bits(vector[idx]), name
+            for fam, wf in families:
+                assert bits([fam.m(i, t, xs[i]) for i in idx]) == bits(m_values(fam, t, xs)[idx])
+                assert bits([fam.m_prime(i, t, xs[i]) for i in idx]) == bits(
+                    m_prime_values(fam, t, xs)[idx]
+                )
+                assert bits([wf.h(i, t) for i in idx]) == bits(weight_values(wf, t, n)[idx])
+            wf = families[0][1]
+            assert bits([wf.h_prime(i, t) for i in idx]) == bits(weight_prime_values(wf, t, n)[idx])
+            e2, ed = moment_values(mp, t, n)
+            assert bits([mp.e_m2(i, t) for i in idx]) == bits(e2[idx])
+            assert bits([mp.e_mprime(i, t) for i in idx]) == bits(ed[idx])
+        if math.isfinite(model.domain.lo):
+            lo = model.domain.lo  # the open domain excludes its bound
+            for name in ("f", "f_prime", "f_second", "w", "w_prime"):
+                with pytest.raises(DomainError):
+                    getattr(model, name)(0, lo)
+            fam, wf = families[0]
+            for accessor in (lambda: fam.m(0, lo, 1.0), lambda: fam.m_prime(0, lo, 1.0),
+                             lambda: wf.h(0, lo), lambda: wf.h_prime(0, lo),
+                             lambda: mp.e_m2(0, lo), lambda: mp.e_mprime(0, lo)):
+                with pytest.raises(DomainError):
+                    accessor()
 
 
 def test_heteroscedastic_mm_weights():
@@ -320,6 +384,14 @@ def test_preliminary_mm_needs_b():
     s = Sample(x=[1.0, 2.0], a=[1.0, 2.0])
     with pytest.raises(ValueError):
         preliminary_mm([1.0, 1.0], s)
+
+
+def test_preliminary_overflow_is_not_finite_rather_than_degenerate():
+    # terms that overflow used to pass their inf to the degeneracy check,
+    # which called the denominator numerically zero
+    _, s = mm_example()
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        preliminary_mm([1e308, 1e308], s)
 
 
 def test_mm_one_step_example():
