@@ -47,6 +47,7 @@ from .regression import (
     resolve_pipeline,
     resolve_preliminary,
     sqrt_model,
+    studentizer_centering,
     to_families,
 )
 
@@ -276,7 +277,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 theta_star = resolve_preliminary(model, s, custom)(s)
             res = update(theta_star, s)
             theta_hat, denominator = res.theta_hat, res.denominator
-            d_star, ci = studentize(fam, wf, theta_star, theta_hat, s, args.alpha)
+            d_star, ci = studentize(
+                fam, wf, theta_star, theta_hat, s, args.alpha,
+                centering=studentizer_centering(args.pipeline, res),
+            )
         except _DEGENERATE_EXITS as exc:
             degenerate = True
             warnings.append(str(exc))

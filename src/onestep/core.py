@@ -56,8 +56,9 @@ __all__ = [
 # Scale factor for relative degeneracy checks on signed sums.
 DEGENERACY_SCALE = 1e-12
 
-# Below this many terms math.fsum over a Python list beats the vectorized
-# extraction in exact_sum, whose fixed cost is eight numpy calls per round.
+# Below this many terms (in all, for a block) math.fsum over Python lists
+# beats the vectorized extraction in exact_sum, whose fixed cost is eight
+# numpy calls per round.
 # Measured on x86-64 with numpy 2.4 over score-term vectors: the two paths cost
 # the same near 750 terms; at 1024 the vectorized one takes 0.68 of the time.
 _VECTOR_SUM_MIN_TERMS = 1024
@@ -340,85 +341,86 @@ def exact_sum(values):
     """Correctly rounded sum of float64 values, bitwise equal to math.fsum.
 
     A 2-D array gives one such sum per row, as a float64 vector; any other
-    input is summed as one flat vector and gives a float.
+    input is summed as one flat vector, the one-row case, and gives a float.
 
-    Long vectors, and every block of rows, are split by error-free
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation",
-    SIAM J. Sci. Comput. 2008): with sigma a power of two at least 2(n+1)
-    times max|p| over a row, each q = (sigma + p) - sigma is a multiple of
-    2**-53 sigma and p - q is exact, so numpy sums the q of a row exactly in
-    any order.  Repeating on the residual p - q until it vanishes leaves a
-    few exact partial sums per row, which math.fsum rounds once.  A row
-    with non-finite values, with magnitudes near overflow or deep in the
-    subnormals, or of zeros only goes to math.fsum as it is, so its
-    exceptions, NaN/inf results and signed zeros hold.
+    Fewer than _VECTOR_SUM_MIN_TERMS values in all go to math.fsum as lists.
+    More are split by error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation", SIAM J. Sci. Comput. 2008): with
+    sigma a power of two at least 2(n+1) times max|p| over the whole block,
+    each q = (sigma + p) - sigma is a multiple of 2**-53 sigma and p - q is
+    exact, so numpy sums the q of a row exactly in any order.  One sigma
+    serves every row, since it bounds each row's peak.  Repeating on the
+    residual p - q until it vanishes leaves a few exact partial sums per
+    row: one is the sum, two are rounded by one IEEE add, more by math.fsum.
+
+    Each round takes at least 53 - lg bits off sigma, lg = n.bit_length() + 1;
+    the first residual lies within 2**-53 sigma, so the second round takes
+    its sigma from that bound and only the other rounds measure the peak.
+    Rows of like scale need two rounds and a last look at the residual.
+    Rows whose magnitudes lie 2**e apart cost about e / (53 - lg) rounds
+    more, fewer where the peak skips a gap: the smaller rows wait, unchanged,
+    until the peak comes down to them.  Rows with non-finite values or
+    magnitudes near overflow, rows still nonzero once the peak is deep in the
+    subnormals, and rows whose sum is zero go to math.fsum as they are, so
+    its exceptions, NaN/inf results and signed zeros hold.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim == 2:
-        if v.shape[0] == 1:
-            # the row-wise loop's per-round bookkeeping on small arrays
-            # costs more than the scalar loop below on one long row
-            return np.array([exact_sum(v[0])])
-        return _row_sums(v)
-    v = v.ravel()
+    if v.ndim != 2:
+        v = v.ravel()
+        if v.size < _VECTOR_SUM_MIN_TERMS:
+            return math.fsum(v.tolist())
+        return float(_extracted_sums(v[None, :])[0])
     if v.size < _VECTOR_SUM_MIN_TERMS:
-        return math.fsum(v.tolist())
-    lg = v.size.bit_length() + 1
-    parts: list[float] = []
+        return np.array([math.fsum(row) for row in v.tolist()], dtype=np.float64)
+    return _extracted_sums(v)
+
+
+def _extracted_sums(v: np.ndarray) -> np.ndarray:
+    """exact_sum of each row of a nonempty (B, n) block, by extraction with one sigma per round."""
+    rows, n = v.shape
+    lg = n.bit_length() + 1
+    parts: list[np.ndarray] = []  # one exact partial sum per row and round
+    slow = None  # rows left to math.fsum, once there are any
     p = v
     q = np.empty_like(v)
+    k = None  # the next sigma's exponent, when known without a pass over p
     while True:
-        peak = max(float(p.max()), -float(p.min()))
-        if peak == 0.0:
-            # on the first round p is v, whose zeros fsum gives their sign
-            return math.fsum(parts or p.tolist())
-        k = math.frexp(peak)[1] + lg
-        if not math.isfinite(peak) or k > 1022 or k < -1021:
-            return math.fsum(parts + p.tolist())
+        if k is None:
+            peak = max(float(p.max()), -float(p.min()))
+            if peak == 0.0:
+                break
+            k = math.frexp(peak)[1] + lg
+            if not math.isfinite(peak) or k > 1022:
+                # only the first round can see these rows: set them aside as zeros
+                row_peak = np.maximum(p.max(axis=1), -p.min(axis=1))
+                slow = ~np.isfinite(row_peak) | (np.frexp(row_peak)[1] + lg > 1022)
+                p = p.copy()  # the caller's values stay intact
+                p[slow] = 0.0
+                k = None
+                continue
+            if k < -1021:
+                tiny = (p != 0.0).any(axis=1)
+                slow = tiny if slow is None else slow | tiny
+                break
         sigma = math.ldexp(1.0, k)
         np.add(p, sigma, out=q)
         np.subtract(q, sigma, out=q)
-        parts.append(float(q.sum()))
+        parts.append(q.sum(axis=1))
         # the first residual is a new array, so the caller's values stay intact
         p = p - q if p is v else np.subtract(p, q, out=p)
-
-
-def _row_sums(v: np.ndarray) -> np.ndarray:
-    """exact_sum of each row of a (B, n) block, by the same extraction with a per-row sigma."""
-    rows, n = v.shape
-    if not v.size:
-        return np.zeros(rows)
-    lg = n.bit_length() + 1
-    parts: list[np.ndarray] = []  # one exact partial sum per row and round
-    slow: list[int] = []  # rows left to math.fsum
-    live = np.arange(rows)  # rows whose residual is not yet zero
-    p = v
-    while True:
-        peak = np.maximum(p.max(axis=1), -p.min(axis=1))
-        k = np.frexp(peak)[1] + lg
-        # rows for math.fsum: as in the 1-D loop, plus rows of zeros only
-        bad = ~np.isfinite(peak) | (k > 1022) | (k < -1021)
-        if p is v:
-            bad |= peak == 0.0
-        stop = bad | (peak == 0.0)
-        if stop.any():
-            slow += live[bad].tolist()
-            keep = ~stop
-            live, p, k = live[keep], p[keep], k[keep]
-            if not live.size:
-                break
-        sigma = np.ldexp(1.0, k)[:, None]
-        q = np.add(p, sigma)
-        np.subtract(q, sigma, out=q)
-        part = np.zeros(rows)
-        part[live] = q.sum(axis=1)
-        parts.append(part)
-        # the first residual is a new array, so the caller's values stay intact
-        p = p - q if p is v else np.subtract(p, q, out=p)
-    out = np.array([math.fsum(row) for row in np.stack(parts, axis=1).tolist()]) \
-        if parts else np.zeros(rows)
-    for r in slow:
-        out[r] = math.fsum(v[r].tolist())
+        # the first residual lies within 2**-53 sigma, which bounds the
+        # second round's sigma without a pass over it
+        k = k - 53 + lg if len(parts) == 1 and k - 53 + lg >= -1021 else None
+    if len(parts) > 2:
+        out = np.array([math.fsum(row) for row in np.stack(parts, axis=1).tolist()])
+    elif parts:
+        out = parts[0] + parts[1] if len(parts) == 2 else parts[0]
+    else:
+        out = np.zeros(rows)
+    if slow is not None or np.count_nonzero(out) < rows:
+        redo = out == 0.0 if slow is None else slow | (out == 0.0)
+        for r in np.flatnonzero(redo).tolist():
+            out[r] = math.fsum(v[r].tolist())
     return out
 
 

@@ -172,6 +172,8 @@ def studentize(
     theta_hat: float | np.ndarray,
     s: Sample | SampleBlock,
     alpha: float = 0.05,
+    *,
+    centering: float | np.ndarray | None = None,
 ) -> tuple[float, tuple[float, float]]:
     """Self-normalizing statistic d_star and a level (1 - alpha) interval.
 
@@ -181,25 +183,30 @@ def studentize(
     The numerator is evaluated at the preliminary point, the denominator at
     the one-step point.  d_star * (theta_hat - theta) is asymptotically
     standard normal, so the interval is theta_hat -+ z_{1-alpha/2} / |d_star|.
+
+    centering, when given, is that numerator as one_step_weighted's
+    denominator from the same fam, wf, theta_star and s: the same exact sum
+    of the same terms, already checked to be finite and not to vanish.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     t_star, t_hat = _column(theta_star, s), _column(theta_hat, s)
-    for t in (t_star, t_hat):
+    for t in (t_star, t_hat) if centering is None else (t_hat,):
         _require_in_domain(t, fam.domain)
         _require_in_domain(t, wf.domain)
-    num_terms = weight_values(wf, t_star, s.n) * m_prime_values(fam, t_star, s.x)
-    _require_finite("studentizer numerator terms", num_terms)
-    num = exact_sum(num_terms)
-    if _vanishes(num, num_terms):
-        raise DegenerateDenominatorError("studentizer centering sum is numerically zero")
+    if centering is None:
+        num_terms = weight_values(wf, t_star, s.n) * m_prime_values(fam, t_star, s.x)
+        _require_finite("studentizer numerator terms", num_terms)
+        centering = exact_sum(num_terms)
+        if _vanishes(centering, num_terms):
+            raise DegenerateDenominatorError("studentizer centering sum is numerically zero")
     sq_terms = np.square(weight_values(wf, t_hat, s.n) * m_values(fam, t_hat, s.x))
     _require_finite("studentizer variance terms", sq_terms)
     ssq = exact_sum(sq_terms)
     if np.any(ssq <= VARIANCE_FLOOR):
         raise DegenerateDenominatorError("studentizer variance sum is zero")
     # math.sqrt keeps a single sample's d_star a float; both are correctly rounded
-    d_star = num / (np.sqrt(ssq) if isinstance(ssq, np.ndarray) else math.sqrt(ssq))
+    d_star = centering / (np.sqrt(ssq) if isinstance(ssq, np.ndarray) else math.sqrt(ssq))
     half = _critical_value(alpha) / abs(d_star)
     return d_star, (theta_hat - half, theta_hat + half)
 

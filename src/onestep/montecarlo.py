@@ -43,7 +43,7 @@ from .core import (
     exact_sum,
 )
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError
-from .estimators import studentize
+from .estimators import EstimateResult, studentize
 from .normal import normal_cdf, normal_quantile
 from .regression import (
     PIPELINES,
@@ -56,6 +56,7 @@ from .regression import (
     resolve_pipeline,
     resolve_preliminary,
     sqrt_model,
+    studentizer_centering,
     to_families,
 )
 
@@ -205,7 +206,7 @@ class Scenario:
     noise_sd: np.ndarray
     sample_b: np.ndarray | None
     preliminary: Callable[[Sample | SampleBlock], float]
-    pipeline: Callable[[float, Sample | SampleBlock], float]
+    pipeline: Callable[[float | np.ndarray, Sample | SampleBlock], EstimateResult]
     z_scale: float
     i_nh: float
     j_nh: float
@@ -253,7 +254,7 @@ def build_scenario(cfg: SimConfig) -> Scenario:
         noise_sd=noise_sd,
         sample_b=model.b,
         preliminary=preliminary,
-        pipeline=lambda ts, s: update(ts, s).theta_hat,
+        pipeline=update,
         z_scale=z_scale,
         i_nh=i_nh,
         j_nh=j_nh,
@@ -293,11 +294,20 @@ def _draw(cfg: SimConfig, scn: Scenario, reps: range) -> np.ndarray:
     return x
 
 
+def _update_and_studentize(cfg: SimConfig, scn: Scenario, theta_star, s: Sample | SampleBlock):
+    """(theta_hat, d_star, ci) from the preliminary theta_star on s."""
+    res = scn.pipeline(theta_star, s)
+    d_star, ci = studentize(
+        scn.fam, scn.wf, theta_star, res.theta_hat, s, cfg.alpha,
+        centering=studentizer_centering(cfg.pipeline, res),
+    )
+    return res.theta_hat, d_star, ci
+
+
 def _replicate(cfg: SimConfig, scn: Scenario, r: int, s: Sample) -> SimulationRecord:
     try:
         theta_star = scn.preliminary(s)
-        theta_hat = scn.pipeline(theta_star, s)
-        d_star, ci = studentize(scn.fam, scn.wf, theta_star, theta_hat, s, cfg.alpha)
+        theta_hat, d_star, ci = _update_and_studentize(cfg, scn, theta_star, s)
     except EstimationError:
         nan = math.nan
         return SimulationRecord(r, nan, nan, nan, nan, covered=False, degenerate=True)
@@ -321,8 +331,7 @@ def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[Simulat
         block = SampleBlock(x=x, a=scn.model.a, b=scn.sample_b)
         try:
             theta_star = scn.preliminary(block)
-            theta_hat = scn.pipeline(theta_star, block)
-            d_star, (lo, hi) = studentize(scn.fam, scn.wf, theta_star, theta_hat, block, cfg.alpha)
+            theta_hat, d_star, (lo, hi) = _update_and_studentize(cfg, scn, theta_star, block)
         except EstimationError:
             pass  # evaluate each row alone, so a failing row fails as it would alone
         else:

@@ -14,7 +14,8 @@ M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 explicit preliminary estimators, the adapters to the core families, and
 the two tables the command line and the simulation harness share:
 resolve_preliminary, each model kind's preliminary estimator, and
-resolve_pipeline, the function of each update name they accept.
+resolve_pipeline, the function of each update name they accept, with
+studentizer_centering, the sum an update hands on to studentize.
 
 The preliminary estimators, lse_one_step and mm_closed_form also take a
 SampleBlock with a (B,) parameter vector, and the model evaluators take a
@@ -24,6 +25,7 @@ SampleBlock with a (B,) parameter vector, and the model evaluators take a
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -86,6 +88,7 @@ __all__ = [
     "check_pipeline",
     "resolve_pipeline",
     "resolve_preliminary",
+    "studentizer_centering",
 ]
 
 ContrastKind = Literal["sum_zero", "b_orthogonal"]
@@ -309,29 +312,43 @@ def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]
     The weight derivative h' = w' f' + w f'' is attached when the model has a
     second derivative of f; a missing analytic w' is replaced by a central
     difference and the family is marked h_prime_exact=False.
+
+    Each thread keeps the model's values at the last parameter value it
+    evaluated, keyed by the bytes of t, so the terms of one update or
+    studentizer evaluate f, f', w and their derivatives once each.
     """
+    point = threading.local()
+
+    def at(name: str, t) -> np.ndarray:
+        """model.values(name, t), evaluated once per parameter value in this thread."""
+        arr = np.asarray(t)
+        key = (arr.shape, arr.dtype.str, arr.tobytes())
+        if getattr(point, "key", None) != key:
+            point.key, point.values = key, {}
+        if name not in point.values:
+            point.values[name] = model.values(name, t)
+        return point.values[name]
+
     fam = EstimatingFamily(
         domain=model.domain,
-        m_terms=lambda t, xs: xs - model.values("f", t),
-        m_prime_terms=lambda t, xs: -model.values("f_prime", t),
+        m_terms=lambda t, xs: xs - at("f", t),
+        m_prime_terms=lambda t, xs: -at("f_prime", t),
     )
     exact = model.f_second_values is None or model.w_prime_values is not None
     h_prime_values = None
     if model.f_second_values is not None:
         if exact:
-            wp = lambda t: model.values("w_prime", t)
+            wp = lambda t: at("w_prime", t)
         else:
             def wp(t):
                 d = _FD_STEP * (1.0 + abs(t))
                 return (model.values("w", t + d) - model.values("w", t - d)) / (2.0 * d)
 
-        h_prime_values = lambda t: (
-            wp(t) * model.values("f_prime", t) + model.values("w", t) * model.values("f_second", t)
-        )
+        h_prime_values = lambda t: wp(t) * at("f_prime", t) + at("w", t) * at("f_second", t)
 
     wf = WeightFamily(
         domain=model.domain,
-        h_values=lambda t: model.values("w", t) * model.values("f_prime", t),
+        h_values=lambda t: at("w", t) * at("f_prime", t),
         h_prime_values=h_prime_values,
         h_prime_exact=exact,
     )
@@ -500,9 +517,9 @@ def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarra
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
     _validate_sum_zero(cv)
     w = s.w_known if s.w_known is not None else np.ones(s.n)
-    theta, _ = _ratio(
-        cv * w * (np.square(s.x) - 1.0), cv * w * s.a, "contrast denominator is numerically zero"
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
+        num_terms, den_terms = cv * w * (np.square(s.x) - 1.0), cv * w * s.a
+    theta, _ = _ratio(num_terms, den_terms, "contrast denominator is numerically zero")
     return _finite(theta, "preliminary estimate is not finite")
 
 
@@ -515,8 +532,10 @@ def preliminary_plinear(c: Contrasts, s: Sample | SampleBlock) -> float | np.nda
     cv = c.c
     if cv.size != s.n:
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
-    _validate_b_orthogonal(cv, s.b)
-    theta, _ = _ratio(cv * s.x, cv * s.a, "contrast denominator is numerically zero")
+    with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
+        _validate_b_orthogonal(cv, s.b)
+        num_terms, den_terms = cv * s.x, cv * s.a
+    theta, _ = _ratio(num_terms, den_terms, "contrast denominator is numerically zero")
     return _finite(theta, "preliminary estimate is not finite")
 
 
@@ -561,9 +580,9 @@ def preliminary_mm(c, s: Sample | SampleBlock) -> float | np.ndarray:
         raise ValueError(f"coefficient length {cv.size} does not match sample size {s.n}")
     if s.b is None:
         raise ValueError("sample carries no b covariate")
-    theta, _ = _ratio(
-        cv * (s.a - s.x), cv * s.b * s.x, "coefficient denominator is numerically zero"
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
+        num_terms, den_terms = cv * (s.a - s.x), cv * s.b * s.x
+    theta, _ = _ratio(num_terms, den_terms, "coefficient denominator is numerically zero")
     return _finite(theta, "preliminary estimate is not finite")
 
 
@@ -685,3 +704,13 @@ def resolve_pipeline(
     else:  # newton_oracle
         solve = lambda ts, s: newton_solve(fam, wf, ts, s, max_iter=100, tol=newton_tol)
     return lambda ts, s: EstimateResult(theta_star=ts, theta_hat=solve(ts, s), denominator=math.nan)
+
+
+def studentizer_centering(name: str, result: EstimateResult) -> float | np.ndarray | None:
+    """What the update named name gives studentize as its centering sum, if anything.
+
+    one_step_weighted's denominator is sum_i h_i(theta_star) M_i'(theta_star,
+    x_i), the studentizer's numerator, so studentize takes it as computed;
+    after any other update studentize sums it itself (None).
+    """
+    return result.denominator if name == "one_step_weighted" else None

@@ -5,27 +5,37 @@ the public functions on a one-row Sample, as campaigns ran before blocks.
 """
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import SimConfig, run
-from onestep.core import _VECTOR_SUM_MIN_TERMS, Sample, SampleBlock, exact_sum
+from onestep import SimConfig, core, estimators, montecarlo, regression, run
+from onestep.core import (
+    _VECTOR_SUM_MIN_TERMS,
+    EstimatingFamily,
+    Sample,
+    SampleBlock,
+    exact_sum,
+)
 from onestep.errors import DegenerateDenominatorError, EstimationError
-from onestep.estimators import studentize
+from onestep.estimators import one_step_weighted, studentize, unit_weights
 from onestep.montecarlo import (
     MODEL_IDS,
     NOISE_KINDS,
     PIPELINES,
     SimulationRecord,
     _draw,
+    _replicate_block,
     _unit_noise,
     build_scenario,
     rows_per_block,
 )
-from onestep.regression import preliminary_mm
+from onestep.regression import RegressionModel, preliminary_mm
 
 # --- row-wise exact sums ---
 
@@ -112,7 +122,7 @@ def replay(cfg):
 def replay_row(cfg, scn, r, s):
     try:
         theta_star = scn.preliminary(s)
-        theta_hat = scn.pipeline(theta_star, s)
+        theta_hat = scn.pipeline(theta_star, s).theta_hat
         d_star, ci = studentize(scn.fam, scn.wf, theta_star, theta_hat, s, cfg.alpha)
     except EstimationError:
         nan = math.nan
@@ -183,6 +193,26 @@ def test_threads_share_ragged_blocks():
     assert repr(run(cfg, threads=3)) == base
 
 
+def test_threads_keep_their_own_model_values():
+    # to_families remembers the model's values at the last parameter value in
+    # each thread; more threads than cores, switching every microsecond over
+    # one scenario, must still give every block the records it gives alone
+    cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 12 * rows_per_block(500))
+    scn = build_scenario(cfg)
+    size = rows_per_block(cfg.n)
+    blocks = [range(start, start + size) for start in range(0, cfg.replications, size)]
+    alone = [repr(_replicate_block(cfg, scn, reps)) for reps in blocks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2 * (os.cpu_count() or 1) + 2) as pool:
+            futures = [pool.submit(_replicate_block, cfg, scn, reps) for reps in blocks]
+            together = [repr(future.result(timeout=120)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
+
+
 def test_rows_per_block_follows_the_element_budget():
     assert rows_per_block(500) == 65
     assert rows_per_block(20000) == 1
@@ -200,3 +230,63 @@ def test_reused_generator_draws_as_fresh_ones(noise):
         rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, r], dtype=np.uint64)))
         fresh = scn.mean + scn.noise_sd * _unit_noise(noise, rng, cfg.n)
         assert x[i].tobytes() == fresh.tobytes()
+
+
+# --- the work of one block ---
+
+
+def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
+    # per block: f, f' and w once at theta_star and once at theta_hat, and five
+    # row-wise sums (two each for the preliminary and the update, one for the
+    # studentizer's variance; its centering sum is the update's denominator)
+    cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 1)
+    scn = build_scenario(cfg)
+    calls, row_sums = {}, [0]
+    values = RegressionModel.values
+
+    def counted_values(self, name, t):
+        calls[name] = calls.get(name, 0) + 1
+        return values(self, name, t)
+
+    def counted_sum(v):
+        row_sums[0] += np.ndim(v) == 2
+        return exact_sum(v)
+
+    monkeypatch.setattr(RegressionModel, "values", counted_values)
+    for module in (core, estimators, regression, montecarlo):
+        monkeypatch.setattr(module, "exact_sum", counted_sum)
+    records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
+    assert not any(rec.degenerate for rec in records)
+    assert calls == {"f": 2, "f_prime": 2, "w": 2}
+    assert row_sums[0] == 5
+
+
+def test_studentize_takes_the_update_denominator_bit_for_bit():
+    cfg = campaign("mm", "one_step_weighted", "scaled-laplace", 500, 1)
+    scn = build_scenario(cfg)
+    x = _draw(cfg, scn, range(9))
+    block = SampleBlock(x=x, a=scn.model.a, b=scn.sample_b)
+    for s in (block, block.sample(4)):
+        theta_star = scn.preliminary(s)
+        res = one_step_weighted(scn.fam, scn.wf, theta_star, s)
+        alone = studentize(scn.fam, scn.wf, theta_star, res.theta_hat, s, 0.1)
+        given = studentize(
+            scn.fam, scn.wf, theta_star, res.theta_hat, s, 0.1, centering=res.denominator
+        )
+        assert repr(given) == repr(alone)
+
+
+def test_a_vanishing_centering_sum_still_raises_from_the_update():
+    # h M' sums to zero: the update refuses it before studentize could take it
+    signs = np.array([1.0, -1.0, 2.0, -2.0])
+    fam = EstimatingFamily(
+        m_terms=lambda t, xs: xs - t, m_prime_terms=lambda t, xs: signs * np.ones_like(xs)
+    )
+    wf = unit_weights()
+    s = Sample(x=[0.5, 1.0, 1.5, 2.0], a=np.ones(4))
+    block = SampleBlock(x=np.stack([s.x, s.x + 1.0]), a=s.a)
+    for sample, theta_star in ((s, 1.0), (block, np.array([1.0, 2.0]))):
+        with pytest.raises(DegenerateDenominatorError, match="one-step denominator"):
+            one_step_weighted(fam, wf, theta_star, sample)
+        with pytest.raises(DegenerateDenominatorError, match="centering sum"):
+            studentize(fam, wf, theta_star, theta_star, sample)

@@ -440,6 +440,18 @@ def test_contrast_file_bad_coefficient_names_its_line(tmp_path):
         cli._load_contrast_file(cfile, 2)
 
 
+def test_overflowing_contrasts_give_one_error_line(tmp_path):
+    # the overflowing terms raise NonFiniteError; numpy's overflow warning
+    # must not reach stderr ahead of it
+    data = tmp_path / "data.csv"
+    write_mm_data(data)
+    cfile = tmp_path / "contrasts.txt"
+    cfile.write_text("1e308\n1e308\n")
+    cp = run_cli("estimate", data, "--model", "mm", "--contrasts", cfile, "--out", tmp_path / "r.csv")
+    assert cp.returncode == 1
+    assert cp.stderr == "error: non-finite value in numerator terms\n"
+
+
 def test_contrast_file_values_match_float(tmp_path, capsys):
     texts = ["0.1", "-2.5e-310", "1_000.25", " 3 ", "7", "-0.0"]
     cfile = tmp_path / "contrasts.txt"

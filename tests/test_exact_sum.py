@@ -171,3 +171,13 @@ def test_tolerance_from_the_signed_sum_is_unchanged(kinds, n, seed):
     row = block[0]
     assert degeneracy_tolerance(row, exact_sum(row)).hex() == want[0].hex()
     assert degeneracy_tolerance(row).hex() == want[0].hex()
+
+
+@pytest.mark.parametrize("n", [CROSSOVER - 1, CROSSOVER, 20000, 200000])
+@pytest.mark.parametrize("family", [cancellation_pairs, wide_exponents, same_sign])
+def test_vector_and_one_row_block_agree(family, n):
+    # a vector is the one-row case of the row-wise loop
+    v = family(np.random.default_rng(n), n)
+    want = math.fsum(v.tolist()).hex()
+    assert exact_sum(v).hex() == want
+    assert [total.hex() for total in exact_sum(v[None, :]).tolist()] == [want]
