@@ -39,6 +39,7 @@ from .montecarlo import (
     normal_quantile,
     rows_per_block,
     run,
+    worker_count,
 )
 from .regression import (
     PIPELINES,
@@ -71,6 +72,7 @@ class RunManifest:
     python_version: str
     numpy_version: str
     threads: int
+    workers: int
     rows_per_block: int
 
 
@@ -459,6 +461,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             python_version=sys.version.split()[0],
             numpy_version=np.__version__,
             threads=threads,
+            workers=worker_count(cfg, threads),
             rows_per_block=rows_per_block(cfg.n),
         )
         path = out_dir / "manifest.json"
@@ -545,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads (ONESTEP_THREADS overrides)",
+        help="worker processes (ONESTEP_THREADS overrides)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -12,6 +12,11 @@ each row's record is bitwise the one its own Sample gives.  A block in
 which any row fails is evaluated again one row at a time, so a degenerate
 replication fails exactly as it would alone.
 
+With more than one worker, the blocks are split into contiguous shares.
+The calling process evaluates the first; each other share goes to a child
+made with os.fork after the scenario is built, which sends its records
+back through a pipe as one float64 array and exits.
+
 Fixed design grids (documented here, used by every scenario):
 
     a_i = 0.5 + 2 i / (n - 1),   i = 0..n-1
@@ -28,8 +33,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import pickle
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +74,7 @@ __all__ = [
     "SimSummary",
     "run",
     "rows_per_block",
+    "worker_count",
     "ks_statistic",
     "normal_cdf",
     "normal_quantile",
@@ -304,13 +310,17 @@ def _update_and_studentize(cfg: SimConfig, scn: Scenario, theta_star, s: Sample 
     return res.theta_hat, d_star, ci
 
 
+def _degenerate_record(r: int) -> SimulationRecord:
+    nan = math.nan
+    return SimulationRecord(r, nan, nan, nan, nan, covered=False, degenerate=True)
+
+
 def _replicate(cfg: SimConfig, scn: Scenario, r: int, s: Sample) -> SimulationRecord:
     try:
         theta_star = scn.preliminary(s)
         theta_hat, d_star, ci = _update_and_studentize(cfg, scn, theta_star, s)
     except EstimationError:
-        nan = math.nan
-        return SimulationRecord(r, nan, nan, nan, nan, covered=False, degenerate=True)
+        return _degenerate_record(r)
     err = theta_hat - cfg.theta_true
     return SimulationRecord(
         rep=r,
@@ -390,26 +400,148 @@ def summarize(cfg: SimConfig, scn: Scenario, records: Sequence[SimulationRecord]
     )
 
 
+def worker_count(cfg: SimConfig, threads: int) -> int:
+    """Processes run(cfg, threads) evaluates the campaign's blocks on.
+
+    As many as threads asks for, but no more than there are blocks of
+    rows_per_block(n) replications or processors, and one where os.fork
+    does not exist.
+    """
+    if threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    if not hasattr(os, "fork"):
+        return 1
+    blocks = -(-cfg.replications // rows_per_block(cfg.n))
+    return min(threads, blocks, os.cpu_count() or 1)
+
+
+# a worker sends each record as a row of its fields, in order
+_RECORD_WIDTH = len(fields(SimulationRecord))
+
+
+def _evaluate(cfg: SimConfig, scn: Scenario, blocks: Sequence[range]) -> list[SimulationRecord]:
+    return [rec for reps in blocks for rec in _replicate_block(cfg, scn, reps)]
+
+
+def _pack(records: Sequence[SimulationRecord]) -> bytes:
+    return np.array(
+        [
+            (r.rep, r.theta_star, r.theta_hat, r.z, r.z_stud, r.covered, r.degenerate)
+            for r in records
+        ],
+        dtype=np.float64,
+    ).tobytes()
+
+
+def _unpack(data: bytes) -> list[SimulationRecord]:
+    rows = np.frombuffer(data, dtype=np.float64).reshape(-1, _RECORD_WIDTH).tolist()
+    return [
+        _degenerate_record(int(rep)) if degenerate
+        else SimulationRecord(int(rep), *values, covered=bool(covered), degenerate=False)
+        for rep, *values, covered, degenerate in rows
+    ]
+
+
+def _serve_share(
+    cfg: SimConfig, scn: Scenario, share: Sequence[range], write_fd: int, inherited: list[int]
+):
+    """In a forked child: send share's records, or the exception evaluating it raised, and exit.
+
+    inherited are the read ends of the parent's pipes, which the child has
+    no use for, closed first.  The exception carries the child's traceback as a note, since
+    pickling drops it.  Exits with status 0 after sending records and 1
+    after sending a pickled exception.  Never returns, so the child runs
+    none of its parent's code.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = _pack(_evaluate(cfg, scn, share))
+            status = 0
+        except Exception as exc:
+            from traceback import format_tb
+
+            trace = "".join(format_tb(exc.__traceback__))
+            exc.add_note(f"raised in worker process {os.getpid()}:\n{trace.rstrip()}")
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:  # an exception that does not pickle still names itself
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(status)
+
+
+def _received(pid: int, status: int, payload: bytes) -> list[SimulationRecord]:
+    """The records a child sent, or the exception it sent raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return _unpack(payload)
+    if code == 1 and payload:
+        raise pickle.loads(payload)  # written by the child forked from this process
+    how = f"signal {-code}" if code < 0 else f"status {code}"
+    raise ChildProcessError(f"worker process {pid} ended with {how} and sent no records")
+
+
+def _evaluate_shares(
+    cfg: SimConfig, scn: Scenario, shares: Sequence[Sequence[range]]
+) -> list[SimulationRecord]:
+    """Records of every share, in order: the first evaluated here, each other one in a child.
+
+    Every child is reaped before this returns or raises; if anything fails
+    before all of them have sent their records, the rest are killed first.
+    """
+    pids: list[int] = []
+    unread: list[int] = []  # read ends of the children's pipes, still open
+    payloads: list[bytes] = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            unread.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(cfg, scn, share, write_fd, inherited=unread)
+            finally:
+                os.close(write_fd)  # in this process only: the child has exited
+            pids.append(pid)
+        records = _evaluate(cfg, scn, shares[0])
+        while unread:
+            with open(unread.pop(0), "rb") as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for fd in unread:
+            os.close(fd)
+        if len(payloads) < len(pids):
+            from signal import SIGKILL
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, payload in zip(pids, statuses, payloads):
+        records += _received(pid, status, payload)
+    return records
+
+
 def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSummary]:
     """Execute a campaign.
 
     Records come back ordered by replication index and are identical for any
     threads value; estimator failures inside a replication are recorded as
-    degenerate rather than aborting the run.  The threads share out the
-    blocks of rows_per_block(n) replications; no more of them start than
-    there are blocks or processors.
+    degenerate rather than aborting the run.  The blocks of rows_per_block(n)
+    replications are split into worker_count(cfg, threads) contiguous
+    shares, all but the first evaluated in forked child processes.  An
+    exception that escapes a block, in this process or a child, is raised
+    here, and no child outlives the call.  A fork copies only the calling
+    thread, so with threads > 1 no other thread may hold a lock a block needs.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    workers = worker_count(cfg, threads)
     scn = build_scenario(cfg)
     reps, size = range(cfg.replications), rows_per_block(cfg.n)
     blocks = [reps[start : start + size] for start in range(0, len(reps), size)]
-    evaluate = lambda reps: _replicate_block(cfg, scn, reps)
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
-    if workers == 1:
-        results = map(evaluate, blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, blocks))
-    records = [rec for block in results for rec in block]
+    cuts = [k * len(blocks) // workers for k in range(workers + 1)]
+    records = _evaluate_shares(cfg, scn, [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
     return records, summarize(cfg, scn, records)

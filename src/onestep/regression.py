@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -56,6 +57,7 @@ from .errors import (
     DegenerateError,
     DivisionByZeroError,
     MissingDerivativeError,
+    NonFiniteError,
 )
 from .estimators import (
     EstimateResult,
@@ -172,6 +174,11 @@ class Contrasts:
         object.__setattr__(self, "c", _as_array("contrast vector", self.c))
         if self.constraint_kind not in ("sum_zero", "b_orthogonal"):
             raise ValueError(f"unknown constraint kind {self.constraint_kind!r}")
+
+    @cached_property
+    def sums_to_zero(self) -> bool:
+        """Whether c sums to zero, to 1e-12 of sum |c|; c is read-only, so one test serves."""
+        return _sums_to_zero(self.c)
 
 
 def _constant_weights(weights, n: int) -> dict:
@@ -455,16 +462,27 @@ def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = No
 
 # --- contrasts and explicit preliminary estimators ---
 
-def _validate_sum_zero(c: np.ndarray) -> None:
-    if abs(exact_sum(c)) > 1e-12 * exact_sum(np.abs(c)):
-        raise ConstraintError("contrast coefficients must sum to zero")
+def _sums_to_zero(terms: np.ndarray) -> bool:
+    """Whether |sum terms| <= 1e-12 sum |terms|, both sums exact.
+
+    The terms are first scaled by the power of two that brings the largest
+    magnitude into [0.5, 1), so neither sum overflows, however large the
+    terms.  The scaling is exact except for terms it takes below the normal
+    range, which moves either sum by less than n 2**-1074.  Raises
+    NonFiniteError when a term is not finite.
+    """
+    mags = np.abs(terms)
+    peak = float(np.max(mags))
+    if not math.isfinite(peak):
+        raise NonFiniteError("contrast terms are not finite")
+    if peak == 0.0:
+        return True
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    return abs(exact_sum(terms * scale)) <= 1e-12 * exact_sum(mags * scale)
 
 
 def _validate_b_orthogonal(c: np.ndarray, b: np.ndarray | None) -> None:
-    if b is None:
-        return
-    prods = c * b
-    if abs(exact_sum(prods)) > 1e-12 * exact_sum(np.abs(prods)):
+    if b is not None and not _sums_to_zero(c * b):
         raise ConstraintError("contrast coefficients must be orthogonal to b")
 
 
@@ -515,7 +533,8 @@ def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarra
     cv = c.c
     if cv.size != s.n:
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
-    _validate_sum_zero(cv)
+    if not c.sums_to_zero:
+        raise ConstraintError("contrast coefficients must sum to zero")
     w = s.w_known if s.w_known is not None else np.ones(s.n)
     with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
         num_terms, den_terms = cv * w * (np.square(s.x) - 1.0), cv * w * s.a

@@ -232,6 +232,7 @@ def test_simulate_outputs(tmp_path):
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["threads"] == 1
+    assert manifest["workers"] == 1
     assert manifest["rows_per_block"] == rows_per_block(30)
 
 
@@ -251,6 +252,22 @@ def test_simulate_reruns_identically(tmp_path):
         bytes1 = (out1 / name).read_bytes()
         assert bytes1 == (out2 / name).read_bytes()
         assert bytes1 == (out3 / name).read_bytes()
+
+
+def test_simulate_outputs_do_not_depend_on_worker_processes(tmp_path):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile, n=2**13, replications=10)  # blocks of 4, 4 and 2
+    outputs = {}
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert run_cli("simulate", cfgfile, "--out", out, "--threads", threads).returncode == 0
+        outputs[threads] = [
+            (out / name).read_bytes() for name in ("records.csv", "summary.csv", "qq.csv", "hist.csv")
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == threads
+        assert manifest["workers"] == min(threads, 3, os.cpu_count() or 1)
+    assert outputs[1] == outputs[2] == outputs[3]
 
 
 def test_simulate_digest_tracks_config(tmp_path):
@@ -450,6 +467,28 @@ def test_overflowing_contrasts_give_one_error_line(tmp_path):
     cp = run_cli("estimate", data, "--model", "mm", "--contrasts", cfile, "--out", tmp_path / "r.csv")
     assert cp.returncode == 1
     assert cp.stderr == "error: non-finite value in numerator terms\n"
+
+
+def test_huge_sum_zero_contrasts_give_one_error_line(tmp_path):
+    # sum |c| overflows a double; the sum-zero test must not let fsum's
+    # OverflowError out, and the overflowing terms then raise NonFiniteError
+    data = tmp_path / "data.csv"
+    data.write_text("x,a\n1.5,1.0\n2.0,2.0\n2.5,3.0\n")
+    cfile = tmp_path / "contrasts.txt"
+    cfile.write_text("1e308\n-1e308\n0\n")
+    cp = run_cli("estimate", data, "--model", "sqrt", "--contrasts", cfile, "--out", tmp_path / "r.csv")
+    assert cp.returncode == 1
+    assert cp.stderr == "error: non-finite value in numerator terms\n"
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    code = (
+        "import sys, onestep.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n"
 
 
 def test_contrast_file_values_match_float(tmp_path, capsys):

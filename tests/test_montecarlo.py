@@ -1,6 +1,8 @@
 """Tests for the simulation harness: configs, determinism, aggregation."""
 
 import math
+import os
+import time
 import warnings
 
 import numpy as np
@@ -107,37 +109,93 @@ def test_thread_count_does_not_change_results_on_long_vectors():
 
 
 def test_worker_pool_is_capped_by_blocks_and_processors(monkeypatch):
-    # a recorder in place of the pool runs the blocks serially, so the huge
-    # thread count below starts no thread
-    requested = []
+    # the counting fork forks for real, so the runs below never ask for more
+    # processors than the host has; the caps beyond it are read off
+    # worker_count, which run() follows
+    forks = []
+    real_fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+    cpus = os.cpu_count() or 1
     cfg = small_cfg(n=2**15, replications=6)  # one replication per block
     expected = repr(run(cfg, threads=1))
-    assert requested == []
+    assert forks == []
     assert repr(run(cfg, threads=10**6)) == expected
-    assert requested == [4]
-    assert repr(run(small_cfg(n=2**14, replications=6), threads=10**6)[0]) == repr(
-        run(small_cfg(n=2**14, replications=6))[0]
-    )
-    assert requested == [4, 3]  # three blocks of two
+    assert len(forks) == min(6, cpus) - 1
+    three_blocks = small_cfg(n=2**14, replications=6)  # three blocks of two
+    assert repr(run(three_blocks, threads=10**6)[0]) == repr(run(three_blocks)[0])
+    assert len(forks) == min(6, cpus) - 1 + min(3, cpus) - 1
+
+    forks.clear()
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    assert montecarlo.worker_count(cfg, 1) == 1
+    assert montecarlo.worker_count(cfg, 10**6) == 4
+    assert montecarlo.worker_count(three_blocks, 10**6) == 3
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert montecarlo.worker_count(cfg, 10**6) == 1
     assert repr(run(cfg, threads=10**6)) == expected
-    assert requested == [4, 3]  # one processor: no pool
+    assert forks == []  # one processor: no child
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(montecarlo.os, "fork")
+    assert montecarlo.worker_count(cfg, 10**6) == 1
+    assert repr(run(cfg, threads=10**6)) == expected  # no fork: serial
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_exception_in_a_child_reaches_the_caller(monkeypatch):
+    # two workers: the second share, blocks 3-5, goes to the one child
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    evaluate = montecarlo._replicate_block
+
+    def replicate_block(cfg, scn, reps):
+        if reps[0] >= 4:
+            raise LookupError(f"no block at {reps[0]}")
+        return evaluate(cfg, scn, reps)
+
+    monkeypatch.setattr(montecarlo, "_replicate_block", replicate_block)
+    with pytest.raises(LookupError) as info:
+        run(small_cfg(n=2**15, replications=6), threads=2)
+    assert str(info.value) == "no block at 4"
+    assert any(note.startswith("raised in worker process") for note in info.value.__notes__)
+    _assert_no_child_left()
+
+
+def test_exception_in_the_caller_kills_and_reaps_the_child(monkeypatch):
+    # the caller's share fails at once while the child sleeps in its block:
+    # the child is killed, not waited for
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+
+    def replicate_block(cfg, scn, reps):
+        if reps[0] == 0:
+            raise LookupError("no block at 0")
+        time.sleep(60)
+
+    monkeypatch.setattr(montecarlo, "_replicate_block", replicate_block)
+    start = time.monotonic()
+    with pytest.raises(LookupError, match="no block at 0"):
+        run(small_cfg(n=2**15, replications=2), threads=2)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_forked_records_match_serial_ones_with_degenerate_rows(monkeypatch):
+    # degenerate records travel as NaN rows and must come back holding
+    # math.nan itself, as serial ones do, or they would not compare equal;
+    # with blocks of 16 rows, the child's share is replications 16-39
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    cfg = small_cfg(model_id="sqrt", theta_true=0.01, sigma=3.0, n=2048, replications=40)
+    serial = run(cfg, threads=1)
+    assert any(rec.degenerate for rec in serial[0][16:])
+    assert run(cfg, threads=2) == serial
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("model_id", ["sqrt", "mm"])

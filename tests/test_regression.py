@@ -43,6 +43,7 @@ from onestep.errors import (
     MissingDerivativeError,
     NonFiniteError,
 )
+from onestep import regression
 from onestep.montecarlo import default_grid
 
 
@@ -304,6 +305,43 @@ def test_preliminary_sqrt_constraint_enforced():
     bad = Contrasts(c=[1.0, 1.0], constraint_kind="sum_zero")
     with pytest.raises(ConstraintError):
         preliminary_sqrt(bad, s)
+
+
+def test_sum_zero_is_tested_once_per_contrast_vector(monkeypatch):
+    calls = []
+    sums_to_zero = regression._sums_to_zero
+    monkeypatch.setattr(
+        regression, "_sums_to_zero", lambda terms: calls.append(None) or sums_to_zero(terms)
+    )
+    s = Sample(x=[1.0, 2.0], a=[1.0, 3.0])
+    good = Contrasts(c=[-1.0, 1.0], constraint_kind="sum_zero")
+    bad = Contrasts(c=[1.0, 1.0], constraint_kind="sum_zero")
+    assert preliminary_sqrt(good, s) == preliminary_sqrt(good, s)
+    for _ in range(2):
+        with pytest.raises(ConstraintError):
+            preliminary_sqrt(bad, s)
+    assert len(calls) == 2
+
+
+def test_contrast_constraints_are_tested_at_any_scale():
+    # sum |c| overflows a double in each case below
+    assert Contrasts(c=[1e308, -1e308, 0.0], constraint_kind="sum_zero").sums_to_zero
+    lopsided = Contrasts(c=[1e308, 1e308, -1e308], constraint_kind="sum_zero")
+    with pytest.raises(ConstraintError):
+        preliminary_sqrt(lopsided, Sample(x=[1.0, 2.0, 3.0], a=[1.0, 2.0, 3.0]))
+    s = Sample(x=[1.0, 2.0, 3.0], a=[1.0, 2.0, 3.0], b=[1.0, 1.0, 1.5])
+    with pytest.raises(ConstraintError):
+        preliminary_plinear(Contrasts(c=[1e308, 1e308, -1e308], constraint_kind="b_orthogonal"), s)
+    overflowing = Contrasts(c=[1e308, 1e308, -1.6e308], constraint_kind="b_orthogonal")
+    with pytest.raises(NonFiniteError, match="contrast terms are not finite"):
+        preliminary_plinear(overflowing, s)  # c * b overflows
+    # a power-of-two scale changes no decision
+    for c in ([-1.0, 1.0, 0.0], [1.0, 1.0, -2.0 + 2.0**-40], [3.0, -1.0, -2.0]):
+        decisions = {
+            Contrasts(c=np.array(c) * scale, constraint_kind="sum_zero").sums_to_zero
+            for scale in (2.0**-1000, 1.0, 2.0**1000)
+        }
+        assert len(decisions) == 1
 
 
 def test_sqrt_one_step_example():
