@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -59,6 +60,14 @@ ESTIMATE_MODELS = ("sqrt", "plinear", "mm")
 
 _DEGENERATE_EXITS = (DegenerateError, NoConvergenceError, ZeroVarianceError)
 
+# glibc's malloc thresholds, pinned by main: the values its own dynamic rule
+# reaches after a first free of 32 MiB.  Below them every block temporary
+# (a (65, 500) array is 254 KiB) comes from the heap, and the heap is not
+# trimmed between blocks, so its pages stay resident instead of faulting in
+# again for every block.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -74,6 +83,7 @@ class RunManifest:
     threads: int
     workers: int
     rows_per_block: int
+    heap: dict[str, int] | None
 
 
 def _fmt(value) -> str:
@@ -463,6 +473,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             threads=threads,
             workers=worker_count(cfg, threads),
             rows_per_block=rows_per_block(cfg.n),
+            heap=args.heap,
         )
         path = out_dir / "manifest.json"
         with open(path, "w") as fh:
@@ -559,8 +570,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap_pages() -> dict[str, int] | None:
+    """Pin this process's malloc mmap and trim thresholds; forked workers inherit them.
+
+    Returns the thresholds set, or None where the C library has no mallopt
+    (as on macOS and Windows) or refuses a value; the allocator then keeps
+    its own policy.  Outputs are the same either way.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # -3 is M_MMAP_THRESHOLD and -1 M_TRIM_THRESHOLD; mallopt returns 0 on failure
+    if not (mallopt(-3, _MMAP_THRESHOLD) and mallopt(-1, _TRIM_THRESHOLD)):
+        return None
+    return {"mmap_threshold": _MMAP_THRESHOLD, "trim_threshold": _TRIM_THRESHOLD}
+
+
 def main(argv: list[str] | None = None) -> int:
+    heap = _keep_heap_pages()
     args = build_parser().parse_args(argv)
+    args.heap = heap
     try:
         return args.func(args)
     except ConfigError as exc:

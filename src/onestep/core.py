@@ -430,18 +430,40 @@ def degeneracy_tolerance(terms: np.ndarray, total=None):
     It is DEGENERACY_SCALE * (1 + exact_sum(|terms|)), one value per row of a
     2-D array.  total, the exact sum of terms, spares that second sum for
     every row whose terms share one sign, where |total| equals it bit for bit.
+    A row whose sum of |terms| passes the largest double still gets a finite
+    tolerance (see _magnitude_tolerance).
     """
     terms = np.asarray(terms, dtype=np.float64)
     if total is None:
-        return DEGENERACY_SCALE * (1.0 + exact_sum(np.abs(terms)))
+        return _magnitude_tolerance(terms)
     mixed = (terms.min(axis=-1) < 0.0) & (terms.max(axis=-1) > 0.0)
     if terms.ndim < 2:
-        size = exact_sum(np.abs(terms)) if mixed else abs(total)
-    else:
-        size = np.abs(total)
-        if mixed.any():
-            size[mixed] = exact_sum(np.abs(terms[mixed]))
-    return DEGENERACY_SCALE * (1.0 + size)
+        return _magnitude_tolerance(terms) if mixed else DEGENERACY_SCALE * (1.0 + abs(total))
+    tolerance = DEGENERACY_SCALE * (1.0 + np.abs(total))
+    if mixed.any():
+        tolerance[mixed] = _magnitude_tolerance(terms[mixed])
+    return tolerance
+
+
+def _magnitude_tolerance(terms: np.ndarray):
+    """DEGENERACY_SCALE * (1 + exact_sum(|terms|)), per row of a 2-D array.
+
+    Only where that sum passes the largest double, and math.fsum raises
+    OverflowError, are a row's magnitudes summed again scaled by the power
+    of two that brings their peak into [0.5, 1), and the tolerance scaled
+    back; the 1 is then far below its last bit.  The scaling is exact except
+    for terms it takes below the normal range, which move the scaled sum,
+    at least 0.5, by less than n 2**-1074.
+    """
+    magnitudes = np.abs(terms)
+    try:
+        return DEGENERACY_SCALE * (1.0 + exact_sum(magnitudes))
+    except OverflowError:
+        pass
+    if magnitudes.ndim == 2:
+        return np.array([_magnitude_tolerance(row) for row in magnitudes])
+    shift = math.frexp(float(magnitudes.max()))[1]
+    return math.ldexp(DEGENERACY_SCALE * exact_sum(magnitudes * math.ldexp(1.0, -shift)), shift)
 
 
 def _vanishes(total, terms: np.ndarray) -> bool:

@@ -3,10 +3,13 @@
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +237,9 @@ def test_simulate_outputs(tmp_path):
     assert manifest["threads"] == 1
     assert manifest["workers"] == 1
     assert manifest["rows_per_block"] == rows_per_block(30)
+    assert list(manifest)[-1] == "heap"
+    if platform.libc_ver()[0] == "glibc":
+        assert manifest["heap"] == {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
 
 
 def test_simulate_reruns_identically(tmp_path):
@@ -479,6 +485,74 @@ def test_huge_sum_zero_contrasts_give_one_error_line(tmp_path):
     cp = run_cli("estimate", data, "--model", "sqrt", "--contrasts", cfile, "--out", tmp_path / "r.csv")
     assert cp.returncode == 1
     assert cp.stderr == "error: non-finite value in numerator terms\n"
+
+
+def test_contrast_terms_whose_magnitudes_overflow_are_degenerate(tmp_path):
+    # the denominator terms 8e307, 8e307, -1.6e308 sum to zero, and the sum of
+    # their magnitudes passes the largest double: the degeneracy tolerance
+    # must stay finite rather than let fsum's OverflowError out
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "x,a\n" + "".join(f"{math.sqrt(v)!r},1\n" for v in (3.0, 2.0, 1.5))
+    )
+    cfile = tmp_path / "contrasts.txt"
+    cfile.write_text("8e307\n8e307\n-1.6e308\n")
+    out = tmp_path / "r.csv"
+    cp = run_cli("estimate", data, "--model", "sqrt", "--contrasts", cfile, "--out", out)
+    assert cp.returncode == 2
+    assert cp.stderr == ""
+    row = read_report(out)
+    assert row["theta_star"] == ""
+    assert row["warnings"] == "contrast denominator is numerically zero"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy sets glibc's mallopt")
+def test_block_temporaries_stay_resident_between_blocks():
+    # glibc's own policy gives each freed block's pages back to the kernel,
+    # which costs about 980 minor page faults per mm block at n = 500
+    code = textwrap.dedent("""
+        import resource
+        from onestep import cli, montecarlo
+        assert cli._keep_heap_pages() is not None
+        cfg = montecarlo.SimConfig(
+            model_id="mm", theta_true=1.0, sigma=0.05, n=500, seed=5,
+            replications=10 * montecarlo.rows_per_block(500),
+        )
+        montecarlo.run(cfg)  # the heap grows to the working set once
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        montecarlo.run(cfg)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert int(cp.stdout) <= 10 * 10
+
+
+def _no_c_library(name):
+    raise OSError("cannot open the C library")
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [
+        _no_c_library,
+        lambda name: types.SimpleNamespace(),
+        lambda name: types.SimpleNamespace(mallopt=lambda param, value: 0),
+    ],
+    ids=["no-library", "no-symbol", "refused"],
+)
+def test_simulate_without_mallopt(tmp_path, monkeypatch, capsys, cdll):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile)
+    pinned, plain = tmp_path / "pinned", tmp_path / "plain"
+    assert run_cli("simulate", cfgfile, "--out", pinned).returncode == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_heap_pages() is None
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", plain)
+    assert (code, err) == (0, "")
+    for name in ("records.csv", "summary.csv", "qq.csv", "hist.csv"):
+        assert (plain / name).read_bytes() == (pinned / name).read_bytes()
+    assert json.loads((plain / "manifest.json").read_text())["heap"] is None
 
 
 def test_importing_the_cli_starts_no_pool_machinery():

@@ -2,6 +2,7 @@
 and the degeneracy tolerance built on it keeps its value when given the sum."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,3 +182,38 @@ def test_vector_and_one_row_block_agree(family, n):
     want = math.fsum(v.tolist()).hex()
     assert exact_sum(v).hex() == want
     assert [total.hex() for total in exact_sum(v[None, :]).tolist()] == [want]
+
+
+def tolerance_from_fractions(row):
+    """DEGENERACY_SCALE * (1 + sum |row|) in exact rational arithmetic, rounded once."""
+    return float(Fraction(DEGENERACY_SCALE) * (1 + sum(Fraction(abs(t)) for t in row.tolist())))
+
+
+@pytest.mark.parametrize("n", [3, CROSSOVER + 5])
+def test_tolerance_is_finite_when_the_magnitudes_overflow(n):
+    # sum |terms| passes the largest double; fsum raises OverflowError on it,
+    # yet the terms and their signed sum are finite
+    huge = np.zeros(n)
+    huge[:3] = [8e307, 8e307, -1.6e308]
+    same_sign = np.zeros(n)
+    same_sign[:2] = [1e308, 1e308]
+    ordinary = np.random.default_rng(n).standard_normal(n)
+    with pytest.raises(OverflowError):
+        exact_sum(np.abs(huge))
+
+    want = tolerance_from_fractions(huge)
+    assert math.isfinite(want)
+    for tolerance in (degeneracy_tolerance(huge), degeneracy_tolerance(huge, exact_sum(huge))):
+        assert math.isclose(tolerance, want, rel_tol=4e-16)
+
+    block = np.stack([ordinary, huge, same_sign])
+    ordinary_bits = degeneracy_tolerance(ordinary).hex()
+    assert ordinary_bits == (DEGENERACY_SCALE * (1.0 + math.fsum(np.abs(ordinary).tolist()))).hex()
+    # same_sign's own sum overflows, so only the form without totals applies to it
+    totals = exact_sum(block[:2])
+    for got in (degeneracy_tolerance(block)[:2], degeneracy_tolerance(block[:2], totals)):
+        assert got[0].hex() == ordinary_bits
+        assert math.isclose(got[1], want, rel_tol=4e-16)
+    assert math.isclose(
+        degeneracy_tolerance(block)[2], tolerance_from_fractions(same_sign), rel_tol=4e-16
+    )
