@@ -259,8 +259,8 @@ def _build_estimate_model(model_id: str, s: Sample, weights):
 def cmd_estimate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     warnings: list[str] = []
-    theta_star = theta_hat = denominator = None
-    d_star = ci = None
+    theta_star = theta_hat = denominator = d_star = None
+    ci = (None, None)
     degenerate = False
     try:
         s = _load_data_csv(Path(args.data))
@@ -269,49 +269,31 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         update = resolve_pipeline(args.pipeline, model, fam, wf, newton_tol=1e-10)
         if not wf.h_prime_exact:
             warnings.append("weight derivative approximated numerically")
-    except (EstimationError, ValueError, OSError) as exc:
-        if isinstance(exc, _DEGENERATE_EXITS):
-            pass  # fall through to the degenerate report below
+        if args.theta_start is not None:
+            theta_star = float(args.theta_start)
         else:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        degenerate = True
-        warnings.append(str(exc))
-    if not degenerate:
-        try:
-            if args.theta_start is not None:
-                theta_star = float(args.theta_start)
-            else:
-                custom = (
-                    None if args.contrasts == "default"
-                    else _load_contrast_file(Path(args.contrasts), s.n)
-                )
-                theta_star = resolve_preliminary(model, s, custom)(s)
-            res = update(theta_star, s)
-            theta_hat, denominator = res.theta_hat, res.denominator
-            d_star, ci = studentize(
-                fam, wf, theta_star, theta_hat, s, args.alpha,
-                centering=studentizer_centering(args.pipeline, res),
+            custom = (
+                None if args.contrasts == "default"
+                else _load_contrast_file(Path(args.contrasts), s.n)
             )
-        except _DEGENERATE_EXITS as exc:
-            degenerate = True
-            warnings.append(str(exc))
-        except (EstimationError, ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            theta_star = resolve_preliminary(model, s, custom)(s)
+        res = update(theta_star, s)
+        theta_hat, denominator = res.theta_hat, res.denominator
+        d_star, ci = studentize(
+            fam, wf, theta_star, theta_hat, s, args.alpha,
+            centering=studentizer_centering(args.pipeline, res),
+        )
+    except _DEGENERATE_EXITS as exc:
+        degenerate = True  # report what was computed before the failing step
+        warnings.append(str(exc))
+    except (EstimationError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _write_csv(
         out_path,
         "report",
         ["theta_star", "theta_hat", "d_star", "ci_lo", "ci_hi", "denominator", "warnings"],
-        [[
-            theta_star,
-            theta_hat,
-            d_star,
-            ci[0] if ci else None,
-            ci[1] if ci else None,
-            denominator,
-            "; ".join(warnings),
-        ]],
+        [[theta_star, theta_hat, d_star, *ci, denominator, "; ".join(warnings)]],
     )
     print(f"wrote {out_path}")
     return 2 if degenerate else 0

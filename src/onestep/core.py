@@ -9,7 +9,7 @@ Each family is defined by vector evaluators that give every index at once
 (m_terms, h_values, e_m2_values, ...); the per-index accessors (fam.m,
 wf.h, mp.e_m2, ...) read entry i of those vectors.  A family may instead be
 built from per-index callables alone, which the *_values functions here
-evaluate index by index.
+evaluate index by index, and a block row by row.
 
 All reductions over observations go through exact_sum, which returns the
 correctly rounded exact sum and is therefore bitwise equal to math.fsum.
@@ -284,11 +284,19 @@ def _evaluate(vector, scalar, n: int, t, xs=None) -> np.ndarray:
     """vector(t), or vector(t, xs), as float64; without a vector evaluator,
     scalar(i, t), or scalar(i, t, xs[i]), at every index i < n.
 
-    The one bridge from per-index callables to vectors.  Raises ValueError
-    when a vector evaluator gives other than n values per row, except that
-    one evaluated against responses may give a single value for all.
+    The one bridge from per-index callables to vectors.  A block's (B, 1)
+    column t is taken row by row, with row r's parameter value and
+    responses, so each row is what that row's Sample gives.  Raises
+    ValueError when a vector evaluator gives other than n values per row,
+    except that one evaluated against responses may give a single value
+    for all.
     """
     if vector is None:
+        if np.ndim(t) == 2:
+            rows = xs if xs is not None else [None] * len(t)
+            return np.array([
+                _evaluate(None, scalar, n, tr, xr) for tr, xr in zip(t[:, 0].tolist(), rows)
+            ])
         if xs is None:
             items = (scalar(i, t) for i in range(n))
         else:
@@ -445,15 +453,44 @@ def degeneracy_tolerance(terms: np.ndarray, total=None):
     return tolerance
 
 
+def _scaled_sum(values: np.ndarray, factor: float = 1.0) -> float:
+    """factor * exact_sum(values) for a vector whose partial sums pass the largest double.
+
+    The values are summed scaled by the power of two that brings their peak
+    magnitude into [0.5, 1), so math.fsum cannot overflow, and the sum
+    times factor is scaled back.  The scaling is exact except for values it
+    takes below the normal range, which move the scaled sum by less than
+    n 2**-1074.  Raises NonFiniteError when the result passes the largest
+    double.
+    """
+    shift = math.frexp(float(np.max(np.abs(values))))[1]
+    try:
+        return math.ldexp(factor * exact_sum(values * math.ldexp(1.0, -shift)), shift)
+    except OverflowError:
+        raise NonFiniteError("an exact sum lies beyond the largest double") from None
+
+
+def _wide_sum(values: np.ndarray):
+    """exact_sum(values), also where partial sums pass the largest double but the sum does not.
+
+    Only a row for which math.fsum raises OverflowError is summed again,
+    by _scaled_sum; the other rows keep exact_sum's bits.
+    """
+    try:
+        return exact_sum(values)
+    except OverflowError:
+        pass
+    if values.ndim == 2:
+        return np.array([_wide_sum(row) for row in values])
+    return _scaled_sum(values)
+
+
 def _magnitude_tolerance(terms: np.ndarray):
     """DEGENERACY_SCALE * (1 + exact_sum(|terms|)), per row of a 2-D array.
 
-    Only where that sum passes the largest double, and math.fsum raises
-    OverflowError, are a row's magnitudes summed again scaled by the power
-    of two that brings their peak into [0.5, 1), and the tolerance scaled
-    back; the 1 is then far below its last bit.  The scaling is exact except
-    for terms it takes below the normal range, which move the scaled sum,
-    at least 0.5, by less than n 2**-1074.
+    Where that sum passes the largest double, and math.fsum raises
+    OverflowError, a row's tolerance is _scaled_sum of its magnitudes with
+    factor DEGENERACY_SCALE; the 1 is then far below its last bit.
     """
     magnitudes = np.abs(terms)
     try:
@@ -462,8 +499,7 @@ def _magnitude_tolerance(terms: np.ndarray):
         pass
     if magnitudes.ndim == 2:
         return np.array([_magnitude_tolerance(row) for row in magnitudes])
-    shift = math.frexp(float(magnitudes.max()))[1]
-    return math.ldexp(DEGENERACY_SCALE * exact_sum(magnitudes * math.ldexp(1.0, -shift)), shift)
+    return _scaled_sum(magnitudes, DEGENERACY_SCALE)
 
 
 def _vanishes(total, terms: np.ndarray) -> bool:
@@ -479,14 +515,16 @@ def _ratio(num_terms, den_terms, degenerate: str,
     (one per row of a block).  Raises NonFiniteError naming names[0] or
     names[1] when a term is not finite, and DegenerateDenominatorError with
     the message degenerate, formatted with the denominator, when the
-    denominator vanishes against its terms.
+    denominator vanishes against its terms.  Partial sums past the largest
+    double are no error (_wide_sum); a sum itself past it raises
+    NonFiniteError.
     """
     _require_finite(names[0], num_terms)
     _require_finite(names[1], den_terms)
-    den = exact_sum(den_terms)
+    den = _wide_sum(den_terms)
     if _vanishes(den, den_terms):
         raise DegenerateDenominatorError(degenerate.format(den))
-    return exact_sum(num_terms) / den, den
+    return _wide_sum(num_terms) / den, den
 
 
 def _finite(value, message: str, error: type[Exception] = NonFiniteError):

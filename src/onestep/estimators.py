@@ -90,14 +90,11 @@ class EstimateResult:
 
     denominator is the Newton denominator actually used by the producing
     operation (sign convention follows that operation's update formula).
-    d_star and ci are filled by studentization when requested.
     """
 
     theta_star: float
     theta_hat: float
     denominator: float
-    d_star: float | None = None
-    ci: tuple[float, float] | None = None
 
 
 def unit_weights(domain: Interval = FULL_LINE) -> WeightFamily:

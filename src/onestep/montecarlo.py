@@ -6,16 +6,20 @@ degree of parallelism produces identical records.  Aggregation walks the
 records in replication order with exact summation, making the whole run
 deterministic down to the last bit.
 
-Replications are evaluated in blocks: the rows of a (B, n) SampleBlock go
-through the preliminary, the pipeline and the studentizer together, and
-each row's record is bitwise the one its own Sample gives.  A block in
-which any row fails is evaluated again one row at a time, so a degenerate
-replication fails exactly as it would alone.
+One function, _outcomes, runs the estimation sequence: the preliminary,
+the pipeline and the studentizer.  It takes the replications of a block
+together as the rows of a (B, n) SampleBlock, and each row's outcome is
+bitwise the one its own Sample gives.  A block in which any row fails is
+evaluated again one row at a time through _outcomes on each row's Sample,
+so a degenerate replication fails exactly as it would alone; a block of
+one row takes that per-row path at once.  Each record travels as a row of
+its fields in SimulationRecord order, and run builds the SimulationRecords
+once all rows are in.
 
 With more than one worker, the blocks are split into contiguous shares.
 The calling process evaluates the first; each other share goes to a child
-made with os.fork after the scenario is built, which sends its records
-back through a pipe as one float64 array and exits.
+made with os.fork after the scenario is built, which sends its rows back
+through a pipe as one float64 array and exits.
 
 Fixed design grids (documented here, used by every scenario):
 
@@ -35,6 +39,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -300,67 +305,60 @@ def _draw(cfg: SimConfig, scn: Scenario, reps: range) -> np.ndarray:
     return x
 
 
-def _update_and_studentize(cfg: SimConfig, scn: Scenario, theta_star, s: Sample | SampleBlock):
-    """(theta_hat, d_star, ci) from the preliminary theta_star on s."""
+def _outcomes(cfg: SimConfig, scn: Scenario, s: Sample | SampleBlock) -> tuple:
+    """(theta_star, theta_hat, z, z_stud, covered) of s: preliminary, update, studentizer.
+
+    Floats for a Sample, one value per row for a SampleBlock.  Raises the
+    EstimationError of the first step that fails.
+    """
+    theta_star = scn.preliminary(s)
     res = scn.pipeline(theta_star, s)
-    d_star, ci = studentize(
+    d_star, (lo, hi) = studentize(
         scn.fam, scn.wf, theta_star, res.theta_hat, s, cfg.alpha,
         centering=studentizer_centering(cfg.pipeline, res),
     )
-    return res.theta_hat, d_star, ci
+    err = res.theta_hat - cfg.theta_true
+    covered = (lo <= cfg.theta_true) & (cfg.theta_true <= hi)
+    return theta_star, res.theta_hat, scn.z_scale * err, d_star * err, covered
 
 
-def _degenerate_record(r: int) -> SimulationRecord:
-    nan = math.nan
-    return SimulationRecord(r, nan, nan, nan, nan, covered=False, degenerate=True)
-
-
-def _replicate(cfg: SimConfig, scn: Scenario, r: int, s: Sample) -> SimulationRecord:
-    try:
-        theta_star = scn.preliminary(s)
-        theta_hat, d_star, ci = _update_and_studentize(cfg, scn, theta_star, s)
-    except EstimationError:
-        return _degenerate_record(r)
-    err = theta_hat - cfg.theta_true
-    return SimulationRecord(
-        rep=r,
-        theta_star=theta_star,
-        theta_hat=theta_hat,
-        z=scn.z_scale * err,
-        z_stud=d_star * err,
-        covered=bool(ci[0] <= cfg.theta_true <= ci[1]),
-        degenerate=False,
-    )
-
-
-def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[SimulationRecord]:
+def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[tuple]:
+    """The records of replications reps, each a row in SimulationRecord field order."""
     x = _draw(cfg, scn, reps)
-    # a single row gains nothing from the block form, whose (1, n) arrays
-    # run slower than vectors, so it takes the per-replication path below
+    # A block of one row (n > 2**14) takes the per-row path: its (1, n)
+    # arrays run slower than vectors.  Evaluating such rows as (1, n) blocks
+    # instead was slower in 8 of 8 alternations on sqrt, n = 20000,
+    # newton_oracle, 2 threads (median +6%).
     if len(reps) > 1:
         block = SampleBlock(x=x, a=scn.model.a, b=scn.sample_b)
         try:
-            theta_star = scn.preliminary(block)
-            theta_hat, d_star, (lo, hi) = _update_and_studentize(cfg, scn, theta_star, block)
+            outcomes = _outcomes(cfg, scn, block)
         except EstimationError:
             pass  # evaluate each row alone, so a failing row fails as it would alone
         else:
-            err = theta_hat - cfg.theta_true
-            covered = (lo <= cfg.theta_true) & (cfg.theta_true <= hi)
-            return [
-                SimulationRecord(r, *values, covered=ok, degenerate=False)
-                for r, *values, ok in zip(
-                    reps,
-                    theta_star.tolist(),
-                    theta_hat.tolist(),
-                    (scn.z_scale * err).tolist(),
-                    (d_star * err).tolist(),
-                    covered.tolist(),
-                )
-            ]
+            return list(zip(reps, *(v.tolist() for v in outcomes), repeat(False)))
+    rows = []
+    for r, row in zip(reps, x):
+        s = Sample(x=row, a=scn.model.a, b=scn.sample_b)
+        try:
+            rows.append((r, *_outcomes(cfg, scn, s), False))
+        except EstimationError:
+            rows.append((r, math.nan, math.nan, math.nan, math.nan, False, True))
+    return rows
+
+
+def _records(rows) -> list[SimulationRecord]:
+    """SimulationRecords of rows in field order, from this process or a worker's pipe.
+
+    A degenerate record holds math.nan itself, so records compare equal
+    however their rows travelled.
+    """
+    nan = math.nan
     return [
-        _replicate(cfg, scn, r, Sample(x=row, a=scn.model.a, b=scn.sample_b))
-        for r, row in zip(reps, x)
+        SimulationRecord(int(rep), nan, nan, nan, nan, covered=False, degenerate=True)
+        if degenerate
+        else SimulationRecord(int(rep), *values, covered=bool(covered), degenerate=False)
+        for rep, *values, covered, degenerate in rows
     ]
 
 
@@ -415,31 +413,8 @@ def worker_count(cfg: SimConfig, threads: int) -> int:
     return min(threads, blocks, os.cpu_count() or 1)
 
 
-# a worker sends each record as a row of its fields, in order
-_RECORD_WIDTH = len(fields(SimulationRecord))
-
-
-def _evaluate(cfg: SimConfig, scn: Scenario, blocks: Sequence[range]) -> list[SimulationRecord]:
-    return [rec for reps in blocks for rec in _replicate_block(cfg, scn, reps)]
-
-
-def _pack(records: Sequence[SimulationRecord]) -> bytes:
-    return np.array(
-        [
-            (r.rep, r.theta_star, r.theta_hat, r.z, r.z_stud, r.covered, r.degenerate)
-            for r in records
-        ],
-        dtype=np.float64,
-    ).tobytes()
-
-
-def _unpack(data: bytes) -> list[SimulationRecord]:
-    rows = np.frombuffer(data, dtype=np.float64).reshape(-1, _RECORD_WIDTH).tolist()
-    return [
-        _degenerate_record(int(rep)) if degenerate
-        else SimulationRecord(int(rep), *values, covered=bool(covered), degenerate=False)
-        for rep, *values, covered, degenerate in rows
-    ]
+def _evaluate(cfg: SimConfig, scn: Scenario, blocks: Sequence[range]) -> list:
+    return [row for reps in blocks for row in _replicate_block(cfg, scn, reps)]
 
 
 def _serve_share(
@@ -458,7 +433,7 @@ def _serve_share(
         for fd in inherited:
             os.close(fd)
         try:
-            payload = _pack(_evaluate(cfg, scn, share))
+            payload = np.array(_evaluate(cfg, scn, share), dtype=np.float64).tobytes()
             status = 0
         except Exception as exc:
             from traceback import format_tb
@@ -475,11 +450,11 @@ def _serve_share(
         os._exit(status)
 
 
-def _received(pid: int, status: int, payload: bytes) -> list[SimulationRecord]:
-    """The records a child sent, or the exception it sent raised here."""
+def _received(pid: int, status: int, payload: bytes) -> list:
+    """The record rows a child sent, or the exception it sent raised here."""
     code = os.waitstatus_to_exitcode(status)
     if code == 0:
-        return _unpack(payload)
+        return np.frombuffer(payload).reshape(-1, len(fields(SimulationRecord))).tolist()
     if code == 1 and payload:
         raise pickle.loads(payload)  # written by the child forked from this process
     how = f"signal {-code}" if code < 0 else f"status {code}"
@@ -488,8 +463,8 @@ def _received(pid: int, status: int, payload: bytes) -> list[SimulationRecord]:
 
 def _evaluate_shares(
     cfg: SimConfig, scn: Scenario, shares: Sequence[Sequence[range]]
-) -> list[SimulationRecord]:
-    """Records of every share, in order: the first evaluated here, each other one in a child.
+) -> list:
+    """Record rows of every share, in order: the first evaluated here, each other one in a child.
 
     Every child is reaped before this returns or raises; if anything fails
     before all of them have sent their records, the rest are killed first.
@@ -508,7 +483,7 @@ def _evaluate_shares(
             finally:
                 os.close(write_fd)  # in this process only: the child has exited
             pids.append(pid)
-        records = _evaluate(cfg, scn, shares[0])
+        rows = _evaluate(cfg, scn, shares[0])
         while unread:
             with open(unread.pop(0), "rb") as pipe:
                 payloads.append(pipe.read())
@@ -522,8 +497,8 @@ def _evaluate_shares(
                 os.kill(pid, SIGKILL)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     for pid, status, payload in zip(pids, statuses, payloads):
-        records += _received(pid, status, payload)
-    return records
+        rows += _received(pid, status, payload)
+    return rows
 
 
 def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSummary]:
@@ -543,5 +518,6 @@ def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSu
     reps, size = range(cfg.replications), rows_per_block(cfg.n)
     blocks = [reps[start : start + size] for start in range(0, len(reps), size)]
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
-    records = _evaluate_shares(cfg, scn, [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    records = _records(_evaluate_shares(cfg, scn, shares))
     return records, summarize(cfg, scn, records)

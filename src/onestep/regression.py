@@ -567,16 +567,10 @@ def plinear_one_step(
 ) -> EstimateResult:
     """Weighted one-step for f_i(t) = a_i t + b_i g(t).
 
-    w may be None (unit weights), a constant vector, or a callable mapping t
-    to a value broadcastable over the sample.
+    w is a vector of constant variance weights, unit weights when None.
     """
     b = s.b if s.b is not None else np.zeros(s.n)
-    if w is None:
-        wv = np.ones(s.n)
-    elif callable(w):
-        wv = np.broadcast_to(np.asarray(w(theta_star), dtype=np.float64), (s.n,)).copy()
-    else:
-        wv = _as_array("weights", w, n=s.n, positive=True)
+    wv = np.ones(s.n) if w is None else _as_array("weights", w, n=s.n, positive=True)
     gv = float(g(theta_star))
     slope = s.a + b * float(g_prime(theta_star))
     resid = s.x - (s.a * theta_star + b * gv)

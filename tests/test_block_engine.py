@@ -20,10 +20,17 @@ from onestep.core import (
     EstimatingFamily,
     Sample,
     SampleBlock,
+    WeightFamily,
     exact_sum,
 )
 from onestep.errors import DegenerateDenominatorError, EstimationError
-from onestep.estimators import one_step_weighted, studentize, unit_weights
+from onestep.estimators import (
+    newton_solve,
+    one_step_factorized,
+    one_step_weighted,
+    studentize,
+    unit_weights,
+)
 from onestep.montecarlo import (
     MODEL_IDS,
     NOISE_KINDS,
@@ -256,7 +263,7 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
     for module in (core, estimators, regression, montecarlo):
         monkeypatch.setattr(module, "exact_sum", counted_sum)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
-    assert not any(rec.degenerate for rec in records)
+    assert not any(row[-1] for row in records)
     assert calls == {"f": 2, "f_prime": 2, "w": 2}
     assert row_sums[0] == 5
 
@@ -290,3 +297,35 @@ def test_a_vanishing_centering_sum_still_raises_from_the_update():
             one_step_weighted(fam, wf, theta_star, sample)
         with pytest.raises(DegenerateDenominatorError, match="centering sum"):
             studentize(fam, wf, theta_star, theta_star, sample)
+
+
+def test_per_index_families_take_a_block_row_by_row():
+    # families given by per-index callables alone, or a t-dependent h beside
+    # vector m: each block row is bitwise what that row's own Sample gives
+    a = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    x = 0.9 * a + 0.1 * np.random.default_rng(3).standard_normal((4, a.size))
+    block = SampleBlock(x=x, a=a)
+    theta = np.array([0.8, 0.85, 0.9, 0.95])
+    per_index = EstimatingFamily(m=lambda i, t, x: x - a[i] * t, m_prime=lambda i, t, x: -a[i])
+    vector = EstimatingFamily(m_terms=lambda t, xs: xs - a * t, m_prime_terms=lambda t, xs: -a)
+    wf = WeightFamily(
+        h=lambda i, t: a[i] / (1.0 + t * t),
+        h_prime=lambda i, t: -2.0 * a[i] * t / (1.0 + t * t) ** 2,
+    )
+
+    def bits(values):
+        return [float(v).hex() for v in np.ravel(values)]
+
+    for fam in (per_index, vector):
+        hat = one_step_weighted(fam, wf, theta, block).theta_hat
+        factorized = one_step_factorized(fam, wf, theta, block).theta_hat
+        d_star, (lo, hi) = studentize(fam, wf, theta, hat, block)
+        root = newton_solve(fam, wf, theta, block)
+        for r, t in enumerate(theta.tolist()):
+            s = block.sample(r)
+            row_hat = one_step_weighted(fam, wf, t, s).theta_hat
+            row_d, row_ci = studentize(fam, wf, t, row_hat, s)
+            assert bits(hat[r]) == bits(row_hat)
+            assert bits(factorized[r]) == bits(one_step_factorized(fam, wf, t, s).theta_hat)
+            assert bits([d_star[r], lo[r], hi[r]]) == bits([row_d, *row_ci])
+            assert bits(root[r]) == bits(newton_solve(fam, wf, t, s))

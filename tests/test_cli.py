@@ -506,6 +506,37 @@ def test_contrast_terms_whose_magnitudes_overflow_are_degenerate(tmp_path):
     assert row["warnings"] == "contrast denominator is numerically zero"
 
 
+def test_contrast_terms_whose_partial_sums_overflow_still_estimate(tmp_path):
+    # the numerator terms are about 1.6e308, 8e307 and -8e307: their partial
+    # sums pass the largest double, but the exact sums 1.6000000000000004e308
+    # and 8e307 do not, so the preliminary is their ratio
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "x,a\n" + "".join(f"{math.sqrt(v)!r},{a}\n" for v, a in ((3.0, 1), (2.0, 1), (1.5, 0.5)))
+    )
+    cfile = tmp_path / "contrasts.txt"
+    cfile.write_text("8e307\n8e307\n-1.6e308\n")
+    out = tmp_path / "r.csv"
+    cp = run_cli("estimate", data, "--model", "sqrt", "--contrasts", cfile, "--out", out)
+    assert (cp.returncode, cp.stderr) == (0, "")
+    row = read_report(out)
+    assert row["theta_star"] == "2.0000000000000004"
+    assert row["warnings"] == ""
+
+
+def test_partial_report_when_only_the_studentizer_degenerates(tmp_path):
+    # an exact fit: the update succeeds, so its estimate and denominator are
+    # reported, and the interval the studentizer could not form is left empty
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,b\n1.0,2.0,1.0\n2.0,4.0,1.0\n")
+    out = tmp_path / "report.csv"
+    cp = run_cli("estimate", data, "--model", "mm", "--out", out)
+    assert cp.returncode == 2
+    row = read_report(out)
+    assert float(row["denominator"]) < 0.0
+    assert (row["d_star"], row["ci_lo"], row["ci_hi"]) == ("", "", "")
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy sets glibc's mallopt")
 def test_block_temporaries_stay_resident_between_blocks():
     # glibc's own policy gives each freed block's pages back to the kernel,

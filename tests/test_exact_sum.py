@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from onestep.core import (
     _VECTOR_SUM_MIN_TERMS,
     DEGENERACY_SCALE,
+    _ratio,
     degeneracy_tolerance,
     exact_sum,
 )
+from onestep.errors import NonFiniteError
 
 CROSSOVER = _VECTOR_SUM_MIN_TERMS
 
@@ -217,3 +219,37 @@ def test_tolerance_is_finite_when_the_magnitudes_overflow(n):
     assert math.isclose(
         degeneracy_tolerance(block)[2], tolerance_from_fractions(same_sign), rel_tol=4e-16
     )
+
+
+def sum_from_fractions(row):
+    """The exact sum of row in rational arithmetic, rounded once."""
+    return float(sum(Fraction(t) for t in row.tolist()))
+
+
+@pytest.mark.parametrize("n", [3, CROSSOVER + 5])
+def test_ratio_takes_sums_whose_partial_sums_overflow(n):
+    # the sqrt preliminary's terms at x^2 = 3, 2, 1.5 with contrasts 8e307,
+    # 8e307, -1.6e308: fsum's partial sums pass the largest double, and it
+    # raises OverflowError, yet both exact sums are finite
+    num, den, past = np.zeros(n), np.zeros(n), np.zeros(n)
+    num[:3] = np.array([8e307, 8e307, -1.6e308]) * (np.square(np.sqrt([3.0, 2.0, 1.5])) - 1.0)
+    den[:3] = [1.6e308, 8e307, -1.6e308]
+    past[:3] = [1e308, 1e308, -1e307]  # its exact sum passes the largest double too
+    for terms in (num, den, past):
+        with pytest.raises(OverflowError):
+            exact_sum(terms)
+    want = sum_from_fractions(num) / sum_from_fractions(den)
+    assert want == 2.0000000000000004
+    assert [v.hex() for v in _ratio(num, den, "{}")] == [want.hex(), (8e307).hex()]
+
+    rng = np.random.default_rng(n)
+    ordinary, ordinary_den = rng.standard_normal(n), rng.uniform(1.0, 2.0, n)
+    ratios, dens = _ratio(np.stack([ordinary, num]), np.stack([ordinary_den, den]), "{}")
+    ordinary_ratio = math.fsum(ordinary.tolist()) / math.fsum(ordinary_den.tolist())
+    assert [v.hex() for v in ratios.tolist()] == [ordinary_ratio.hex(), want.hex()]
+    assert dens[1] == 8e307
+
+    with pytest.raises(NonFiniteError):
+        _ratio(past, den, "{}")
+    with pytest.raises(NonFiniteError):
+        _ratio(np.stack([ordinary, past]), np.stack([ordinary_den, den]), "{}")
