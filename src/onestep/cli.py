@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import gc
 import hashlib
 import json
 import os
@@ -104,13 +105,26 @@ def _schema_line(name: str, digest: str | None = None) -> str:
     return line
 
 
+def _start_csv(fh, name: str, header: list[str], digest: str | None):
+    """Write the schema line and the header row; return the csv.writer that wrote the header."""
+    fh.write(_schema_line(name, digest) + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
+
+
 def _write_csv(path: Path, name: str, header: list[str], rows, digest: str | None = None) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(_schema_line(name, digest) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = _start_csv(fh, name, header, digest)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_lines(path: Path, name: str, header: list[str], lines, digest: str) -> None:
+    """_write_csv for rows given as finished lines, whose cells need no quoting."""
+    with open(path, "w", newline="") as fh:
+        _start_csv(fh, name, header, digest)
+        fh.writelines(lines)
 
 
 def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], range | list[int]]:
@@ -256,6 +270,9 @@ def _build_estimate_model(model_id: str, s: Sample, weights):
     raise ConfigError(f"model must be one of {ESTIMATE_MODELS}, got {model_id!r}")
 
 
+# Every step raises a named error on terms that are not finite, so numpy's
+# overflow warnings would only print ahead of the one error line
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_estimate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     warnings: list[str] = []
@@ -387,13 +404,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         valid_z = [rec.z for rec in records if not rec.degenerate]
         valid_z.sort()
 
+        # records.csv and qq.csv hold ints, floats and flags alone (records
+        # carry Python floats and bools): each row is one line, floats in
+        # repr and flags as 1/0, as _fmt gives them
         path = out_dir / "records.csv"
-        _write_csv(
+        _write_lines(
             path,
             "records",
             ["rep", "theta_star", "theta_hat", "z", "z_stud", "covered", "degenerate"],
             (
-                [r.rep, r.theta_star, r.theta_hat, r.z, r.z_stud, r.covered, r.degenerate]
+                f"{r.rep},{r.theta_star!r},{r.theta_hat!r},{r.z!r},{r.z_stud!r},"
+                f"{r.covered:d},{r.degenerate:d}\n"
                 for r in records
             ),
             digest,
@@ -423,11 +444,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         m = len(valid_z)
         path = out_dir / "qq.csv"
-        _write_csv(
+        _write_lines(
             path,
             "qq",
             ["theoretical", "observed"],
-            ([normal_quantile((i + 0.5) / m), valid_z[i]] for i in range(m)),
+            (f"{normal_quantile((i + 0.5) / m)!r},{z!r}\n" for i, z in enumerate(valid_z)),
             digest,
         )
         written.append(path)
@@ -573,6 +594,10 @@ def _keep_heap_pages() -> dict[str, int] | None:
 
 def main(argv: list[str] | None = None) -> int:
     heap = _keep_heap_pages()
+    # What is alive now (modules, numpy's tables) lives until exit: moved to
+    # the permanent generation, no collection walks it again, the one at
+    # interpreter exit included
+    gc.freeze()
     args = build_parser().parse_args(argv)
     args.heap = heap
     try:

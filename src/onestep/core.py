@@ -453,19 +453,29 @@ def degeneracy_tolerance(terms: np.ndarray, total=None):
     return tolerance
 
 
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values * 2**-shift, shift), shift taking the peak magnitude of finite values into [0.5, 1).
+
+    np.ldexp takes the exponent itself, so this holds for a subnormal peak,
+    whose 2**-shift passes the largest double, as for a huge one.  The
+    scaling is exact except for values it takes below the normal range, which
+    move a sum of the scaled values by less than n 2**-1074.  All zeros come
+    back as they are, with shift 0.
+    """
+    shift = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -shift), shift
+
+
 def _scaled_sum(values: np.ndarray, factor: float = 1.0) -> float:
     """factor * exact_sum(values) for a vector whose partial sums pass the largest double.
 
-    The values are summed scaled by the power of two that brings their peak
-    magnitude into [0.5, 1), so math.fsum cannot overflow, and the sum
-    times factor is scaled back.  The scaling is exact except for values it
-    takes below the normal range, which move the scaled sum by less than
-    n 2**-1074.  Raises NonFiniteError when the result passes the largest
-    double.
+    The values are summed scaled by _unit_scaled, so math.fsum cannot
+    overflow, and the sum times factor is scaled back.  Raises
+    NonFiniteError when the result passes the largest double.
     """
-    shift = math.frexp(float(np.max(np.abs(values))))[1]
+    scaled, shift = _unit_scaled(values)
     try:
-        return math.ldexp(factor * exact_sum(values * math.ldexp(1.0, -shift)), shift)
+        return math.ldexp(factor * exact_sum(scaled), shift)
     except OverflowError:
         raise NonFiniteError("an exact sum lies beyond the largest double") from None
 

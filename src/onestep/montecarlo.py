@@ -290,16 +290,23 @@ def _draw(cfg: SimConfig, scn: Scenario, reps: range) -> np.ndarray:
 
     One generator serves the block.  Before each row it is set to its state
     when new (zero counter, empty buffer) under the key (seed, r), so the
-    row's draws are those of a fresh Generator(Philox(key=[seed, r])).
+    row's draws are those of a fresh Generator(Philox(key=[seed, r])).  One
+    state dict serves every row: only the second key word changes.  Gaussian
+    rows are drawn into the block itself; numpy's uniform and laplace take
+    no out argument.
     """
     bitgen = np.random.Philox(key=np.array([cfg.seed, reps[0]], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
+    key = fresh["state"]["key"]
     x = np.empty((len(reps), cfg.n))
     for i, r in enumerate(reps):
-        fresh["state"]["key"] = np.array([cfg.seed, r], dtype=np.uint64)
+        key[1] = r
         bitgen.state = fresh
-        x[i] = _unit_noise(cfg.noise, rng, cfg.n)
+        if cfg.noise == "gaussian":
+            rng.standard_normal(out=x[i])
+        else:
+            x[i] = _unit_noise(cfg.noise, rng, cfg.n)
     x *= scn.noise_sd
     x += scn.mean
     return x

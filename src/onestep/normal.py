@@ -34,16 +34,19 @@ def normal_quantile(p: float) -> float:
     p = float(p)
     if math.isnan(p) or not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
+    # normal_cdf written out: every point probed here is finite, so its
+    # check is spared and the value is the same expression's, bit for bit
+    erfc = math.erfc
     lo, hi = -1.0, 1.0
-    while normal_cdf(lo) > p:
+    while 0.5 * erfc(-lo / _SQRT2) > p:
         lo *= 2.0
-    while normal_cdf(hi) < p:
+    while 0.5 * erfc(-hi / _SQRT2) < p:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if normal_cdf(mid) < p:
+        if 0.5 * erfc(-mid / _SQRT2) < p:
             lo = mid
         else:
             hi = mid

@@ -40,6 +40,7 @@ from .core import (
     Sample,
     SampleBlock,
     WeightFamily,
+    _all_finite,
     _as_array,
     _column,
     _evaluate,
@@ -47,7 +48,9 @@ from .core import (
     _ratio,
     _require_finite,
     _require_in_domain,
+    _unit_scaled,
     _vanishes,
+    _wide_sum,
     exact_sum,
 )
 from .errors import (
@@ -465,20 +468,14 @@ def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = No
 def _sums_to_zero(terms: np.ndarray) -> bool:
     """Whether |sum terms| <= 1e-12 sum |terms|, both sums exact.
 
-    The terms are first scaled by the power of two that brings the largest
-    magnitude into [0.5, 1), so neither sum overflows, however large the
-    terms.  The scaling is exact except for terms it takes below the normal
-    range, which moves either sum by less than n 2**-1074.  Raises
-    NonFiniteError when a term is not finite.
+    The terms are first scaled by _unit_scaled, so neither sum overflows,
+    however large or small the terms.  Raises NonFiniteError when a term is
+    not finite.
     """
-    mags = np.abs(terms)
-    peak = float(np.max(mags))
-    if not math.isfinite(peak):
+    if not _all_finite(terms):
         raise NonFiniteError("contrast terms are not finite")
-    if peak == 0.0:
-        return True
-    scale = math.ldexp(1.0, -math.frexp(peak)[1])
-    return abs(exact_sum(terms * scale)) <= 1e-12 * exact_sum(mags * scale)
+    scaled, _ = _unit_scaled(terms)
+    return abs(exact_sum(scaled)) <= 1e-12 * exact_sum(np.abs(scaled))
 
 
 def _validate_b_orthogonal(c: np.ndarray, b: np.ndarray | None) -> None:
@@ -498,14 +495,14 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
     a = s.a
     n = s.n
     if kind == "sum_zero":
-        c = a - exact_sum(a) / n
-        c = c - exact_sum(c) / n
+        c = a - _wide_sum(a) / n
+        c = c - _wide_sum(c) / n
     elif kind == "b_orthogonal":
         b = s.b if s.b is not None else np.zeros(n)
-        bb = exact_sum(b * b)
-        c = a - (exact_sum(a * b) / bb) * b if bb > 0.0 else a.copy()
+        bb = _wide_sum(b * b)
+        c = a - (_wide_sum(a * b) / bb) * b if bb > 0.0 else a.copy()
         if bb > 0.0:
-            c = c - (exact_sum(c * b) / bb) * b
+            c = c - (_wide_sum(c * b) / bb) * b
     else:
         raise ValueError(f"unknown constraint kind {kind!r}")
     peak = float(np.max(np.abs(c)))
@@ -519,7 +516,7 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         den_terms = c * w * a
     else:
         den_terms = c * a
-    if _vanishes(exact_sum(den_terms), den_terms):
+    if _vanishes(_wide_sum(den_terms), den_terms):
         raise DegenerateDenominatorError("contrast denominator is numerically zero")
     return Contrasts(c=c, constraint_kind=kind)
 

@@ -8,12 +8,15 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import textwrap
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from onestep import cli
 from onestep.errors import ConfigError
@@ -611,3 +614,117 @@ def test_contrast_file_values_match_float(tmp_path, capsys):
     assert code == 0, err
     s = cli._load_data_csv(data)
     assert read_report(out)["theta_star"] == repr(preliminary_mm(expected, s))
+
+
+def test_default_contrasts_whose_partial_sums_overflow_end_in_an_error_line(tmp_path):
+    # the centering of a sums 1e308, 1e308 and 1.5e308, past the largest double
+    data = tmp_path / "data.csv"
+    data.write_text("x,a\n1,1e308\n2,1e308\n3,1.5e308\n")
+    out = tmp_path / "r.csv"
+    cp = run_cli("estimate", data, "--model", "sqrt", "--out", out)
+    assert (cp.returncode, cp.stderr) == (1, "error: an exact sum lies beyond the largest double\n")
+    assert not out.exists()
+
+
+def test_subnormal_contrast_terms_end_in_an_error_line(tmp_path):
+    # c * b peaks at a subnormal: the sum-to-zero test scales it up by 2**1063,
+    # which is no double
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,b\n1,1,1e-320\n2,2,1e-320\n3,3.5,1e-320\n")
+    cp = run_cli("estimate", data, "--model", "plinear", "--out", tmp_path / "r.csv")
+    assert cp.returncode == 1
+    assert cp.stderr == "error: contrast coefficients must be orthogonal to b\n"
+
+
+_EXTREME_CELLS = [0.0, -0.0, 1e-320, -1e-320, 5e-324, 1.0, -1.0, 1e308, -1e308,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+
+
+# Shrinking is left out: it would call main thousands of times on a failure,
+# which is reported as found instead.
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
+@given(
+    n=st.sampled_from([2, 3, 5, 40]),
+    model=st.sampled_from(cli.ESTIMATE_MODELS),
+    pipeline=st.sampled_from(PIPELINES),
+    columns=st.sampled_from(["x,a", "x,a,b", "x,a,w", "x,a,b,w"]),
+    data=st.data(),
+)
+def test_estimate_ends_in_an_exit_code_on_any_finite_csv(n, model, pipeline, columns, data):
+    cell = st.one_of(
+        st.sampled_from(_EXTREME_CELLS),
+        st.floats(-10.0, 10.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    width = columns.count(",") + 1
+    cells = st.lists(cell, min_size=width, max_size=width)
+    rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+    # a, b and w must be positive: most columns are kept so, to get past that check
+    one_in_four = st.integers(0, 3).map(lambda k: k == 0)
+    signed = data.draw(st.lists(one_in_four, min_size=width, max_size=width))
+    rows = [[v if sign else abs(v) for v, sign in zip(row, signed)] for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "data.csv", Path(tmp) / "report.csv"
+        path.write_text(columns + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        code = cli.main(
+            ["estimate", str(path), "--model", model, "--pipeline", pipeline, "--out", str(out)]
+        )
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert read_report(out)["warnings"] != ""
+
+
+def _rows_as_write_csv_gives_them(path: Path, name: str, header, rows, digest) -> bytes:
+    cli._write_csv(path, name, header, rows, digest)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, threads):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(
+        cfgfile, model="sqrt", n=5, sigma=5.0, noise="scaled-laplace",
+        pipeline="newton_oracle", replications=400, seed=3,
+    )
+    out = tmp_path / "out"
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out, "--threads", threads)
+    assert (code, err) == (0, "")
+    cfg = cli._sim_config_from_file(cfgfile)
+    digest = cli._config_digest(cfg)
+    records, _ = cli.run(cfg, threads=threads)
+    assert sum(r.degenerate for r in records) > 0  # nan cells are written too
+    fields = ["rep", "theta_star", "theta_hat", "z", "z_stud", "covered", "degenerate"]
+    expected = _rows_as_write_csv_gives_them(
+        tmp_path / "records.csv", "records", fields,
+        ([getattr(r, f) for f in fields] for r in records), digest,
+    )
+    assert (out / "records.csv").read_bytes() == expected
+    valid_z = sorted(r.z for r in records if not r.degenerate)
+    m = len(valid_z)
+    expected = _rows_as_write_csv_gives_them(
+        tmp_path / "qq.csv", "qq", ["theoretical", "observed"],
+        ([cli.normal_quantile((i + 0.5) / m), valid_z[i]] for i in range(m)), digest,
+    )
+    assert (out / "qq.csv").read_bytes() == expected
+
+
+def test_main_freezes_what_is_alive_at_start_and_importing_does_not(tmp_path):
+    code = textwrap.dedent(f"""
+        import gc
+        import onestep
+        from onestep import cli
+        print(gc.get_freeze_count())
+        cli.main(["estimate", {str(tmp_path / "data.csv")!r}, "--model", "mm",
+                  "--out", {str(tmp_path / "r.csv")!r}])
+        print(gc.get_freeze_count())
+    """)
+    write_mm_data(tmp_path / "data.csv")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    lines = cp.stdout.splitlines()  # main prints its "wrote" line between the counts
+    before, after = int(lines[0]), int(lines[-1])
+    assert before == 0
+    assert after > 0

@@ -98,3 +98,30 @@ def test_ks_empty_and_nonfinite():
 def test_ks_permutation_invariant():
     data = [0.3, -1.2, 2.0, 0.0, -0.4]
     assert ks_statistic(data, normal_cdf) == ks_statistic(list(reversed(data)), normal_cdf)
+
+
+def _bisected_quantile(p):
+    """normal_quantile as it was written through normal_cdf: the bit-for-bit oracle."""
+    lo, hi = -1.0, 1.0
+    while normal_cdf(lo) > p:
+        lo *= 2.0
+    while normal_cdf(hi) < p:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if normal_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_quantile_is_the_bisection_through_the_cdf_bit_for_bit():
+    levels = [(i + 0.5) / m for m in (1, 2, 7, 1999, 2000) for i in range(m)]
+    levels += [1e-300, 0.5, 1.0 - 2.0**-53]
+    for p in levels:
+        # float.hex tells the sign of zero apart as well
+        assert normal_quantile(p).hex() == _bisected_quantile(p).hex(), p
+    assert math.copysign(1.0, normal_quantile(0.5)) == math.copysign(1.0, _bisected_quantile(0.5))
