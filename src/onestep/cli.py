@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +127,7 @@ def _write_lines(path: Path, name: str, header: list[str], lines, digest: str) -
         fh.writelines(lines)
 
 
-def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], range | list[int]]:
+def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], list[int]]:
     """Read a CSV file after its leading ``#`` lines, column by column.
 
     Returns (comment lines, header, the cell texts of each column keyed by
@@ -136,13 +136,12 @@ def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]],
     A file csv.reader refuses, say for a field over its size limit, raises
     ValueError naming the file.
     """
-    try:
-        return _split_table(path)
-    except csv.Error as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    comments, header, lines, start = _read_head(path)
+    return (comments, header, *_split_rows(path, header, lines, start))
 
 
-def _split_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], range | list[int]]:
+def _read_head(path: Path) -> tuple[list[str], list[str], list[str], int]:
+    """(comment lines, header, the lines after the header, the number of file lines before them)."""
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     skip = 0
@@ -152,46 +151,65 @@ def _split_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]]
     if skip == len(lines):
         raise ValueError(f"{path}: no header row")
     header_rows = csv.reader(islice(lines, skip, None))
-    header = next(header_rows)
-    start = skip + header_rows.line_num  # lines before the first data row
+    try:
+        header = next(header_rows)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    start = skip + header_rows.line_num
     seen: set[str] = set()
     for col in header:
         if col in seen:
             raise ValueError(f"{path}: duplicate column {col!r}")
         seen.add(col)
-    width = len(header)
     del lines[:start]
+    return comments, header, lines, start
 
-    # Lines without quotes and with exactly width - 1 commas split into the
-    # same fields as csv.reader gives them; anything else goes through
-    # csv.reader.  A one-column file has no commas to count, so a blank
-    # line (no fields for csv.reader) would pass.  Each intermediate is
-    # dropped as soon as it is used up, to keep the peak memory down.
-    joined = None
-    if width > 1 and set(map(str.count, lines, repeat(","))) <= {width - 1}:
-        joined = ",".join(lines)
-    if joined is not None and '"' not in joined:
-        del lines
-        flat = joined.split(",") if joined else []
-        del joined
-        columns = {col: flat[j::width] for j, col in enumerate(header)}
-        return comments, header, columns, range(start + 1, start + 1 + len(flat) // width)
 
+def _split_rows(
+    path: Path, header: list[str], lines: list[str], start: int
+) -> tuple[dict[str, list[str]], list[int]]:
+    """The csv.reader cells of lines, by column, and the file line number of each row."""
+    width = len(header)
     rows: list[list[str]] = []
     row_lines: list[int] = []
     reader = csv.reader(lines)
     line = start + 1
-    for row in reader:
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: row {len(rows) + 1} (line {line}) has {len(row)} fields, "
-                f"expected {width}"
-            )
-        rows.append(row)
-        row_lines.append(line)
-        line = start + reader.line_num + 1
+    try:
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: row {len(rows) + 1} (line {line}) has {len(row)} fields, "
+                    f"expected {width}"
+                )
+            rows.append(row)
+            row_lines.append(line)
+            line = start + reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     columns = {col: [row[j] for row in rows] for j, col in enumerate(header)}
-    return comments, header, columns, row_lines
+    return columns, row_lines
+
+
+def _plain_table(lines: list[str], width: int) -> np.ndarray | None:
+    """lines as an (n, width) float64 array, or None unless numpy can vouch for it.
+
+    np.loadtxt without comments or quotes splits each line at every comma,
+    as csv.reader does for a line without quotes, and converts each cell
+    with PyOS_string_to_double, the parser float() ends in, so it gives the
+    same bits.  What it refuses (quotes, underscores, non-ASCII digits, bad
+    cells) is left to csv.reader.  It skips blank lines, which csv.reader
+    gives as rows of no fields, so a body with one, or none at all, is left
+    to csv.reader too; a row of another width shows as another shape.
+    """
+    if not lines or not all(lines):
+        return None
+    try:
+        table = np.loadtxt(
+            lines, dtype=np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return table if table.shape == (len(lines), width) else None
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -203,7 +221,11 @@ def _parse_float(text: str, where: str) -> float:
 
 def _load_data_csv(path: Path) -> Sample:
     """Read an estimate input: columns x, a, optional b, optional w."""
-    _, header, columns, row_lines = _read_table(path)
+    _, header, lines, start = _read_head(path)
+    table = _plain_table(lines, len(header))
+    if table is None:
+        columns, row_lines = _split_rows(path, header, lines, start)
+    del lines
     allowed = {"x", "a", "b", "w"}
     unknown = [col for col in header if col not in allowed]
     if unknown:
@@ -211,18 +233,21 @@ def _load_data_csv(path: Path) -> Sample:
     for required in ("x", "a"):
         if required not in header:
             raise ValueError(f"{path}: missing required column {required!r}")
-    if not row_lines:
+    if table is not None:
+        arrays = dict(zip(header, table.T))
+    elif not row_lines:
         raise ValueError(f"{path}: no data rows")
-    # numpy converts str with float()'s syntax and rounding; only when it
-    # fails are the cells scanned in row order to name the first bad one.
-    try:
-        arrays = {col: np.array(columns[col], dtype=np.float64) for col in header}
-    except ValueError:
-        for k, line in enumerate(row_lines):
-            for col in header:
-                _parse_float(columns[col][k], f"{path}: row {k + 1} (line {line}), column {col!r}")
-        raise
-    del columns
+    else:
+        # numpy converts str with float()'s syntax and rounding; only when it
+        # fails are the cells scanned in row order to name the first bad one.
+        try:
+            arrays = {col: np.array(columns[col], dtype=np.float64) for col in header}
+        except ValueError:
+            for k, line in enumerate(row_lines):
+                for col in header:
+                    _parse_float(columns[col][k], f"{path}: row {k + 1} (line {line}), column {col!r}")
+            raise
+        del columns
     return Sample(
         x=arrays["x"],
         a=arrays["a"],

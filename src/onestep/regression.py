@@ -479,7 +479,8 @@ def _sums_to_zero(terms: np.ndarray) -> bool:
 
 
 def _validate_b_orthogonal(c: np.ndarray, b: np.ndarray | None) -> None:
-    if b is not None and not _sums_to_zero(c * b):
+    # against b scaled by _unit_scaled, as default_contrasts projects on it
+    if b is not None and not _sums_to_zero(c * _unit_scaled(b)[0]):
         raise ConstraintError("contrast coefficients must be orthogonal to b")
 
 
@@ -498,7 +499,9 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         c = a - _wide_sum(a) / n
         c = c - _wide_sum(c) / n
     elif kind == "b_orthogonal":
-        b = s.b if s.b is not None else np.zeros(n)
+        # The projection does not depend on the scale of b.  Scaled by
+        # _unit_scaled, a * b cannot overflow and b * b cannot underflow.
+        b = _unit_scaled(s.b)[0] if s.b is not None else np.zeros(n)
         bb = _wide_sum(b * b)
         c = a - (_wide_sum(a * b) / bb) * b if bb > 0.0 else a.copy()
         if bb > 0.0:

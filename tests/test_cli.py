@@ -23,9 +23,11 @@ from onestep.errors import ConfigError
 from onestep.montecarlo import PIPELINES, SimConfig, rows_per_block
 from onestep import (
     Sample,
+    default_contrasts,
     mm_model,
     one_step_weighted,
     preliminary_mm,
+    preliminary_plinear,
     studentize,
     to_families,
 )
@@ -407,6 +409,15 @@ def test_estimate_rejects_duplicate_column(tmp_path, capsys):
     assert f"{data}: duplicate column 'x'" in err
 
 
+def test_blank_body_gives_one_error_line_and_no_warning(tmp_path):
+    # np.loadtxt warns on input without data; the reader must not hand it one
+    data = tmp_path / "data.csv"
+    data.write_text("x,a\n\n\n")
+    cp = run_cli("estimate", data, "--model", "sqrt", "--out", tmp_path / "r.csv")
+    assert (cp.returncode, cp.stdout) == (1, "")
+    assert cp.stderr == f"error: {data}: row 1 (line 2) has 0 fields, expected 2\n"
+
+
 def test_report_rejects_duplicate_column(tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     header = ["model", "model", *cli._COMPARISON_COLUMNS[1:]]
@@ -626,14 +637,33 @@ def test_default_contrasts_whose_partial_sums_overflow_end_in_an_error_line(tmp_
     assert not out.exists()
 
 
-def test_subnormal_contrast_terms_end_in_an_error_line(tmp_path):
-    # c * b peaks at a subnormal: the sum-to-zero test scales it up by 2**1063,
-    # which is no double
+@pytest.mark.parametrize(
+    "rows", ["1,1\n2,2\n3,3.5", "1,1\n1,2\n1,3"], ids=["x_rising", "x_constant"]
+)
+def test_subnormal_b_has_a_b_orthogonal_default_contrast(tmp_path, capsys, rows):
+    # b * b underflows to 0 and c * b keeps a few bits unless b is scaled
+    # first, by 2**1063 here, which is no double
     data = tmp_path / "data.csv"
-    data.write_text("x,a,b\n1,1,1e-320\n2,2,1e-320\n3,3.5,1e-320\n")
-    cp = run_cli("estimate", data, "--model", "plinear", "--out", tmp_path / "r.csv")
-    assert cp.returncode == 1
-    assert cp.stderr == "error: contrast coefficients must be orthogonal to b\n"
+    data.write_text("x,a,b\n" + "".join(f"{row},1e-320\n" for row in rows.split("\n")))
+    out = tmp_path / "r.csv"
+    code, err = run_in_process(capsys, "estimate", data, "--model", "plinear", "--out", out)
+    assert (code, err) == (0, "")
+    s = cli._load_data_csv(data)
+    c = default_contrasts(s, "b_orthogonal")
+    assert c.sums_to_zero  # b is constant
+    assert read_report(out)["theta_star"] == repr(preliminary_plinear(c, s))
+
+
+def test_huge_b_has_a_b_orthogonal_default_contrast(tmp_path, capsys):
+    # a * b and b * b pass the largest double unless b is scaled first; the
+    # update then overflows, which is a named error
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,b\n1,1e308,1e308\n2,2,-1e308\n3,3,1\n")
+    s = cli._load_data_csv(data)
+    terms = default_contrasts(s, "b_orthogonal").c * np.ldexp(s.b, -1024)  # exact c * b / 2**1024
+    assert abs(math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms))
+    code, err = run_in_process(capsys, "estimate", data, "--model", "plinear", "--out", tmp_path / "r.csv")
+    assert (code, err) == (1, "error: non-finite value in score terms\n")
 
 
 _EXTREME_CELLS = [0.0, -0.0, 1e-320, -1e-320, 5e-324, 1.0, -1.0, 1e308, -1e308,

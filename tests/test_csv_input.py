@@ -1,12 +1,15 @@
 """The estimate input reader against a csv.reader + float() oracle.
 
-`cli._load_data_csv` splits plain files itself and converts whole columns
-with numpy; these tests pin that it reads every file exactly as parsing each
-cell of `csv.reader`'s rows with `float()` would, bit for bit, and names the
-same first bad cell when one does not parse.
+`cli._load_data_csv` converts a plain file with one `np.loadtxt` call and
+leaves every other file (quotes, underscores, non-ASCII digits, blank lines,
+bad cells, ragged rows) to csv.reader and numpy's str conversion; these
+tests pin that it reads every file exactly as parsing each cell of
+`csv.reader`'s rows with `float()` would, bit for bit, and names the same
+first bad cell when one does not parse.
 """
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,12 @@ def write(tmp_path: Path, text: str) -> Path:
     with open(path, "w", newline="") as fh:
         fh.write(text)
     return path
+
+
+def loadtxt_takes(path: Path) -> bool:
+    """Whether the reader converts the file with np.loadtxt."""
+    _, header, lines, _ = cli._read_head(path)
+    return cli._plain_table(lines, len(header)) is not None
 
 
 def oracle(text: str):
@@ -92,7 +101,7 @@ def number_texts(draw):
 @st.composite
 def data_files(draw, quoted: bool, defect: str | None):
     """File text for an estimate input.  quoted forces at least one quoted
-    cell (csv.reader path); otherwise no cell is quoted (split path).
+    cell (csv.reader path); otherwise no cell is quoted.
     defect "bad" puts unparsable cells in; "ragged" gives one row too few or
     too many cells, or replaces it by a blank line, and may add bad cells."""
     header = ["x", "a", *draw(st.lists(st.sampled_from(["b", "w"]), unique=True))]
@@ -138,9 +147,11 @@ def test_reads_like_oracle(tmp_path, monkeypatch, quoted, defect, data):
     text = data.draw(data_files(quoted, defect))
     header, expected = oracle(text)
     path = write(tmp_path, text)
-    if defect != "ragged":
-        # the file took the path it was generated for: split, or csv.reader
-        assert isinstance(cli._read_table(path)[3], range) is not quoted
+    # numpy's reader takes the file exactly when it is well formed and no
+    # cell is quoted or holds an underscore or a non-ASCII digit
+    plain = defect is None and not quoted and "_" not in text
+    plain = plain and all(ch.isascii() or ch.isspace() for ch in text)
+    assert loadtxt_takes(path) is plain
     # Sample rejects nan and inf; take the columns as they are read, so that
     # every spelling is compared bit for bit
     monkeypatch.setattr(cli, "Sample", dict)
@@ -156,6 +167,65 @@ def test_reads_like_oracle(tmp_path, monkeypatch, quoted, defect, data):
             continue
         assert got[key].dtype == np.float64
         assert got[key].view(np.uint64).tolist() == expected[col].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,a\n\n",
+        "# c\nx,a\n\n\n\n",
+        "x,a\n1,2\n\n3,4\n",
+        "x,a\r1,2\r3,4\r",
+        "x,a\r1,2\r\r3,4",
+        "x,a\r\n1,2\r\n3,4\r\n",
+        "x,a\r\n1,2\r\n\r\n3,4\r\n",
+        "x,a\n1,2\x0c3,4\n",
+        "x,a\n1,2\x0c\n3,4\n",
+        "x,a\n1,2\n3,4#5\n",
+    ],
+    ids=[
+        "one_blank_line", "all_blank", "blank_line", "cr", "cr_blank_line", "crlf",
+        "crlf_blank_line", "form_feed", "form_feed_blank_line", "hash",
+    ],
+)
+def test_lines_loadtxt_could_read_otherwise_read_like_oracle(tmp_path, monkeypatch, text):
+    # np.loadtxt skips blank lines and, by default, text after a "#"
+    header, expected = oracle(text)
+    path = write(tmp_path, text)
+    assert loadtxt_takes(path) is not isinstance(expected, str)
+    monkeypatch.setattr(cli, "Sample", dict)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a body without data
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                cli._load_data_csv(path)
+            assert str(exc.value) == f"{path}: {expected}"
+            return
+        got = cli._load_data_csv(path)
+    assert got["x"].tolist() == expected["x"].tolist() == [1.0, 3.0]
+    assert got["a"].tolist() == expected["a"].tolist() == [2.0, 4.0]
+
+
+def test_plain_file_reads_as_float_per_cell(tmp_path, monkeypatch):
+    # random doubles of every exponent and values of everyday size, each
+    # spelt as repr, %.25e or %.3g
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 2**64, size=(5000, 4), dtype=np.uint64).view(np.float64)
+    values[::2] = rng.standard_normal((2500, 4)) * 10.0 ** rng.integers(-8, 9, (2500, 4))
+    spell = [repr, "{:.25e}".format, "{:.3g}".format]
+    cells = [[spell[(i + j) % 3](float(v)) for j, v in enumerate(row)] for i, row in enumerate(values)]
+    path = write(tmp_path, "x,a,b,w\n" + "".join(",".join(row) + "\n" for row in cells))
+
+    def refuse(text, where):
+        raise AssertionError(f"cell scan ran on a well-formed file at {where}")
+
+    monkeypatch.setattr(cli, "_parse_float", refuse)
+    monkeypatch.setattr(cli, "Sample", dict)
+    assert loadtxt_takes(path)
+    got = cli._load_data_csv(path)
+    for j, key in enumerate(["x", "a", "b", "w_known"]):
+        expected = np.array([float(row[j]) for row in cells])
+        assert got[key].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_quoted_field_across_lines_keeps_line_numbers(tmp_path):

@@ -274,6 +274,21 @@ def test_default_contrasts_b_orthogonal():
     assert np.max(np.abs(c.c)) == 1.0
 
 
+def test_b_orthogonal_contrast_keeps_the_unscaled_bits_in_the_normal_range():
+    # the projection on b unscaled, as oracle: where a * b and b * b stay
+    # normal, scaling b by a power of two changes no bit
+    rng = np.random.default_rng(5)
+    for scale in (2.0**-300, 1e-5, 1.0, 3.7, 1e5, 2.0**300):
+        a = rng.uniform(-2.0, 2.0, 50)
+        b = rng.uniform(0.1, 2.0, 50) * scale
+        bb = regression._wide_sum(b * b)
+        c = a - (regression._wide_sum(a * b) / bb) * b
+        c = c - (regression._wide_sum(c * b) / bb) * b
+        c = c / np.max(np.abs(c))
+        got = default_contrasts(Sample(x=np.zeros(50), a=a, b=b), "b_orthogonal").c
+        assert got.view(np.uint64).tolist() == c.view(np.uint64).tolist()
+
+
 def test_default_contrasts_degenerate_designs():
     flat = Sample(x=np.zeros(3), a=[2.0, 2.0, 2.0])
     with pytest.raises(DegenerateDenominatorError):
@@ -332,9 +347,11 @@ def test_contrast_constraints_are_tested_at_any_scale():
     s = Sample(x=[1.0, 2.0, 3.0], a=[1.0, 2.0, 3.0], b=[1.0, 1.0, 1.5])
     with pytest.raises(ConstraintError):
         preliminary_plinear(Contrasts(c=[1e308, 1e308, -1e308], constraint_kind="b_orthogonal"), s)
+    # c * b overflows in both cases below; b is scaled to a unit peak first
     overflowing = Contrasts(c=[1e308, 1e308, -1.6e308], constraint_kind="b_orthogonal")
-    with pytest.raises(NonFiniteError, match="contrast terms are not finite"):
-        preliminary_plinear(overflowing, s)  # c * b overflows
+    with pytest.raises(ConstraintError):
+        preliminary_plinear(overflowing, s)
+    regression._validate_b_orthogonal(np.array([1e308, 1e308, -1e308 / 0.75]), s.b)
     # a power-of-two scale changes no decision
     for c in ([-1.0, 1.0, 0.0], [1.0, 1.0, -2.0 + 2.0**-40], [3.0, -1.0, -2.0]):
         decisions = {
