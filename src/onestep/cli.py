@@ -295,9 +295,6 @@ def _build_estimate_model(model_id: str, s: Sample, weights):
     raise ConfigError(f"model must be one of {ESTIMATE_MODELS}, got {model_id!r}")
 
 
-# Every step raises a named error on terms that are not finite, so numpy's
-# overflow warnings would only print ahead of the one error line
-@np.errstate(over="ignore", invalid="ignore")
 def cmd_estimate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     warnings: list[str] = []
@@ -626,7 +623,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.heap = heap
     try:
-        return args.func(args)
+        # Every step raises a named error on non-finite terms, so numpy's overflow
+        # warnings would only print ahead of the one error line (forked workers inherit this)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

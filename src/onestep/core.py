@@ -512,9 +512,22 @@ def _magnitude_tolerance(terms: np.ndarray):
     return _scaled_sum(magnitudes, DEGENERACY_SCALE)
 
 
-def _vanishes(total, terms: np.ndarray) -> bool:
-    """Whether an exact sum of terms (any row's, for a block) counts as zero."""
-    return bool(np.any(abs(total) <= degeneracy_tolerance(terms, total)))
+def _checked_sum(terms: np.ndarray, name: str, degenerate: str | None = None,
+                 error: type[DegenerateError] = DegenerateDenominatorError):
+    """The exact sum of terms (one per row of a block), checked.
+
+    Every sum of derived terms goes through here.  Raises NonFiniteError
+    naming name when a term is not finite.  Partial sums past the largest
+    double are no error (_wide_sum); a sum itself past it raises
+    NonFiniteError.  When degenerate is given and the sum (any row's)
+    vanishes against its terms (degeneracy_tolerance), raises error with the
+    message degenerate, formatted with the sum.
+    """
+    _require_finite(name, terms)
+    total = _wide_sum(terms)
+    if degenerate is not None and np.any(abs(total) <= degeneracy_tolerance(terms, total)):
+        raise error(degenerate.format(total))
+    return total
 
 
 def _ratio(num_terms, den_terms, degenerate: str,
@@ -522,18 +535,11 @@ def _ratio(num_terms, den_terms, degenerate: str,
     """(exact sum of num_terms / exact sum of den_terms, the latter sum).
 
     Every one-step update and explicit preliminary divides two such sums
-    (one per row of a block).  Raises NonFiniteError naming names[0] or
-    names[1] when a term is not finite, and DegenerateDenominatorError with
-    the message degenerate, formatted with the denominator, when the
-    denominator vanishes against its terms.  Partial sums past the largest
-    double are no error (_wide_sum); a sum itself past it raises
-    NonFiniteError.
+    (one per row of a block), checked by _checked_sum: names name the two
+    sets of terms, degenerate is the message for a vanishing denominator.
     """
     _require_finite(names[0], num_terms)
-    _require_finite(names[1], den_terms)
-    den = _wide_sum(den_terms)
-    if _vanishes(den, den_terms):
-        raise DegenerateDenominatorError(degenerate.format(den))
+    den = _checked_sum(den_terms, names[1], degenerate)
     return _wide_sum(num_terms) / den, den
 
 
@@ -566,8 +572,8 @@ def score_sums(
     """
     num_terms, den_terms = _score_terms(fam, wf, t, s)
     _require_finite("score terms", num_terms)
-    _require_finite("score derivative terms", den_terms)
-    return exact_sum(num_terms), exact_sum(den_terms)
+    den = _checked_sum(den_terms, "score derivative terms")
+    return _wide_sum(num_terms), den
 
 
 def asymptotic_moments(
@@ -593,12 +599,10 @@ def asymptotic_moments(
 
 def _moment_sums(h: np.ndarray, e2: np.ndarray, ed: np.ndarray) -> tuple[float, float]:
     """I = sum_i h_i^2 E M_i^2 and J = sum_i h_i E M_i', unless either vanishes."""
-    i_terms = h * h * e2
-    j_terms = h * ed
-    i_nh = exact_sum(i_terms)
-    j_nh = exact_sum(j_terms)
+    i_nh = _checked_sum(h * h * e2, "variance terms")
     if i_nh <= 0.0:
         raise DegenerateError("variance sum I is zero")
-    if _vanishes(j_nh, j_terms):
-        raise DegenerateError("centering sum J is numerically zero")
+    j_nh = _checked_sum(
+        h * ed, "centering terms", "centering sum J is numerically zero", DegenerateError
+    )
     return i_nh, j_nh

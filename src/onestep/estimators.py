@@ -27,6 +27,7 @@ from .core import (
     Sample,
     SampleBlock,
     WeightFamily,
+    _checked_sum,
     _column,
     _finite,
     _moment_sums,
@@ -34,8 +35,6 @@ from .core import (
     _require_finite,
     _require_in_domain,
     _score_terms,
-    _vanishes,
-    exact_sum,
     m_prime_values,
     m_values,
     moment_values,
@@ -192,14 +191,14 @@ def studentize(
         _require_in_domain(t, fam.domain)
         _require_in_domain(t, wf.domain)
     if centering is None:
-        num_terms = weight_values(wf, t_star, s.n) * m_prime_values(fam, t_star, s.x)
-        _require_finite("studentizer numerator terms", num_terms)
-        centering = exact_sum(num_terms)
-        if _vanishes(centering, num_terms):
-            raise DegenerateDenominatorError("studentizer centering sum is numerically zero")
-    sq_terms = np.square(weight_values(wf, t_hat, s.n) * m_values(fam, t_hat, s.x))
-    _require_finite("studentizer variance terms", sq_terms)
-    ssq = exact_sum(sq_terms)
+        centering = _checked_sum(
+            weight_values(wf, t_star, s.n) * m_prime_values(fam, t_star, s.x),
+            "studentizer numerator terms", "studentizer centering sum is numerically zero",
+        )
+    ssq = _checked_sum(
+        np.square(weight_values(wf, t_hat, s.n) * m_values(fam, t_hat, s.x)),
+        "studentizer variance terms",
+    )
     if np.any(ssq <= VARIANCE_FLOOR):
         raise DegenerateDenominatorError("studentizer variance sum is zero")
     # math.sqrt keeps a single sample's d_star a float; both are correctly rounded
@@ -275,7 +274,7 @@ def efficiency_ratio(
             "weight signs do not match the optimal weight signs at every index"
         )
     i_nh, j_nh = _moment_sums(h, e2, ed)
-    quality = exact_sum(ed[active] * ed[active] / e2[active])
+    quality = _checked_sum(ed[active] * ed[active] / e2[active], "information terms")
     ratio = (i_nh / (j_nh * j_nh)) * quality
     spread = float(np.max(ratios) / np.min(ratios))
     root = math.sqrt(spread)
@@ -317,20 +316,17 @@ def newton_solve(
     _require_finite("weights", h)
 
     def score(t: float) -> float:
-        terms = h * m_values(fam, t, s.x)
-        _require_finite("score terms", terms)
-        return exact_sum(terms)
+        return _checked_sum(h * m_values(fam, t, s.x), "score terms")
 
     t = float(theta_start)
     g = score(t)
     for _ in range(max_iter):
         if abs(g) <= tol:
             return t
-        der_terms = h * m_prime_values(fam, t, s.x)
-        _require_finite("score derivative terms", der_terms)
-        der = exact_sum(der_terms)
-        if _vanishes(der, der_terms):
-            raise DegenerateDenominatorError("score derivative is numerically zero")
+        der = _checked_sum(
+            h * m_prime_values(fam, t, s.x), "score derivative terms",
+            "score derivative is numerically zero",
+        )
         step = g / der
         accepted = False
         for _ in range(MAX_HALVINGS + 1):

@@ -42,14 +42,13 @@ from .core import (
     WeightFamily,
     _all_finite,
     _as_array,
+    _checked_sum,
     _column,
     _evaluate,
     _finite,
     _ratio,
-    _require_finite,
     _require_in_domain,
     _unit_scaled,
-    _vanishes,
     _wide_sum,
     exact_sum,
 )
@@ -456,8 +455,7 @@ def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = No
     if not 1 <= n <= model.n:
         raise ValueError(f"n must lie in 1..{model.n}")
     terms = (model.values("w", theta) * np.square(model.values("f_prime", theta)))[:n]
-    _require_finite("information terms", terms)
-    total = exact_sum(terms)
+    total = _checked_sum(terms, "information terms")
     if total <= 0.0:
         raise DegenerateError("information sum is zero")
     return model.sigma * model.sigma / total
@@ -513,15 +511,16 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         raise DegenerateDenominatorError(
             "design admits no informative contrast of this kind"
         )
-    c = c / peak
+    contrasts = Contrasts(c=c / peak, constraint_kind=kind)
     if kind == "sum_zero":
         w = s.w_known if s.w_known is not None else np.ones(n)
-        den_terms = c * w * a
+        den_terms = contrasts.c * w * a
     else:
-        den_terms = c * a
-    if _vanishes(_wide_sum(den_terms), den_terms):
-        raise DegenerateDenominatorError("contrast denominator is numerically zero")
-    return Contrasts(c=c, constraint_kind=kind)
+        den_terms = contrasts.c * a
+    _checked_sum(
+        den_terms, "contrast denominator terms", "contrast denominator is numerically zero"
+    )
+    return contrasts
 
 
 def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarray:

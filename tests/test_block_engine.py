@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import SimConfig, core, estimators, montecarlo, regression, run
+from onestep import SimConfig, core, montecarlo, regression, run
 from onestep.core import (
     _VECTOR_SUM_MIN_TERMS,
     EstimatingFamily,
@@ -260,7 +260,7 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
         return exact_sum(v)
 
     monkeypatch.setattr(RegressionModel, "values", counted_values)
-    for module in (core, estimators, regression, montecarlo):
+    for module in (core, regression, montecarlo):
         monkeypatch.setattr(module, "exact_sum", counted_sum)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
     assert not any(row[-1] for row in records)

@@ -520,6 +520,17 @@ def test_contrast_terms_whose_magnitudes_overflow_are_degenerate(tmp_path):
     assert row["warnings"] == "contrast denominator is numerically zero"
 
 
+def test_contrast_denominator_terms_that_overflow_are_not_called_zero(tmp_path, capsys):
+    # c w a passes the largest double in the first row: a denominator that is
+    # not finite is an error, not one that vanishes against its terms
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,w\n1,1e200,1e200\n2,1,1\n3,2,1\n")
+    out = tmp_path / "r.csv"
+    code, err = run_in_process(capsys, "estimate", data, "--model", "sqrt", "--out", out)
+    assert (code, err) == (1, "error: non-finite value in contrast denominator terms\n")
+    assert not out.exists()
+
+
 def test_contrast_terms_whose_partial_sums_overflow_still_estimate(tmp_path):
     # the numerator terms are about 1.6e308, 8e307 and -8e307: their partial
     # sums pass the largest double, but the exact sums 1.6000000000000004e308
@@ -637,6 +648,53 @@ def test_default_contrasts_whose_partial_sums_overflow_end_in_an_error_line(tmp_
     assert not out.exists()
 
 
+# Each sums finite terms near the largest double whose partial sums pass it:
+# the studentizer's variance, the Newton oracle's derivative and its score
+@pytest.mark.parametrize(
+    "data, flags",
+    [
+        ("x,a\n2.5e154,1\n-2.5e154,1\n1,1\n", ["--theta-start", "0"]),
+        (
+            "x,a,b\n3.0,1e+300,1.0\n-1e+154,1e+300,1e+300\n1.0,1e+154,1.3e+154\n",
+            ["--pipeline", "newton_oracle", "--theta-start", "0.1"],
+        ),
+        (
+            "x,a,b\n1.3e+154,2.5e+154,1.3e+154\n1.3e+154,1.3e+154,2.5e+154\n",
+            ["--pipeline", "newton_oracle"],
+        ),
+    ],
+    ids=["studentizer_variance", "newton_derivative", "newton_score"],
+)
+def test_estimate_sums_whose_partial_sums_overflow_end_in_an_error_line(tmp_path, data, flags):
+    path = tmp_path / "data.csv"
+    path.write_text(data)
+    out = tmp_path / "r.csv"
+    cp = run_cli("estimate", path, "--model", "sqrt", *flags, "--out", out)
+    assert (cp.returncode, cp.stderr) == (1, "error: an exact sum lies beyond the largest double\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # the campaign's variance sum I passes the largest double
+        ({"model": "sqrt", "sigma": 1e154, "n": 500, "replications": 3, "seed": 1},
+         "an exact sum lies beyond the largest double"),
+        # every studentizer variance term overflows, with a numpy warning unless kept off
+        ({"model": "plinear", "sigma": 1e76, "n": 20, "replications": 40, "seed": 1},
+         "every replication degenerated; nothing to summarize"),
+    ],
+    ids=["moment_sums", "plinear_warnings"],
+)
+def test_simulate_failures_end_in_one_error_line(tmp_path, config, message):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile, **config)
+    out = tmp_path / "out"
+    cp = run_cli("simulate", cfgfile, "--out", out)
+    assert (cp.returncode, cp.stderr) == (1, f"error: {message}\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "rows", ["1,1\n2,2\n3,3.5", "1,1\n1,2\n1,3"], ids=["x_rising", "x_constant"]
 )
@@ -666,8 +724,11 @@ def test_huge_b_has_a_b_orthogonal_default_contrast(tmp_path, capsys):
     assert (code, err) == (1, "error: non-finite value in score terms\n")
 
 
+# near the square root of the largest double, squares and products of two
+# cells pass it
 _EXTREME_CELLS = [0.0, -0.0, 1e-320, -1e-320, 5e-324, 1.0, -1.0, 1e308, -1e308,
-                  1.7976931348623157e308, -1.7976931348623157e308]
+                  1.7976931348623157e308, -1.7976931348623157e308,
+                  1.3e154, -1.3e154, 2.5e154, -2.5e154]
 
 
 # Shrinking is left out: it would call main thousands of times on a failure,
@@ -681,9 +742,12 @@ _EXTREME_CELLS = [0.0, -0.0, 1e-320, -1e-320, 5e-324, 1.0, -1.0, 1e308, -1e308,
     model=st.sampled_from(cli.ESTIMATE_MODELS),
     pipeline=st.sampled_from(PIPELINES),
     columns=st.sampled_from(["x,a", "x,a,b", "x,a,w", "x,a,b,w"]),
+    theta_start=st.sampled_from([None, 0.0, 0.1]),
     data=st.data(),
 )
-def test_estimate_ends_in_an_exit_code_on_any_finite_csv(n, model, pipeline, columns, data):
+def test_estimate_ends_in_an_exit_code_on_any_finite_csv(
+    n, model, pipeline, columns, theta_start, data
+):
     cell = st.one_of(
         st.sampled_from(_EXTREME_CELLS),
         st.floats(-10.0, 10.0),
@@ -699,8 +763,10 @@ def test_estimate_ends_in_an_exit_code_on_any_finite_csv(n, model, pipeline, col
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "data.csv", Path(tmp) / "report.csv"
         path.write_text(columns + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        start = [] if theta_start is None else ["--theta-start", repr(theta_start)]
         code = cli.main(
-            ["estimate", str(path), "--model", model, "--pipeline", pipeline, "--out", str(out)]
+            ["estimate", str(path), "--model", model, "--pipeline", pipeline, *start,
+             "--out", str(out)]
         )
         assert code in (0, 1, 2)
         if code == 2:
