@@ -127,19 +127,6 @@ def _write_lines(path: Path, name: str, header: list[str], lines, digest: str) -
         fh.writelines(lines)
 
 
-def _read_table(path: Path) -> tuple[list[str], list[str], dict[str, list[str]], list[int]]:
-    """Read a CSV file after its leading ``#`` lines, column by column.
-
-    Returns (comment lines, header, the cell texts of each column keyed by
-    name, the file line number of each data row).  Diagnostics number data
-    rows from 1 and name the file line as well, e.g. ``row 2 (line 3)``.
-    A file csv.reader refuses, say for a field over its size limit, raises
-    ValueError naming the file.
-    """
-    comments, header, lines, start = _read_head(path)
-    return (comments, header, *_split_rows(path, header, lines, start))
-
-
 def _read_head(path: Path) -> tuple[list[str], list[str], list[str], int]:
     """(comment lines, header, the lines after the header, the number of file lines before them)."""
     with open(path, newline="") as fh:
@@ -168,7 +155,10 @@ def _read_head(path: Path) -> tuple[list[str], list[str], list[str], int]:
 def _split_rows(
     path: Path, header: list[str], lines: list[str], start: int
 ) -> tuple[dict[str, list[str]], list[int]]:
-    """The csv.reader cells of lines, by column, and the file line number of each row."""
+    """The csv.reader cells of lines, by column, and the file line number of each row.
+
+    A row of the wrong width, or a file csv.reader refuses, raises ValueError naming the file.
+    """
     width = len(header)
     rows: list[list[str]] = []
     row_lines: list[int] = []
@@ -256,19 +246,19 @@ def _load_data_csv(path: Path) -> Sample:
     )
 
 
-def _load_contrast_file(path: Path, n: int) -> np.ndarray:
-    texts: list[str] = []
-    line_numbers: list[int] = []
+def _content_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) of each line of path that has text left once its ``#`` comment is cut."""
     with open(path) as fh:
-        for idx, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                texts.append(text)
-                line_numbers.append(idx)
+        lines = [(idx, raw.split("#", 1)[0].strip()) for idx, raw in enumerate(fh, start=1)]
+    return [(idx, text) for idx, text in lines if text]
+
+
+def _load_contrast_file(path: Path, n: int) -> np.ndarray:
+    lines = _content_lines(path)
     try:
-        values = np.array(texts, dtype=np.float64)
+        values = np.array([text for _, text in lines], dtype=np.float64)
     except ValueError:
-        for text, idx in zip(texts, line_numbers):
+        for idx, text in lines:
             _parse_float(text, f"{path}: line {idx}")
         raise
     if len(values) != n:
@@ -325,9 +315,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except _DEGENERATE_EXITS as exc:
         degenerate = True  # report what was computed before the failing step
         warnings.append(str(exc))
-    except (EstimationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     _write_csv(
         out_path,
         "report",
@@ -340,20 +327,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _parse_config_file(path: Path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for idx, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}: line {idx}: expected key = value")
-            key, value = text.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}: line {idx}: expected key = value")
-            if key in pairs:
-                raise ConfigError(f"{path}: line {idx}: duplicate key {key!r}")
-            pairs[key] = value
+    for idx, text in _content_lines(path):
+        if "=" not in text:
+            raise ConfigError(f"{path}: line {idx}: expected key = value")
+        key, value = text.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}: line {idx}: expected key = value")
+        if key in pairs:
+            raise ConfigError(f"{path}: line {idx}: duplicate key {key!r}")
+        pairs[key] = value
     return pairs
 
 
@@ -411,12 +394,8 @@ def _resolve_threads(flag_value: int) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = _sim_config_from_file(Path(args.config))
-        threads = _resolve_threads(args.threads)
-    except (EstimationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _sim_config_from_file(Path(args.config))
+    threads = _resolve_threads(args.threads)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = _config_digest(cfg)
@@ -505,14 +484,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             json.dump(asdict(manifest), fh, indent=2)
             fh.write("\n")
         written.append(path)
-    except (EstimationError, ValueError, OSError) as exc:
+    except (EstimationError, ValueError, OSError):
         for path in written:
             try:
                 path.unlink()
             except OSError:
                 pass
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
     print(
         f"wrote {out_dir}/records.csv, summary.csv, qq.csv, hist.csv, manifest.json "
         f"({summary.degenerate_count} degenerate)"
@@ -531,26 +509,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     expected_schema = _schema_line("summary").split()[1]
     for name in args.summaries:
         path = Path(name)
-        try:
-            comments, header, columns, row_lines = _read_table(path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        comments, header, lines, start = _read_head(path)
+        columns, row_lines = _split_rows(path, header, lines, start)
         schemas = [c[1:].strip().split()[0] for c in comments if len(c) > 1]
         if expected_schema not in schemas:
-            print(
-                f"error: {path}: not a {expected_schema} file "
-                f"(found {schemas or 'no schema line'})",
-                file=sys.stderr,
+            raise ValueError(
+                f"{path}: not a {expected_schema} file (found {schemas or 'no schema line'})"
             )
-            return 1
         missing = [col for col in _COMPARISON_COLUMNS if col not in header]
         if missing:
-            print(f"error: {path}: missing column {missing[0]!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"{path}: missing column {missing[0]!r}")
         if not row_lines:
-            print(f"error: {path}: no summary row", file=sys.stderr)
-            return 1
+            raise ValueError(f"{path}: no summary row")
         rows.append([columns[col][0] for col in _COMPARISON_COLUMNS])
     out_path = Path(args.out)
     _write_csv(out_path, "comparison", _COMPARISON_COLUMNS, rows)
@@ -622,12 +592,13 @@ def main(argv: list[str] | None = None) -> int:
     gc.freeze()
     args = build_parser().parse_args(argv)
     args.heap = heap
+    # Subcommands raise; a failure of any of them, reading or writing, is reported here alone
     try:
         # Every step raises a named error on non-finite terms, so numpy's overflow
         # warnings would only print ahead of the one error line (forked workers inherit this)
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except ConfigError as exc:
+    except (EstimationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -466,33 +466,34 @@ def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(values, -shift), shift
 
 
-def _scaled_sum(values: np.ndarray, factor: float = 1.0) -> float:
+def _scaled_sum(values: np.ndarray, name: str, factor: float = 1.0) -> float:
     """factor * exact_sum(values) for a vector whose partial sums pass the largest double.
 
     The values are summed scaled by _unit_scaled, so math.fsum cannot
     overflow, and the sum times factor is scaled back.  Raises
-    NonFiniteError when the result passes the largest double.
+    NonFiniteError naming name when the result passes the largest double.
     """
     scaled, shift = _unit_scaled(values)
     try:
         return math.ldexp(factor * exact_sum(scaled), shift)
     except OverflowError:
-        raise NonFiniteError("an exact sum lies beyond the largest double") from None
+        raise NonFiniteError(f"the exact sum of {name} lies beyond the largest double") from None
 
 
-def _wide_sum(values: np.ndarray):
+def _wide_sum(values: np.ndarray, name: str):
     """exact_sum(values), also where partial sums pass the largest double but the sum does not.
 
     Only a row for which math.fsum raises OverflowError is summed again,
-    by _scaled_sum; the other rows keep exact_sum's bits.
+    by _scaled_sum; the other rows keep exact_sum's bits.  name names the
+    values in the error for a sum past the largest double.
     """
     try:
         return exact_sum(values)
     except OverflowError:
         pass
     if values.ndim == 2:
-        return np.array([_wide_sum(row) for row in values])
-    return _scaled_sum(values)
+        return np.array([_wide_sum(row, name) for row in values])
+    return _scaled_sum(values, name)
 
 
 def _magnitude_tolerance(terms: np.ndarray):
@@ -509,7 +510,7 @@ def _magnitude_tolerance(terms: np.ndarray):
         pass
     if magnitudes.ndim == 2:
         return np.array([_magnitude_tolerance(row) for row in magnitudes])
-    return _scaled_sum(magnitudes, DEGENERACY_SCALE)
+    return _scaled_sum(magnitudes, "term magnitudes", DEGENERACY_SCALE)
 
 
 def _checked_sum(terms: np.ndarray, name: str, degenerate: str | None = None,
@@ -524,7 +525,7 @@ def _checked_sum(terms: np.ndarray, name: str, degenerate: str | None = None,
     message degenerate, formatted with the sum.
     """
     _require_finite(name, terms)
-    total = _wide_sum(terms)
+    total = _wide_sum(terms, name)
     if degenerate is not None and np.any(abs(total) <= degeneracy_tolerance(terms, total)):
         raise error(degenerate.format(total))
     return total
@@ -540,7 +541,7 @@ def _ratio(num_terms, den_terms, degenerate: str,
     """
     _require_finite(names[0], num_terms)
     den = _checked_sum(den_terms, names[1], degenerate)
-    return _wide_sum(num_terms) / den, den
+    return _wide_sum(num_terms, names[0]) / den, den
 
 
 def _finite(value, message: str, error: type[Exception] = NonFiniteError):
@@ -573,7 +574,7 @@ def score_sums(
     num_terms, den_terms = _score_terms(fam, wf, t, s)
     _require_finite("score terms", num_terms)
     den = _checked_sum(den_terms, "score derivative terms")
-    return _wide_sum(num_terms), den
+    return _wide_sum(num_terms, "score terms"), den
 
 
 def asymptotic_moments(

@@ -494,16 +494,16 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
     a = s.a
     n = s.n
     if kind == "sum_zero":
-        c = a - _wide_sum(a) / n
-        c = c - _wide_sum(c) / n
+        c = a - _wide_sum(a, "covariate a") / n
+        c = c - _wide_sum(c, "centered covariate a") / n
     elif kind == "b_orthogonal":
         # The projection does not depend on the scale of b.  Scaled by
         # _unit_scaled, a * b cannot overflow and b * b cannot underflow.
         b = _unit_scaled(s.b)[0] if s.b is not None else np.zeros(n)
-        bb = _wide_sum(b * b)
-        c = a - (_wide_sum(a * b) / bb) * b if bb > 0.0 else a.copy()
+        bb = _wide_sum(b * b, "covariate b squared")
+        c = a - (_wide_sum(a * b, "projection terms") / bb) * b if bb > 0.0 else a.copy()
         if bb > 0.0:
-            c = c - (_wide_sum(c * b) / bb) * b
+            c = c - (_wide_sum(c * b, "projection terms") / bb) * b
     else:
         raise ValueError(f"unknown constraint kind {kind!r}")
     peak = float(np.max(np.abs(c)))

@@ -644,33 +644,39 @@ def test_default_contrasts_whose_partial_sums_overflow_end_in_an_error_line(tmp_
     data.write_text("x,a\n1,1e308\n2,1e308\n3,1.5e308\n")
     out = tmp_path / "r.csv"
     cp = run_cli("estimate", data, "--model", "sqrt", "--out", out)
-    assert (cp.returncode, cp.stderr) == (1, "error: an exact sum lies beyond the largest double\n")
+    assert (cp.returncode, cp.stderr) == (
+        1, "error: the exact sum of covariate a lies beyond the largest double\n"
+    )
     assert not out.exists()
 
 
 # Each sums finite terms near the largest double whose partial sums pass it:
 # the studentizer's variance, the Newton oracle's derivative and its score
 @pytest.mark.parametrize(
-    "data, flags",
+    "data, flags, name",
     [
-        ("x,a\n2.5e154,1\n-2.5e154,1\n1,1\n", ["--theta-start", "0"]),
+        ("x,a\n2.5e154,1\n-2.5e154,1\n1,1\n", ["--theta-start", "0"], "studentizer variance terms"),
         (
             "x,a,b\n3.0,1e+300,1.0\n-1e+154,1e+300,1e+300\n1.0,1e+154,1.3e+154\n",
             ["--pipeline", "newton_oracle", "--theta-start", "0.1"],
+            "score derivative terms",
         ),
         (
             "x,a,b\n1.3e+154,2.5e+154,1.3e+154\n1.3e+154,1.3e+154,2.5e+154\n",
             ["--pipeline", "newton_oracle"],
+            "score terms",
         ),
     ],
     ids=["studentizer_variance", "newton_derivative", "newton_score"],
 )
-def test_estimate_sums_whose_partial_sums_overflow_end_in_an_error_line(tmp_path, data, flags):
+def test_estimate_sums_whose_partial_sums_overflow_end_in_an_error_line(tmp_path, data, flags, name):
     path = tmp_path / "data.csv"
     path.write_text(data)
     out = tmp_path / "r.csv"
     cp = run_cli("estimate", path, "--model", "sqrt", *flags, "--out", out)
-    assert (cp.returncode, cp.stderr) == (1, "error: an exact sum lies beyond the largest double\n")
+    assert (cp.returncode, cp.stderr) == (
+        1, f"error: the exact sum of {name} lies beyond the largest double\n"
+    )
     assert not out.exists()
 
 
@@ -679,7 +685,7 @@ def test_estimate_sums_whose_partial_sums_overflow_end_in_an_error_line(tmp_path
     [
         # the campaign's variance sum I passes the largest double
         ({"model": "sqrt", "sigma": 1e154, "n": 500, "replications": 3, "seed": 1},
-         "an exact sum lies beyond the largest double"),
+         "the exact sum of variance terms lies beyond the largest double"),
         # every studentizer variance term overflows, with a numpy warning unless kept off
         ({"model": "plinear", "sigma": 1e76, "n": 20, "replications": 40, "seed": 1},
          "every replication degenerated; nothing to summarize"),
@@ -693,6 +699,45 @@ def test_simulate_failures_end_in_one_error_line(tmp_path, config, message):
     cp = run_cli("simulate", cfgfile, "--out", out)
     assert (cp.returncode, cp.stderr) == (1, f"error: {message}\n")
     assert list(out.iterdir()) == []
+
+
+# --out below tmp_path: in a missing directory, tmp_path itself, or for
+# simulate an existing file and a path below it
+@pytest.mark.parametrize(
+    "command, out_parts",
+    [
+        ("estimate", ("no", "r.csv")),
+        ("estimate", ()),
+        ("simulate", ("taken",)),
+        ("simulate", ("taken", "sub")),
+        ("report", ("no", "c.csv")),
+        ("report", ()),
+    ],
+    ids=[
+        "estimate_missing_dir", "estimate_dir", "simulate_file",
+        "simulate_below_file", "report_missing_dir", "report_dir",
+    ],
+)
+def test_unwritable_out_paths_end_in_one_error_line(tmp_path, command, out_parts):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"the user's file\n")
+    if command == "estimate":
+        write_mm_data(tmp_path / "data.csv")
+        inputs = [tmp_path / "data.csv", "--model", "mm"]
+    elif command == "simulate":
+        write_config(tmp_path / "sim.cfg")
+        inputs = [tmp_path / "sim.cfg"]
+    else:
+        (tmp_path / "summary.csv").write_text(
+            "# onestep/summary/v1\n" + ",".join(cli._COMPARISON_COLUMNS) + "\n"
+            + ",".join(["mm", *["1"] * (len(cli._COMPARISON_COLUMNS) - 1)]) + "\n"
+        )
+        inputs = [tmp_path / "summary.csv"]
+    cp = run_cli(command, *inputs, "--out", tmp_path.joinpath(*out_parts))
+    assert cp.returncode == 1
+    assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1, cp.stderr
+    assert cp.stderr.endswith("\n") and "Traceback" not in cp.stderr
+    assert taken.read_bytes() == b"the user's file\n"
 
 
 @pytest.mark.parametrize(

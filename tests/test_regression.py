@@ -281,9 +281,9 @@ def test_b_orthogonal_contrast_keeps_the_unscaled_bits_in_the_normal_range():
     for scale in (2.0**-300, 1e-5, 1.0, 3.7, 1e5, 2.0**300):
         a = rng.uniform(-2.0, 2.0, 50)
         b = rng.uniform(0.1, 2.0, 50) * scale
-        bb = regression._wide_sum(b * b)
-        c = a - (regression._wide_sum(a * b) / bb) * b
-        c = c - (regression._wide_sum(c * b) / bb) * b
+        bb = regression._wide_sum(b * b, "b squared")
+        c = a - (regression._wide_sum(a * b, "a b") / bb) * b
+        c = c - (regression._wide_sum(c * b, "c b") / bb) * b
         c = c / np.max(np.abs(c))
         got = default_contrasts(Sample(x=np.zeros(50), a=a, b=b), "b_orthogonal").c
         assert got.view(np.uint64).tolist() == c.view(np.uint64).tolist()
