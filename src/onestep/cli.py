@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
@@ -35,7 +35,6 @@ from .errors import (
     NoConvergenceError,
     ZeroVarianceError,
 )
-from .estimators import studentize
 from .montecarlo import (
     SimConfig,
     normal_quantile,
@@ -45,12 +44,12 @@ from .montecarlo import (
 )
 from .regression import (
     PIPELINES,
+    estimation_sequence,
     mm_model,
     plinear_model,
     resolve_pipeline,
     resolve_preliminary,
     sqrt_model,
-    studentizer_centering,
     to_families,
 )
 
@@ -68,23 +67,6 @@ _DEGENERATE_EXITS = (DegenerateError, NoConvergenceError, ZeroVarianceError)
 # again for every block.
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance of one simulation run."""
-
-    config_path: str
-    output_dir: str
-    tool_version: str
-    config_digest: str
-    created_utc: str
-    python_version: str
-    numpy_version: str
-    threads: int
-    workers: int
-    rows_per_block: int
-    heap: dict[str, int] | None
 
 
 def _fmt(value) -> str:
@@ -287,9 +269,8 @@ def _build_estimate_model(model_id: str, s: Sample, weights):
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
+    report = dict.fromkeys(["theta_star", "theta_hat", "d_star", "ci_lo", "ci_hi", "denominator"])
     warnings: list[str] = []
-    theta_star = theta_hat = denominator = d_star = None
-    ci = (None, None)
     degenerate = False
     try:
         s = _load_data_csv(Path(args.data))
@@ -299,28 +280,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if not wf.h_prime_exact:
             warnings.append("weight derivative approximated numerically")
         if args.theta_start is not None:
-            theta_star = float(args.theta_start)
+            preliminary = lambda _: args.theta_start
         else:
             custom = (
                 None if args.contrasts == "default"
                 else _load_contrast_file(Path(args.contrasts), s.n)
             )
-            theta_star = resolve_preliminary(model, s, custom)(s)
-        res = update(theta_star, s)
-        theta_hat, denominator = res.theta_hat, res.denominator
-        d_star, ci = studentize(
-            fam, wf, theta_star, theta_hat, s, args.alpha,
-            centering=studentizer_centering(args.pipeline, res),
-        )
+            preliminary = resolve_preliminary(model, s, custom)
+        estimation_sequence(fam, wf, preliminary, update, args.pipeline, s, args.alpha, report)
     except _DEGENERATE_EXITS as exc:
         degenerate = True  # report what was computed before the failing step
         warnings.append(str(exc))
-    _write_csv(
-        out_path,
-        "report",
-        ["theta_star", "theta_hat", "d_star", "ci_lo", "ci_hi", "denominator", "warnings"],
-        [[theta_star, theta_hat, d_star, *ci, denominator, "; ".join(warnings)]],
-    )
+    report["warnings"] = "; ".join(warnings)
+    _write_csv(out_path, "report", list(report), [report.values()])
     print(f"wrote {out_path}")
     return 2 if degenerate else 0
 
@@ -466,22 +438,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         written.append(path)
 
-        manifest = RunManifest(
-            config_path=str(args.config),
-            output_dir=str(out_dir),
-            tool_version=__version__,
-            config_digest=digest,
-            created_utc=datetime.now(timezone.utc).isoformat(),
-            python_version=sys.version.split()[0],
-            numpy_version=np.__version__,
-            threads=threads,
-            workers=worker_count(cfg, threads),
-            rows_per_block=rows_per_block(cfg.n),
-            heap=args.heap,
-        )
+        manifest = {
+            "config_path": str(args.config),
+            "output_dir": str(out_dir),
+            "tool_version": __version__,
+            "config_digest": digest,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "python_version": sys.version.split()[0],
+            "numpy_version": np.__version__,
+            "threads": threads,
+            "workers": worker_count(cfg, threads),
+            "rows_per_block": rows_per_block(cfg.n),
+            "heap": args.heap,
+        }
         path = out_dir / "manifest.json"
         with open(path, "w") as fh:
-            json.dump(asdict(manifest), fh, indent=2)
+            json.dump(manifest, fh, indent=2)
             fh.write("\n")
         written.append(path)
     except (EstimationError, ValueError, OSError):
@@ -586,6 +558,10 @@ def _keep_heap_pages() -> dict[str, int] | None:
 
 def main(argv: list[str] | None = None) -> int:
     heap = _keep_heap_pages()
+    # csv.reader refuses a cell over 131,072 characters by default, while
+    # np.loadtxt takes any length; lifted, a long cell np.loadtxt refuses is
+    # read or named as a short one would be.  2**31 - 1 fits every C long.
+    csv.field_size_limit(2**31 - 1)
     # What is alive now (modules, numpy's tables) lives until exit: moved to
     # the permanent generation, no collection walks it again, the one at
     # interpreter exit included

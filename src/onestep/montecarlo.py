@@ -6,8 +6,9 @@ degree of parallelism produces identical records.  Aggregation walks the
 records in replication order with exact summation, making the whole run
 deterministic down to the last bit.
 
-One function, _outcomes, runs the estimation sequence: the preliminary,
-the pipeline and the studentizer.  It takes the replications of a block
+The estimator is regression.estimation_sequence (preliminary, pipeline,
+studentizer), the function `onestep estimate` calls too; _outcomes runs it
+and derives z, z_stud and coverage.  It takes the replications of a block
 together as the rows of a (B, n) SampleBlock, and each row's outcome is
 bitwise the one its own Sample gives.  A block in which any row fails is
 evaluated again one row at a time through _outcomes on each row's Sample,
@@ -26,11 +27,13 @@ Fixed design grids (documented here, used by every scenario):
     a_i = 0.5 + 2 i / (n - 1),   i = 0..n-1
     b_i = 0.2 + i / (n - 1)
 
-The saturation-curve scenario is heteroscedastic with w(t) = 1 + t^2; the
-other scenarios use unit variance weights.  The partially linear scenario
-fixes g(t) = t^2.  Preliminary estimators use default_contrasts (sum-zero
-for the square-root and linear scenarios, b-orthogonal for the partially
-linear one) and all-ones coefficients for the saturation curve.
+The saturation-curve scenario has the variance weight w(t) = 1 + t^2,
+which varies with the parameter but is the same for every observation, so
+its noise is homoscedastic; the other scenarios use unit variance weights.
+The partially linear scenario fixes g(t) = t^2.  Preliminary estimators
+use default_contrasts (sum-zero for the square-root and linear scenarios,
+b-orthogonal for the partially linear one) and all-ones coefficients for
+the saturation curve.
 """
 
 from __future__ import annotations
@@ -53,12 +56,13 @@ from .core import (
     exact_sum,
 )
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError
-from .estimators import EstimateResult, studentize
+from .estimators import EstimateResult
 from .normal import normal_cdf, normal_quantile
 from .regression import (
     PIPELINES,
     RegressionModel,
     check_pipeline,
+    estimation_sequence,
     linear_model,
     mm_model,
     moment_provider,
@@ -66,7 +70,6 @@ from .regression import (
     resolve_pipeline,
     resolve_preliminary,
     sqrt_model,
-    studentizer_centering,
     to_families,
 )
 
@@ -313,20 +316,18 @@ def _draw(cfg: SimConfig, scn: Scenario, reps: range) -> np.ndarray:
 
 
 def _outcomes(cfg: SimConfig, scn: Scenario, s: Sample | SampleBlock) -> tuple:
-    """(theta_star, theta_hat, z, z_stud, covered) of s: preliminary, update, studentizer.
+    """(theta_star, theta_hat, z, z_stud, covered) of s, through estimation_sequence.
 
     Floats for a Sample, one value per row for a SampleBlock.  Raises the
     EstimationError of the first step that fails.
     """
-    theta_star = scn.preliminary(s)
-    res = scn.pipeline(theta_star, s)
-    d_star, (lo, hi) = studentize(
-        scn.fam, scn.wf, theta_star, res.theta_hat, s, cfg.alpha,
-        centering=studentizer_centering(cfg.pipeline, res),
+    est: dict = {}
+    estimation_sequence(
+        scn.fam, scn.wf, scn.preliminary, scn.pipeline, cfg.pipeline, s, cfg.alpha, est
     )
-    err = res.theta_hat - cfg.theta_true
-    covered = (lo <= cfg.theta_true) & (cfg.theta_true <= hi)
-    return theta_star, res.theta_hat, scn.z_scale * err, d_star * err, covered
+    err = est["theta_hat"] - cfg.theta_true
+    covered = (est["ci_lo"] <= cfg.theta_true) & (cfg.theta_true <= est["ci_hi"])
+    return est["theta_star"], est["theta_hat"], scn.z_scale * err, est["d_star"] * err, covered
 
 
 def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[tuple]:

@@ -12,10 +12,11 @@ which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
 M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 (square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
 explicit preliminary estimators, the adapters to the core families, and
-the two tables the command line and the simulation harness share:
+what the command line and the simulation harness share: the tables
 resolve_preliminary, each model kind's preliminary estimator, and
-resolve_pipeline, the function of each update name they accept, with
-studentizer_centering, the sum an update hands on to studentize.
+resolve_pipeline, the function of each update name they accept, and
+estimation_sequence, the one function both run the estimator through
+(preliminary, update, studentize).
 
 The preliminary estimators, lse_one_step and mm_closed_form also take a
 SampleBlock with a (B,) parameter vector, and the model evaluators take a
@@ -66,6 +67,7 @@ from .estimators import (
     newton_solve,
     one_step_factorized,
     one_step_weighted,
+    studentize,
 )
 
 __all__ = [
@@ -92,7 +94,7 @@ __all__ = [
     "check_pipeline",
     "resolve_pipeline",
     "resolve_preliminary",
-    "studentizer_centering",
+    "estimation_sequence",
 ]
 
 ContrastKind = Literal["sum_zero", "b_orthogonal"]
@@ -718,11 +720,30 @@ def resolve_pipeline(
     return lambda ts, s: EstimateResult(theta_star=ts, theta_hat=solve(ts, s), denominator=math.nan)
 
 
-def studentizer_centering(name: str, result: EstimateResult) -> float | np.ndarray | None:
-    """What the update named name gives studentize as its centering sum, if anything.
+def estimation_sequence(
+    fam: EstimatingFamily,
+    wf: WeightFamily,
+    preliminary: Callable[[Sample | SampleBlock], float | np.ndarray],
+    update: Callable[[float | np.ndarray, Sample | SampleBlock], EstimateResult],
+    pipeline: str,
+    s: Sample | SampleBlock,
+    alpha: float,
+    out: dict,
+) -> None:
+    """The estimator: preliminary, the update named pipeline, then studentize.
 
-    one_step_weighted's denominator is sum_i h_i(theta_star) M_i'(theta_star,
-    x_i), the studentizer's numerator, so studentize takes it as computed;
-    after any other update studentize sums it itself (None).
+    Fills out with theta_star, theta_hat, denominator, d_star, ci_lo and
+    ci_hi, in that order: floats for a Sample, one value per row for a
+    SampleBlock.  A step that fails raises its EstimationError and leaves
+    the values of the steps before it in out.  one_step_weighted's
+    denominator is sum_i h_i(theta_star) M_i'(theta_star, x_i), the
+    studentizer's numerator, so studentize takes it as computed; after any
+    other update studentize sums it itself.
     """
-    return result.denominator if name == "one_step_weighted" else None
+    out["theta_star"] = theta_star = preliminary(s)
+    res = update(theta_star, s)
+    out["theta_hat"], out["denominator"] = res.theta_hat, res.denominator
+    out["d_star"], (out["ci_lo"], out["ci_hi"]) = studentize(
+        fam, wf, theta_star, res.theta_hat, s, alpha,
+        centering=res.denominator if pipeline == "one_step_weighted" else None,
+    )
