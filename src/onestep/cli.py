@@ -15,14 +15,13 @@ import argparse
 import csv
 import ctypes
 import gc
-import hashlib
-import json
+import importlib
 import os
 import sys
 from dataclasses import asdict
-from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,17 +34,13 @@ from .errors import (
     NoConvergenceError,
     ZeroVarianceError,
 )
-from .montecarlo import (
-    SimConfig,
-    normal_quantile,
-    rows_per_block,
-    run,
-    worker_count,
-)
 from .regression import (
     PIPELINES,
     estimation_sequence,
     mm_model,
+    plinear_g,
+    plinear_g_prime,
+    plinear_g_second,
     plinear_model,
     resolve_pipeline,
     resolve_preliminary,
@@ -53,12 +48,22 @@ from .regression import (
     to_families,
 )
 
+if TYPE_CHECKING:
+    from .montecarlo import SimConfig
+
 SCHEMA_PREFIX = "onestep"
 SCHEMA_VERSION = "v1"
 
 ESTIMATE_MODELS = ("sqrt", "plinear", "mm")
 
 _DEGENERATE_EXITS = (DegenerateError, NoConvergenceError, ZeroVarianceError)
+
+# Modules only simulate runs, left out of this module's imports so that
+# estimate and report do not load them; main imports them first for simulate.
+_SIMULATE_MODULES = ("datetime", "hashlib", "json", "onestep.montecarlo")
+
+# A cell or value longer than this is quoted in an error line by its start and its length
+_QUOTE_LIMIT = 32
 
 # glibc's malloc thresholds, pinned by main: the values its own dynamic rule
 # reaches after a first free of 32 MiB.  Below them every block temporary
@@ -184,11 +189,18 @@ def _plain_table(lines: list[str], width: int) -> np.ndarray | None:
     return table if table.shape == (len(lines), width) else None
 
 
+def _quote(text: str) -> str:
+    """repr of text, cut to its first _QUOTE_LIMIT characters and its length when longer."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"{where}: cannot parse {text!r} as a number") from None
+        raise ValueError(f"{where}: cannot parse {_quote(text)} as a number") from None
 
 
 def _load_data_csv(path: Path) -> Sample:
@@ -254,8 +266,6 @@ def _build_estimate_model(model_id: str, s: Sample, weights):
     if model_id == "plinear":
         if s.b is None:
             raise ValueError("the plinear model needs a b column")
-        from .montecarlo import plinear_g, plinear_g_prime, plinear_g_second
-
         return plinear_model(
             s.a, s.b, plinear_g, plinear_g_prime, sigma=1.0,
             weights=weights, g_second=plinear_g_second,
@@ -327,6 +337,8 @@ _CONFIG_KEYS = {
 
 
 def _sim_config_from_file(path: Path) -> SimConfig:
+    from .montecarlo import SimConfig
+
     pairs = _parse_config_file(path)
     unknown = set(pairs) - set(_CONFIG_KEYS)
     if unknown:
@@ -338,7 +350,7 @@ def _sim_config_from_file(path: Path) -> SimConfig:
             kwargs[key] = caster(value)
         except ValueError:
             raise ConfigError(
-                f"{path}: key {key!r}: cannot parse {value!r} as {caster.__name__}"
+                f"{path}: key {key!r}: cannot parse {_quote(value)} as {caster.__name__}"
             ) from None
     for required in ("model", "theta_true", "sigma", "n", "replications", "seed"):
         if required not in kwargs:
@@ -348,6 +360,8 @@ def _sim_config_from_file(path: Path) -> SimConfig:
 
 
 def _config_digest(cfg: SimConfig) -> str:
+    import hashlib
+
     canonical = "\n".join(f"{k}={_fmt(v)}" for k, v in sorted(asdict(cfg).items()))
     return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()
 
@@ -366,6 +380,12 @@ def _resolve_threads(flag_value: int) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import json
+    from datetime import datetime, timezone
+
+    from .montecarlo import rows_per_block, run, worker_count
+    from .normal import normal_quantile
+
     cfg = _sim_config_from_file(Path(args.config))
     threads = _resolve_threads(args.threads)
     out_dir = Path(args.out)
@@ -505,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="onestep",
         description="One-step weighted estimation for nonlinear regression models.",
     )
+    parser.set_defaults(modules=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate from a CSV file (columns x, a[, b][, w])")
@@ -528,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1,
         help="worker processes (ONESTEP_THREADS overrides)",
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, modules=_SIMULATE_MODULES)
 
     p_rep = sub.add_parser("report", help="combine summary.csv files into a comparison table")
     p_rep.add_argument("summaries", nargs="+", help="summary.csv paths")
@@ -562,12 +583,14 @@ def main(argv: list[str] | None = None) -> int:
     # np.loadtxt takes any length; lifted, a long cell np.loadtxt refuses is
     # read or named as a short one would be.  2**31 - 1 fits every C long.
     csv.field_size_limit(2**31 - 1)
-    # What is alive now (modules, numpy's tables) lives until exit: moved to
-    # the permanent generation, no collection walks it again, the one at
-    # interpreter exit included
-    gc.freeze()
     args = build_parser().parse_args(argv)
     args.heap = heap
+    for name in args.modules:
+        importlib.import_module(name)
+    # What is alive now (the subcommand's modules, numpy's tables) lives until
+    # exit: moved to the permanent generation, no collection walks it again,
+    # the one at interpreter exit included
+    gc.freeze()
     # Subcommands raise; a failure of any of them, reading or writing, is reported here alone
     try:
         # Every step raises a named error on non-finite terms, so numpy's overflow
@@ -577,7 +600,3 @@ def main(argv: list[str] | None = None) -> int:
     except (EstimationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

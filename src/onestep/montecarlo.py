@@ -66,6 +66,9 @@ from .regression import (
     linear_model,
     mm_model,
     moment_provider,
+    plinear_g,
+    plinear_g_prime,
+    plinear_g_second,
     plinear_model,
     resolve_pipeline,
     resolve_preliminary,
@@ -194,19 +197,6 @@ def default_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     a = 0.5 + 2.0 * i / (n - 1)
     b = 0.2 + i / (n - 1)
     return a, b
-
-
-def plinear_g(t: float) -> float:
-    """Nonlinear component fixed by the partially linear scenario."""
-    return t * t
-
-
-def plinear_g_prime(t: float) -> float:
-    return 2.0 * t
-
-
-def plinear_g_second(t: float) -> float:
-    return 2.0
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,19 @@ def sqrt_model(a, sigma: float = 1.0, weights=None) -> RegressionModel:
     )
 
 
+def plinear_g(t: float) -> float:
+    """Nonlinear component of the partially linear scenario and of ``estimate --model plinear``."""
+    return t * t
+
+
+def plinear_g_prime(t: float) -> float:
+    return 2.0 * t
+
+
+def plinear_g_second(t: float) -> float:
+    return 2.0
+
+
 def plinear_model(
     a,
     b,

@@ -432,18 +432,22 @@ def test_report_rejects_duplicate_column(tmp_path, capsys):
 
 def test_oversized_cells_are_read_or_named(tmp_path, capsys):
     # Cells past csv.reader's default limit of 131072 characters, which
-    # np.loadtxt refuses, are read or named as short ones would be
+    # np.loadtxt refuses, are read or named as short ones would be; a bad
+    # one is quoted by its first 32 characters and its length
+    data = [tmp_path / f"data{k}.csv" for k in range(2)]
     cases = [
         ("1_" + "0" * 140000, "error: x contains non-finite entries\n"),
-        ("1" * 140000 + "z", None),
+        (
+            "1" * 140000 + "z",
+            f"error: {data[1]}: row 2 (line 3), column 'x': "
+            f"cannot parse '{'1' * 32}'... (140001 characters) as a number\n",
+        ),
     ]
-    for k, (cell, message) in enumerate(cases):
-        data = tmp_path / f"data{k}.csv"
-        data.write_text(f"x,a\n1,2\n{cell},3\n")
-        code, err = run_in_process(capsys, "estimate", data, "--model", "sqrt", "--out", tmp_path / "r.csv")
+    for path, (cell, message) in zip(data, cases):
+        path.write_text(f"x,a\n1,2\n{cell},3\n")
+        code, err = run_in_process(capsys, "estimate", path, "--model", "sqrt", "--out", tmp_path / "r.csv")
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert err == (message or f"error: {data}: row 2 (line 3), column 'x': cannot parse {cell!r} as a number\n")
+        assert err == message
     assert not (tmp_path / "r.csv").exists()
 
     big = '"' + "1" * 140000 + '"'
@@ -671,6 +675,84 @@ def test_importing_the_cli_starts_no_pool_machinery():
     assert cp.stdout == "[]\n"
 
 
+def test_importing_onestep_imports_no_numpy_and_changes_no_environment():
+    code = textwrap.dedent("""
+        import os, sys
+        before = dict(os.environ)
+        import onestep
+        print("numpy" in sys.modules, dict(os.environ) == before)
+        from onestep import *
+        print(run is onestep.montecarlo.run, sorted(set(onestep.__all__) - set(globals())))
+    """)
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False True\nTrue []\n"
+
+
+def _script_entry() -> str:
+    """The statement a console script for pyproject.toml's ``onestep`` entry runs."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["onestep"]
+    module, func = target.split(":")
+    return f"from {module} import {func}; sys.exit({func}())"
+
+
+@pytest.mark.parametrize("user_value", [None, "2"])
+@pytest.mark.parametrize("entry", ["python -m", "script"])
+def test_the_command_runs_estimate_with_one_blas_thread_and_without_montecarlo(tmp_path, entry, user_value):
+    write_mm_data(tmp_path / "data.csv")
+    argv = ["onestep", "estimate", str(tmp_path / "data.csv"), "--model", "mm", "--out", str(tmp_path / "r.csv")]
+    run = "runpy.run_module('onestep', run_name='__main__')" if entry == "python -m" else _script_entry()
+    code = textwrap.dedent(f"""
+        import os, runpy, sys
+        sys.argv = {argv!r}
+        try:
+            {run}
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+        print(os.environ.get("OPENBLAS_NUM_THREADS"), "onestep.montecarlo" in sys.modules, threads)
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert cp.returncode == 0, cp.stderr
+    value, montecarlo_loaded, threads = cp.stdout.splitlines()[-1].split()
+    assert (value, montecarlo_loaded) == (user_value or "1", "False")
+    if user_value is None:
+        assert threads in ("1", "None")  # no BLAS worker thread beside the main one
+
+
+def test_simulate_imports_its_modules_before_the_freeze(tmp_path):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile)
+    code = textwrap.dedent(f"""
+        import gc, sys
+        from onestep import cli
+        assert "onestep.montecarlo" not in sys.modules
+        assert cli.main(["simulate", {str(cfgfile)!r}, "--out", {str(tmp_path / "o")!r}]) == 0
+        from onestep import montecarlo
+        # frozen objects are in no generation gc.get_objects() lists
+        print(any(obj is montecarlo.run for obj in gc.get_objects()))
+    """)
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("length", [cli._QUOTE_LIMIT, cli._QUOTE_LIMIT + 1])
+def test_a_bad_value_is_quoted_whole_up_to_the_limit(tmp_path, length):
+    text = "z" * length
+    contrasts = tmp_path / "contrasts.txt"
+    contrasts.write_text(f"1\n{text}\n")
+    with pytest.raises(ValueError) as exc:
+        cli._load_contrast_file(contrasts, 2)
+    shown = repr(text) if length == cli._QUOTE_LIMIT else f"{'z' * cli._QUOTE_LIMIT!r}... ({length} characters)"
+    assert str(exc.value) == f"{contrasts}: line 2: cannot parse {shown} as a number"
+
+
 def test_contrast_file_values_match_float(tmp_path, capsys):
     texts = ["0.1", "-2.5e-310", "1_000.25", " 3 ", "7", "-0.0"]
     cfile = tmp_path / "contrasts.txt"
@@ -885,7 +967,7 @@ def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, th
     assert (code, err) == (0, "")
     cfg = cli._sim_config_from_file(cfgfile)
     digest = cli._config_digest(cfg)
-    records, _ = cli.run(cfg, threads=threads)
+    records, _ = montecarlo.run(cfg, threads=threads)
     assert sum(r.degenerate for r in records) > 0  # nan cells are written too
     fields = ["rep", "theta_star", "theta_hat", "z", "z_stud", "covered", "degenerate"]
     expected = _rows_as_write_csv_gives_them(
@@ -897,7 +979,7 @@ def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, th
     m = len(valid_z)
     expected = _rows_as_write_csv_gives_them(
         tmp_path / "qq.csv", "qq", ["theoretical", "observed"],
-        ([cli.normal_quantile((i + 0.5) / m), valid_z[i]] for i in range(m)), digest,
+        ([montecarlo.normal_quantile((i + 0.5) / m), valid_z[i]] for i in range(m)), digest,
     )
     assert (out / "qq.csv").read_bytes() == expected
 
