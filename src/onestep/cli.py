@@ -19,7 +19,7 @@ import importlib
 import os
 import sys
 from dataclasses import asdict
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,6 +64,11 @@ _SIMULATE_MODULES = ("datetime", "hashlib", "json", "onestep.montecarlo")
 
 # A cell or value longer than this is quoted in an error line by its start and its length
 _QUOTE_LIMIT = 32
+
+# estimate reads its CSV this many characters at a time: small against a
+# large file, so that one chunk's text and line strings weigh less than the
+# table being built, whose converted parts and their join then set the peak.
+_CHUNK_CHARS = 1 << 18
 
 # glibc's malloc thresholds, pinned by main: the values its own dynamic rule
 # reaches after a first free of 32 MiB.  Below them every block temporary
@@ -115,9 +120,13 @@ def _write_lines(path: Path, name: str, header: list[str], lines, digest: str) -
 
 
 def _read_head(path: Path) -> tuple[list[str], list[str], list[str], int]:
-    """(comment lines, header, the lines after the header, the number of file lines before them)."""
+    """_split_head of the lines of path."""
     with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+        return _split_head(path, fh.read().splitlines())
+
+
+def _split_head(path: Path, lines: list[str]) -> tuple[list[str], list[str], list[str], int]:
+    """(comment lines, header, the lines after the header, the number of file lines before them)."""
     skip = 0
     while skip < len(lines) and lines[skip].startswith("#"):
         skip += 1
@@ -203,13 +212,83 @@ def _parse_float(text: str, where: str) -> float:
         raise ValueError(f"{where}: cannot parse {_quote(text)} as a number") from None
 
 
+def _line_chunks(fh):
+    """fh's lines as str.splitlines gives them, in lists of about _CHUNK_CHARS characters.
+
+    Every list but the last ends at a "\n", so no line, nor a "\r\n", is
+    split between two lists: together they are the lines of the whole text.
+    """
+    carry = ""
+    while text := fh.read(_CHUNK_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield (carry + text[:cut]).splitlines()
+            carry = text[cut:]
+        else:
+            carry += text
+    if carry:
+        yield carry.splitlines()
+
+
+def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
+    """(header, table) of fh, its data lines converted by _plain_table a chunk at a time.
+
+    None when the first chunk does not hold a header line that _split_head
+    surely reads the same way (one without a quote, which csv.reader takes
+    and which names each column once), when _plain_table refuses a chunk,
+    or when no data line follows the header.
+    """
+    chunks = _line_chunks(fh)
+    lines = next(chunks, [])
+    skip = 0
+    while skip < len(lines) and lines[skip].startswith("#"):
+        skip += 1
+    if skip == len(lines) or '"' in lines[skip]:
+        return None
+    try:
+        header = next(csv.reader([lines[skip]]))
+    except csv.Error:
+        return None
+    if len(set(header)) < len(header):
+        return None
+    del lines[: skip + 1]
+    parts = []
+    for lines in chain([lines] if lines else [], chunks):
+        table = _plain_table(lines, len(header))
+        del lines  # this chunk's strings go before the next chunk is read
+        if table is None:
+            return None
+        parts.append(table)
+    return (header, np.concatenate(parts)) if parts else None
+
+
 def _load_data_csv(path: Path) -> Sample:
-    """Read an estimate input: columns x, a, optional b, optional w."""
-    _, header, lines, start = _read_head(path)
-    table = _plain_table(lines, len(header))
-    if table is None:
-        columns, row_lines = _split_rows(path, header, lines, start)
-    del lines
+    """Read an estimate input: columns x, a, optional b, optional w.
+
+    A file that can seek is read by _read_plain, in bounded memory.  When
+    that gives no table, and for input that cannot seek such as a pipe, the
+    same handle is read whole from its start, so that every diagnostic is
+    the one the whole file gives.  The name is opened once: a pipe read
+    twice would be found empty.
+    """
+    read = None
+    with open(path, newline="") as fh:
+        if fh.seekable():
+            try:
+                read = _read_plain(fh)
+            except UnicodeDecodeError:
+                pass  # read whole, the error names the byte by its offset in the file
+            if read is None:
+                fh.seek(0)
+        if read is None:
+            _, header, lines, start = _split_head(path, fh.read().splitlines())
+    if read is None:
+        table = _plain_table(lines, len(header))
+        if table is None:
+            columns, row_lines = _split_rows(path, header, lines, start)
+        del lines
+    else:
+        header, table = read
     allowed = {"x", "a", "b", "w"}
     unknown = [col for col in header if col not in allowed]
     if unknown:

@@ -1,14 +1,17 @@
 """The estimate input reader against a csv.reader + float() oracle.
 
-`cli._load_data_csv` converts a plain file with one `np.loadtxt` call and
-leaves every other file (quotes, underscores, non-ASCII digits, blank lines,
-bad cells, ragged rows) to csv.reader and numpy's str conversion; these
-tests pin that it reads every file exactly as parsing each cell of
-`csv.reader`'s rows with `float()` would, bit for bit, and names the same
-first bad cell when one does not parse.
+`cli._load_data_csv` converts a plain file with `np.loadtxt`, a chunk of
+whole lines at a time, and leaves every other file (quotes, underscores,
+non-ASCII digits, blank lines, bad cells, ragged rows) to csv.reader and
+numpy's str conversion on the whole file; these tests pin that it reads
+every file exactly as parsing each cell of `csv.reader`'s rows with
+`float()` would, bit for bit, and names the same first bad cell when one
+does not parse, wherever the chunks are cut.
 """
 
 import csv
+import io
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +30,8 @@ PADDING = ["", " ", "  ", "\t", " ", "　", "\xa0"]
 # zero digits of scripts whose decimal digits float() accepts
 DIGIT_ZEROS = ["0", "０", "٠", "०"]
 COMMENTS = ["# onestep/data/v1", "#", '# a,"b",c', "#x,a"]
+# the reader's own chunk size, before a test patches it
+CHUNK_CHARS = cli._CHUNK_CHARS
 BAD_CELLS = [
     "", "oops", "1..2", "1__0", "_1", "1_", "0x10", "1e", "nan(1)", "1 2", "١٫٥", "--1",
 ]
@@ -39,10 +44,34 @@ def write(tmp_path: Path, text: str) -> Path:
     return path
 
 
+class Split(Exception):
+    """Raised by reader_path in place of splitting a file with csv.reader."""
+
+
+def reader_path(path: Path) -> str:
+    """Which of the reader's paths converts the file: "chunks" when np.loadtxt
+    converts it a chunk of lines at a time, "whole" when np.loadtxt converts
+    the whole body read at once, "csv" when csv.reader splits it."""
+    whole = []
+    split_head = cli._split_head
+
+    def split_rows(*args):
+        raise Split
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_split_head", lambda *args: whole.append(args) or split_head(*args))
+        mp.setattr(cli, "_split_rows", split_rows)
+        mp.setattr(cli, "Sample", dict)
+        try:
+            cli._load_data_csv(path)
+        except Split:
+            return "csv"
+    return "whole" if whole else "chunks"
+
+
 def loadtxt_takes(path: Path) -> bool:
     """Whether the reader converts the file with np.loadtxt."""
-    _, header, lines, _ = cli._read_head(path)
-    return cli._plain_table(lines, len(header)) is not None
+    return reader_path(path) != "csv"
 
 
 def oracle(text: str):
@@ -147,11 +176,16 @@ def test_reads_like_oracle(tmp_path, monkeypatch, quoted, defect, data):
     text = data.draw(data_files(quoted, defect))
     header, expected = oracle(text)
     path = write(tmp_path, text)
+    # chunks of a few characters cut the file at every kind of place
+    chunk = data.draw(st.just(CHUNK_CHARS) | st.integers(1, 40), label="chunk")
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
     # numpy's reader takes the file exactly when it is well formed and no
     # cell is quoted or holds an underscore or a non-ASCII digit
     plain = defect is None and not quoted and "_" not in text
     plain = plain and all(ch.isascii() or ch.isspace() for ch in text)
     assert loadtxt_takes(path) is plain
+    if plain and chunk == CHUNK_CHARS:
+        assert reader_path(path) == "chunks"
     # Sample rejects nan and inf; take the columns as they are read, so that
     # every spelling is compared bit for bit
     monkeypatch.setattr(cli, "Sample", dict)
@@ -256,3 +290,104 @@ def test_cell_scan_runs_only_on_failure(tmp_path, monkeypatch):
     contrasts = tmp_path / "contrasts.txt"
     contrasts.write_text("# c\n1.5\n\n-2  # two\n")
     assert cli._load_contrast_file(contrasts, 2).tolist() == [1.5, -2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.lists(
+        st.sampled_from(["a", ",", "\n", "\r", "\r\n", "\x0c", "\x1c", "\x85", "\u2028"])
+    ).map("".join),
+    chunk=st.integers(1, 12),
+)
+def test_chunks_hold_the_lines_of_the_whole_text(text, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CHUNK_CHARS", chunk)
+        chunks = list(cli._line_chunks(io.StringIO(text, newline="")))
+    assert [line for lines in chunks for line in lines] == text.splitlines()
+    assert all(chunks)
+
+
+# Each tail follows 12 plain rows, so at 24 characters a chunk it lies
+# in a later chunk than the header: (tail, path, x column read)
+LATER_CHUNK_TAILS = {
+    "blank_line": ("\n", "csv", None),
+    "form_feed": ("5,6\x0c7,8\n", "chunks", [5.0, 7.0]),
+    "line_separator": ("5,6\u20287,8\n", "chunks", [5.0, 7.0]),
+    "lone_cr": ("5,6\r7,8\n", "chunks", [5.0, 7.0]),
+    "quoted_cell": ('"5",6\n', "csv", [5.0]),
+    "bad_cell": ("5,oops\n", "csv", None),
+    "ragged_row": ("5,6,7\n", "csv", None),
+}
+
+
+@pytest.mark.parametrize("name", list(LATER_CHUNK_TAILS))
+def test_a_later_chunk_reads_or_is_refused_like_oracle(tmp_path, monkeypatch, name):
+    tail, path_taken, x_read = LATER_CHUNK_TAILS[name]
+    rows = "".join(f"{i},{i / 8}\n" for i in range(12))
+    head = "# c\nx,a\n" + rows
+    assert len(head) > 4 * 24
+    text = head + tail + "9,10\n"
+    header, expected = oracle(text)
+    path = write(tmp_path, text)
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", 24)
+    assert reader_path(path) == path_taken
+    monkeypatch.setattr(cli, "Sample", dict)
+    if x_read is None:
+        assert isinstance(expected, str)
+        with pytest.raises(ValueError) as exc:
+            cli._load_data_csv(path)
+        assert str(exc.value) == f"{path}: {expected}"
+        assert "row 13 (line 15)" in expected
+        return
+    got = cli._load_data_csv(path)
+    assert got["x"].tolist() == expected["x"].tolist() == [*range(12), *x_read, 9.0]
+    assert got["a"].view(np.uint64).tolist() == expected["a"].view(np.uint64).tolist()
+
+
+def test_crlf_file_reads_in_chunks_wherever_they_are_cut(tmp_path, monkeypatch):
+    # among the cuts, one after each "\r" of a "\r\n"
+    text = "x,a\r\n" + "".join(f"{i},{i / 8}\r\n" for i in range(12))
+    header, expected = oracle(text)
+    path = write(tmp_path, text)
+    monkeypatch.setattr(cli, "Sample", dict)
+    for chunk in range(1, len(text) + 1):
+        monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+        assert reader_path(path) == "chunks"
+        got = cli._load_data_csv(path)
+        assert got["x"].tolist() == expected["x"].tolist()
+        assert got["a"].tolist() == expected["a"].tolist()
+
+
+def test_undecodable_byte_is_named_by_its_offset_in_the_file(tmp_path, monkeypatch):
+    # past the first 8 KiB the file object decodes, where a chunked read
+    # would count the offset from
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"x,a\n" + b"1.5,2.5\n" * 2000 + b"3,\xff4\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        with open(path, newline="") as fh:
+            fh.read()
+    assert "position 16006" in str(whole.value)
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", 24)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        cli._load_data_csv(path)
+    assert str(exc.value) == str(whole.value)
+
+
+def test_plain_file_is_read_in_at_most_two_and_a_half_tables(tmp_path, monkeypatch):
+    # tracemalloc sees numpy's buffers: the converted chunks and the table
+    # they are joined into are two tables, and the text and line strings of
+    # the chunk being converted stay small beside them
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((50_000, 4))
+    rows = "".join(f"{x!r},{a!r},{b!r},{w!r}\n" for x, a, b, w in values.tolist())
+    path = write(tmp_path, "x,a,b,w\n" + rows)
+    del rows
+    monkeypatch.setattr(cli, "Sample", dict)
+    tracemalloc.start()
+    try:
+        got = cli._load_data_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got["w_known"].tolist() == values[:, 3].tolist()
+    assert peak <= 2.5 * values.nbytes, f"peak {peak / values.nbytes:.2f} tables"
