@@ -49,6 +49,8 @@ from .regression import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from .montecarlo import SimConfig
 
 SCHEMA_PREFIX = "onestep"
@@ -119,17 +121,25 @@ def _write_lines(path: Path, name: str, header: list[str], lines, digest: str) -
         fh.writelines(lines)
 
 
-def _read_head(path: Path) -> tuple[list[str], list[str], list[str], int]:
-    """_split_head of the lines of path."""
-    with open(path, newline="") as fh:
-        return _split_head(path, fh.read().splitlines())
+def _split_head(
+    path: Path, chunks: Iterator[list[str]]
+) -> tuple[list[str], list[str], list[str], int]:
+    """(comment lines, header, the lines after the header, the number of file lines before them).
 
-
-def _split_head(path: Path, lines: list[str]) -> tuple[list[str], list[str], list[str], int]:
-    """(comment lines, header, the lines after the header, the number of file lines before them)."""
+    The lines are those of chunks up to the end of the one that holds the
+    header, or of all of them when the header holds a quote, since a quoted
+    cell may hold line breaks; the chunks after those are left in chunks.
+    """
+    lines: list[str] = []
     skip = 0
-    while skip < len(lines) and lines[skip].startswith("#"):
-        skip += 1
+    for chunk in chunks:
+        lines += chunk
+        while skip < len(lines) and lines[skip].startswith("#"):
+            skip += 1
+        if skip < len(lines):
+            if '"' in lines[skip]:
+                lines += chain.from_iterable(chunks)
+            break
     comments = lines[:skip]
     if skip == len(lines):
         raise ValueError(f"{path}: no header row")
@@ -149,11 +159,13 @@ def _split_head(path: Path, lines: list[str]) -> tuple[list[str], list[str], lis
 
 
 def _split_rows(
-    path: Path, header: list[str], lines: list[str], start: int
+    path: Path, header: list[str], lines: Iterable[str], start: int, done: int = 0
 ) -> tuple[dict[str, list[str]], list[int]]:
     """The csv.reader cells of lines, by column, and the file line number of each row.
 
-    A row of the wrong width, or a file csv.reader refuses, raises ValueError naming the file.
+    lines follow the file's first start lines, which hold done data rows.  A
+    row of the wrong width, or a file csv.reader refuses, raises ValueError
+    naming the file.
     """
     width = len(header)
     rows: list[list[str]] = []
@@ -164,7 +176,7 @@ def _split_rows(
         for row in reader:
             if len(row) != width:
                 raise ValueError(
-                    f"{path}: row {len(rows) + 1} (line {line}) has {len(row)} fields, "
+                    f"{path}: row {done + len(rows) + 1} (line {line}) has {len(row)} fields, "
                     f"expected {width}"
                 )
             rows.append(row)
@@ -184,10 +196,10 @@ def _plain_table(lines: list[str], width: int) -> np.ndarray | None:
     with PyOS_string_to_double, the parser float() ends in, so it gives the
     same bits.  What it refuses (quotes, underscores, non-ASCII digits, bad
     cells) is left to csv.reader.  It skips blank lines, which csv.reader
-    gives as rows of no fields, so a body with one, or none at all, is left
-    to csv.reader too; a row of another width shows as another shape.
+    gives as rows of no fields, so lines with one are left to csv.reader
+    too; a row of another width shows as another shape.  lines is not empty.
     """
-    if not lines or not all(lines):
+    if not all(lines):
         return None
     try:
         table = np.loadtxt(
@@ -215,12 +227,18 @@ def _parse_float(text: str, where: str) -> float:
 def _line_chunks(fh):
     """fh's lines as str.splitlines gives them, in lists of about _CHUNK_CHARS characters.
 
-    Every list but the last ends at a "\n", so no line, nor a "\r\n", is
-    split between two lists: together they are the lines of the whole text.
+    Every list but the last ends after a "\n", or after a "\r" that was not
+    the last character read, so no line, nor a "\r\n", is split between two
+    lists: together they are the lines of the whole text.  Input that cannot
+    seek (a pipe) is read whole, as one list, so that an undecodable byte is
+    named by its offset in the input.
     """
+    if not fh.seekable():
+        yield fh.read().splitlines()
+        return
     carry = ""
     while text := fh.read(_CHUNK_CHARS):
-        cut = text.rfind("\n") + 1
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
         if cut:
             yield (carry + text[:cut]).splitlines()
             carry = text[cut:]
@@ -230,65 +248,45 @@ def _line_chunks(fh):
         yield carry.splitlines()
 
 
-def _read_plain(fh) -> tuple[list[str], np.ndarray] | None:
-    """(header, table) of fh, its data lines converted by _plain_table a chunk at a time.
+def _read_table(
+    path: Path, fh
+) -> tuple[list[str], list[np.ndarray], dict[str, list[str]], list[int]]:
+    """(header, the tables _plain_table converts, then _split_rows of the rest of fh).
 
-    None when the first chunk does not hold a header line that _split_head
-    surely reads the same way (one without a quote, which csv.reader takes
-    and which names each column once), when _plain_table refuses a chunk,
-    or when no data line follows the header.
+    The chunks of lines after the header go to _plain_table until it refuses
+    one; that chunk and the rest of the input go to csv.reader.
     """
     chunks = _line_chunks(fh)
-    lines = next(chunks, [])
-    skip = 0
-    while skip < len(lines) and lines[skip].startswith("#"):
-        skip += 1
-    if skip == len(lines) or '"' in lines[skip]:
-        return None
-    try:
-        header = next(csv.reader([lines[skip]]))
-    except csv.Error:
-        return None
-    if len(set(header)) < len(header):
-        return None
-    del lines[: skip + 1]
+    _, header, lines, start = _split_head(path, chunks)
     parts = []
-    for lines in chain([lines] if lines else [], chunks):
+    # the header's chunk may hold no line after it; no later chunk is empty
+    while lines or (lines := next(chunks, [])):
         table = _plain_table(lines, len(header))
-        del lines  # this chunk's strings go before the next chunk is read
         if table is None:
-            return None
+            done = sum(map(len, parts))
+            rest = chain(lines, chain.from_iterable(chunks))
+            return header, parts, *_split_rows(path, header, rest, start + done, done)
         parts.append(table)
-    return (header, np.concatenate(parts)) if parts else None
+        lines = []  # this chunk's strings go before the next chunk is read
+    return header, parts, {}, []
 
 
 def _load_data_csv(path: Path) -> Sample:
     """Read an estimate input: columns x, a, optional b, optional w.
 
-    A file that can seek is read by _read_plain, in bounded memory.  When
-    that gives no table, and for input that cannot seek such as a pipe, the
-    same handle is read whole from its start, so that every diagnostic is
-    the one the whole file gives.  The name is opened once: a pipe read
-    twice would be found empty.
+    The input is read once, by _read_table: in bounded memory while its
+    lines are plain, through csv.reader from the first chunk that is not.
+    A file is read again, whole, only for an undecodable byte, so that the
+    error names the byte by its offset in the file, not in a chunk.
     """
-    read = None
     with open(path, newline="") as fh:
-        if fh.seekable():
-            try:
-                read = _read_plain(fh)
-            except UnicodeDecodeError:
-                pass  # read whole, the error names the byte by its offset in the file
-            if read is None:
+        try:
+            header, parts, columns, row_lines = _read_table(path, fh)
+        except UnicodeDecodeError:
+            if fh.seekable():
                 fh.seek(0)
-        if read is None:
-            _, header, lines, start = _split_head(path, fh.read().splitlines())
-    if read is None:
-        table = _plain_table(lines, len(header))
-        if table is None:
-            columns, row_lines = _split_rows(path, header, lines, start)
-        del lines
-    else:
-        header, table = read
+                fh.read()  # raises it again, counting from the start of the file
+            raise
     allowed = {"x", "a", "b", "w"}
     unknown = [col for col in header if col not in allowed]
     if unknown:
@@ -296,27 +294,25 @@ def _load_data_csv(path: Path) -> Sample:
     for required in ("x", "a"):
         if required not in header:
             raise ValueError(f"{path}: missing required column {required!r}")
-    if table is not None:
-        arrays = dict(zip(header, table.T))
-    elif not row_lines:
-        raise ValueError(f"{path}: no data rows")
-    else:
+    if row_lines:
         # numpy converts str with float()'s syntax and rounding; only when it
         # fails are the cells scanned in row order to name the first bad one.
         try:
-            arrays = {col: np.array(columns[col], dtype=np.float64) for col in header}
+            parts.append(np.array([columns[col] for col in header], dtype=np.float64).T)
         except ValueError:
+            done = sum(map(len, parts))
             for k, line in enumerate(row_lines):
                 for col in header:
-                    _parse_float(columns[col][k], f"{path}: row {k + 1} (line {line}), column {col!r}")
+                    where = f"{path}: row {done + k + 1} (line {line}), column {col!r}"
+                    _parse_float(columns[col][k], where)
             raise
         del columns
-    return Sample(
-        x=arrays["x"],
-        a=arrays["a"],
-        b=arrays.get("b"),
-        w_known=arrays.get("w"),
-    )
+    elif not parts:
+        raise ValueError(f"{path}: no data rows")
+    table = np.concatenate(parts)
+    del parts  # the converted parts go before Sample copies the columns
+    arrays = dict(zip(header, table.T))
+    return Sample(x=arrays["x"], a=arrays["a"], b=arrays.get("b"), w_known=arrays.get("w"))
 
 
 def _content_lines(path: Path) -> list[tuple[int, str]]:
@@ -580,7 +576,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     expected_schema = _schema_line("summary").split()[1]
     for name in args.summaries:
         path = Path(name)
-        comments, header, lines, start = _read_head(path)
+        with open(path, newline="") as fh:
+            comments, header, lines, start = _split_head(path, iter([fh.read().splitlines()]))
         columns, row_lines = _split_rows(path, header, lines, start)
         schemas = [c[1:].strip().split()[0] for c in comments if len(c) > 1]
         if expected_schema not in schemas:

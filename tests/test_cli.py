@@ -420,28 +420,33 @@ def test_blank_body_gives_one_error_line_and_no_warning(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
-@pytest.mark.parametrize("last_row", ["", "1,2,3\n"], ids=["plain", "ragged"])
+@pytest.mark.parametrize(
+    "last_row", ["", "1,2,3\n", '"0.9",1.5,0.7,1.0\n'], ids=["plain", "ragged", "quoted_cell"]
+)
 def test_estimate_reads_a_pipe_as_it_reads_the_file(tmp_path, last_row):
     # a pipe cannot seek back, nor be opened again for its text, so it is
-    # read once, whole, from the handle that opened it
+    # read once, whole, from the handle that opened it; the file is longer
+    # than one chunk, so a last row csv.reader splits is the file's last chunk
+    n = 4000
     rng = np.random.default_rng(5)
-    a = np.linspace(0.5, 2.5, 500)
-    b = np.linspace(0.2, 1.2, 500)
-    w = 0.5 + rng.random(500)
-    x = a / (1.0 + b) + 0.05 * rng.standard_normal(500) / np.sqrt(w)
+    a = np.linspace(0.5, 2.5, n)
+    b = np.linspace(0.2, 1.2, n)
+    w = 0.5 + rng.random(n)
+    x = a / (1.0 + b) + 0.05 * rng.standard_normal(n) / np.sqrt(w)
     text = "x,a,b,w\n" + "".join(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n" for row in zip(
         x.tolist(), a.tolist(), b.tolist(), w.tolist()
     )) + last_row
+    assert len(text) > cli._CHUNK_CHARS
     data = tmp_path / "data.csv"
     data.write_text(text)
     args = ("--model", "mm")
     from_file = run_cli("estimate", data, *args, "--out", tmp_path / "file.csv")
     from_pipe = run_cli("estimate", "/dev/stdin", *args, "--out", tmp_path / "pipe.csv", stdin_text=text)
-    if not last_row:
+    if last_row != "1,2,3\n":
         assert (from_file.returncode, from_file.stderr) == (from_pipe.returncode, from_pipe.stderr) == (0, "")
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
         return
-    message = "row 501 (line 502) has 3 fields, expected 4"
+    message = f"row {n + 1} (line {n + 2}) has 3 fields, expected 4"
     assert (from_file.returncode, from_file.stderr) == (1, f"error: {data}: {message}\n")
     assert (from_pipe.returncode, from_pipe.stderr) == (1, f"error: /dev/stdin: {message}\n")
 

@@ -1,12 +1,14 @@
 """The estimate input reader against a csv.reader + float() oracle.
 
-`cli._load_data_csv` converts a plain file with `np.loadtxt`, a chunk of
-whole lines at a time, and leaves every other file (quotes, underscores,
-non-ASCII digits, blank lines, bad cells, ragged rows) to csv.reader and
-numpy's str conversion on the whole file; these tests pin that it reads
-every file exactly as parsing each cell of `csv.reader`'s rows with
-`float()` would, bit for bit, and names the same first bad cell when one
-does not parse, wherever the chunks are cut.
+`cli._load_data_csv` reads its input once.  After the header, it converts
+each chunk of whole lines with `np.loadtxt` until a chunk does not convert
+(quotes, underscores, non-ASCII digits, blank lines, bad cells, ragged
+rows); that chunk and the rest of the input go to csv.reader and numpy's
+str conversion, counting rows and lines on from the rows already
+converted.  These tests pin that it reads every file exactly as parsing
+each cell of `csv.reader`'s rows with `float()` would, bit for bit, and
+names the same first bad cell when one does not parse, wherever the
+chunks are cut.
 """
 
 import csv
@@ -49,24 +51,21 @@ class Split(Exception):
 
 
 def reader_path(path: Path) -> str:
-    """Which of the reader's paths converts the file: "chunks" when np.loadtxt
-    converts it a chunk of lines at a time, "whole" when np.loadtxt converts
-    the whole body read at once, "csv" when csv.reader splits it."""
-    whole = []
-    split_head = cli._split_head
+    """Which of the reader's paths converts the file's body: "chunks" when
+    np.loadtxt converts every chunk of lines, "csv" when csv.reader splits
+    a chunk and the rest."""
 
     def split_rows(*args):
         raise Split
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_split_head", lambda *args: whole.append(args) or split_head(*args))
         mp.setattr(cli, "_split_rows", split_rows)
         mp.setattr(cli, "Sample", dict)
         try:
             cli._load_data_csv(path)
         except Split:
             return "csv"
-    return "whole" if whole else "chunks"
+    return "chunks"
 
 
 def loadtxt_takes(path: Path) -> bool:
@@ -373,15 +372,74 @@ def test_undecodable_byte_is_named_by_its_offset_in_the_file(tmp_path, monkeypat
     assert str(exc.value) == str(whole.value)
 
 
-def test_plain_file_is_read_in_at_most_two_and_a_half_tables(tmp_path, monkeypatch):
+# At 24 characters a chunk, the three comments fill a chunk each, and the
+# first chunk ends inside the quoted header cell "w\n", after its line
+# break.  (comments and header, rows, columns read or message)
+COMMENTS_PAST_A_CHUNK = "".join(f"# comment line {i} of the file\n" for i in range(3))
+HEADER_CASES = {
+    "comments_plain": (
+        COMMENTS_PAST_A_CHUNK + "x,a\n", "1,2\n3,4\n",
+        {"x": [1.0, 3.0], "a": [2.0, 4.0], "w_known": None},
+    ),
+    "comments_bad_cell": (
+        COMMENTS_PAST_A_CHUNK + "x,a\n", "1,2\n3,oops\n",
+        "row 2 (line 6), column 'a': cannot parse 'oops' as a number",
+    ),
+    "quoted_header_cut": (
+        '# fifteen chars\nx,a,"w\n"\n', "1,2,3\n4,5,6\n",
+        {"x": [1.0, 4.0], "a": [2.0, 5.0], "w_known": [3.0, 6.0]},
+    ),
+    "quoted_header_cut_ragged_row": (
+        '# fifteen chars\nx,a,"w\n"\n', "1,2,3\n4,5\n", "row 2 (line 5) has 2 fields, expected 3",
+    ),
+    "quoted_header_cut_bad_cell": (
+        '# fifteen chars\nx,a,"w\n"\n', "1,2,3\n4,5,oops\n",
+        "row 2 (line 5), column 'w': cannot parse 'oops' as a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HEADER_CASES))
+def test_header_past_the_first_chunk_or_cut_in_its_quotes(tmp_path, monkeypatch, name):
+    head, rows, expected = HEADER_CASES[name]
+    text = head + rows
+    path = write(tmp_path, text)
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", 24)
+    first = next(cli._line_chunks(io.StringIO(text, newline="")))
+    if name.startswith("comments"):
+        assert first == ["# comment line 0 of the file"]
+    else:
+        assert first == ["# fifteen chars", 'x,a,"w']
+    monkeypatch.setattr(cli, "Sample", dict)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            cli._load_data_csv(path)
+        assert str(exc.value) == f"{path}: {expected}"
+        return
+    got = cli._load_data_csv(path)
+    assert {key: None if got[key] is None else got[key].tolist() for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "newline, quoted_last_row",
+    [("\n", False), ("\r\n", False), ("\r", False), ("\n", True)],
+    ids=["lf", "crlf", "cr", "quoted_last_row"],
+)
+def test_plain_file_is_read_in_at_most_two_and_a_half_tables(
+    tmp_path, monkeypatch, newline, quoted_last_row
+):
     # tracemalloc sees numpy's buffers: the converted chunks and the table
     # they are joined into are two tables, and the text and line strings of
-    # the chunk being converted stay small beside them
+    # the chunk being converted stay small beside them; a last row with a
+    # quoted cell leaves only its chunk to csv.reader
     rng = np.random.default_rng(11)
     values = rng.standard_normal((50_000, 4))
-    rows = "".join(f"{x!r},{a!r},{b!r},{w!r}\n" for x, a, b, w in values.tolist())
-    path = write(tmp_path, "x,a,b,w\n" + rows)
+    rows = [f"{x!r},{a!r},{b!r},{w!r}" for x, a, b, w in values.tolist()]
+    if quoted_last_row:
+        rows[-1] = '"' + rows[-1].replace(",", '","') + '"'
+    path = write(tmp_path, newline.join(["x,a,b,w", *rows, ""]))
     del rows
+    assert reader_path(path) == ("csv" if quoted_last_row else "chunks")
     monkeypatch.setattr(cli, "Sample", dict)
     tracemalloc.start()
     try:
