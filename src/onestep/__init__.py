@@ -46,11 +46,9 @@ _EXPORTS = {
     ),
     "estimators": (
         "EstimateResult",
-        "one_step",
         "one_step_weighted",
         "one_step_factorized",
         "studentize",
-        "studentize_unweighted",
         "optimal_weights",
         "efficiency_ratio",
         "newton_solve",

@@ -6,10 +6,8 @@ parameter-dependent weights h_i(t), and a moment provider giving
 E M_i^2(t, X_i) and E M_i'(t, X_i) for variance work.
 
 Each family is defined by vector evaluators that give every index at once
-(m_terms, h_values, e_m2_values, ...); the per-index accessors (fam.m,
-wf.h, mp.e_m2, ...) read entry i of those vectors.  A family may instead be
-built from per-index callables alone, which the *_values functions here
-evaluate index by index, and a block row by row.
+(m_terms, h_values, e_m2_values, ...).  An evaluator returns n values per
+row, or one 0-d value that stands for every index (see _evaluate).
 
 All reductions over observations go through exact_sum, which returns the
 correctly rounded exact sum and is therefore bitwise equal to math.fsum.
@@ -27,12 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DegenerateError, DomainError, NonFiniteError
+from .errors import (
+    DegenerateDenominatorError,
+    DegenerateError,
+    DomainError,
+    MissingDerivativeError,
+    NonFiniteError,
+)
 
 __all__ = [
     "FULL_LINE",
@@ -173,88 +176,43 @@ def _column(t, s: Sample | SampleBlock):
     return t
 
 
-def _entry(values, i: int, *args) -> float:
-    """Entry i of values(*args): the per-index accessor of a vector evaluator."""
-    vals = np.asarray(values(*args), dtype=np.float64)
-    return float(vals[i] if vals.ndim else vals)
-
-
-def _index_accessors(family, *pairs: tuple[str, str], optional: str = "") -> None:
-    """Set each (scalar, vector) accessor of family to entry i of its vector evaluator.
-
-    A scalar the caller gave is kept, and one derived before (as when
-    dataclasses.replace swaps the vector evaluator) is derived again.
-    """
-    for scalar, vector in pairs:
-        given, values = getattr(family, scalar), getattr(family, vector)
-        derived = isinstance(given, partial) and given.func is _entry
-        if values is not None and (given is None or derived):
-            object.__setattr__(family, scalar, partial(_entry, values))
-        elif given is None and scalar != optional:
-            raise ValueError(f"{type(family).__name__} needs {vector} or {scalar}")
-
-
 @dataclass(frozen=True)
 class EstimatingFamily:
     """Per-observation estimating functions M_i(t, x) and their t-derivatives.
 
-    m_terms(t, xs) and m_prime_terms(t, xs) define the family: they evaluate
-    every index at once against the responses xs (a vector, or a (B, n)
-    block with t a (B, 1) column), broadcasting over a scalar x too.  m and
-    m_prime are the per-index accessors (index, parameter, response), which
-    read entry i of those vectors.  A family built from m and m_prime alone
-    is evaluated index by index.
+    m_terms(t, xs) and m_prime_terms(t, xs) evaluate every index at once
+    against the responses xs (a vector, or a (B, n) block with t a (B, 1)
+    column).
     """
 
-    m: Callable[[int, float, float], float] | None = None
-    m_prime: Callable[[int, float, float], float] | None = None
+    m_terms: Callable[[float, np.ndarray], np.ndarray]
+    m_prime_terms: Callable[[float, np.ndarray], np.ndarray]
     domain: Interval = FULL_LINE
-    m_terms: Callable[[float, np.ndarray], np.ndarray] | None = None
-    m_prime_terms: Callable[[float, np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        _index_accessors(self, ("m", "m_terms"), ("m_prime", "m_prime_terms"))
 
 
 @dataclass(frozen=True)
 class WeightFamily:
     """Parameter-dependent weights h_i(t), optionally with derivatives.
 
-    h_values(t) and h_prime_values(t) define the family, one value per
-    index; h and h_prime are the per-index accessors (index, parameter),
-    which read entry i of those vectors, or define a family given by them
-    alone.  h_prime is the analytic derivative of h when available.
+    h_values(t) and h_prime_values(t) give one value per index.
+    h_prime_values is the analytic derivative of h when available.
     Adapters that fall back to a finite-difference derivative mark it by
     setting h_prime_exact to False so downstream consumers can surface a
     warning.
     """
 
-    h: Callable[[int, float], float] | None = None
-    h_prime: Callable[[int, float], float] | None = None
-    domain: Interval = FULL_LINE
-    h_values: Callable[[float], np.ndarray] | None = None
+    h_values: Callable[[float], np.ndarray]
     h_prime_values: Callable[[float], np.ndarray] | None = None
+    domain: Interval = FULL_LINE
     h_prime_exact: bool = True
-
-    def __post_init__(self) -> None:
-        _index_accessors(self, ("h", "h_values"), ("h_prime", "h_prime_values"), optional="h_prime")
 
 
 @dataclass(frozen=True)
 class MomentProvider:
-    """Supplies E M_i^2(t, X_i) >= 0 and E M_i'(t, X_i) for each index.
+    """Supplies E M_i^2(t, X_i) >= 0 and E M_i'(t, X_i) for each index."""
 
-    As in the families, the *_values evaluators define it and e_m2 and
-    e_mprime read one index, or define it alone.
-    """
-
-    e_m2: Callable[[int, float], float] | None = None
-    e_mprime: Callable[[int, float], float] | None = None
-    e_m2_values: Callable[[float], np.ndarray] | None = None
-    e_mprime_values: Callable[[float], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        _index_accessors(self, ("e_m2", "e_m2_values"), ("e_mprime", "e_mprime_values"))
+    e_m2_values: Callable[[float], np.ndarray]
+    e_mprime_values: Callable[[float], np.ndarray]
 
 
 def _require_in_domain(t, domain: Interval) -> None:
@@ -280,64 +238,52 @@ def _require_finite(name: str, terms: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite value in {name}")
 
 
-def _evaluate(vector, scalar, n: int, t, xs=None) -> np.ndarray:
-    """vector(t), or vector(t, xs), as float64; without a vector evaluator,
-    scalar(i, t), or scalar(i, t, xs[i]), at every index i < n.
+def _evaluate(values, n: int, t, xs=None) -> np.ndarray:
+    """values(t), or values(t, xs), as float64 with n values per row.
 
-    The one bridge from per-index callables to vectors.  A block's (B, 1)
-    column t is taken row by row, with row r's parameter value and
-    responses, so each row is what that row's Sample gives.  Raises
-    ValueError when a vector evaluator gives other than n values per row,
-    except that one evaluated against responses may give a single value
-    for all.
+    Every evaluator's result passes through here.  One with n values per
+    row is kept as it is.  A 0-d result stands for every index: it is
+    broadcast to the shape of xs, or without responses to shape(t)[:-1] +
+    (n,), one row per row of a (B, 1) column t.  Any other width raises
+    ValueError.
     """
-    if vector is None:
-        if np.ndim(t) == 2:
-            rows = xs if xs is not None else [None] * len(t)
-            return np.array([
-                _evaluate(None, scalar, n, tr, xr) for tr, xr in zip(t[:, 0].tolist(), rows)
-            ])
-        if xs is None:
-            items = (scalar(i, t) for i in range(n))
-        else:
-            items = (scalar(i, t, x) for i, x in enumerate(xs))
-        return np.fromiter(items, dtype=np.float64, count=n)
-    vals = np.asarray(vector(t) if xs is None else vector(t, xs), dtype=np.float64)
-    width = vals.shape[-1] if vals.ndim > 1 else vals.size  # per row of a block
-    if width != n and (vals.ndim or xs is None):
-        raise ValueError(f"a vector evaluator returned {width} values, expected {n}")
+    vals = np.asarray(values(t) if xs is None else values(t, xs), dtype=np.float64)
+    if vals.ndim == 0:
+        return np.full(np.shape(t)[:-1] + (n,) if xs is None else xs.shape, vals)
+    if vals.shape[-1] != n:
+        raise ValueError(f"an evaluator returned {vals.shape[-1]} values per row, expected {n}")
     return vals
 
 
 def weight_values(wf: WeightFamily, t: float, n: int) -> np.ndarray:
     """Evaluate h_i(t) for i = 0..n-1 as a float64 vector (rows of it for a (B, 1) t)."""
-    return _evaluate(wf.h_values, wf.h, n, t)
+    return _evaluate(wf.h_values, n, t)
 
 
 def weight_prime_values(wf: WeightFamily, t: float, n: int) -> np.ndarray:
-    """Evaluate h_i'(t) for i = 0..n-1; requires the family to carry it."""
-    if wf.h_prime is None:
-        raise ValueError("weight family carries no derivative")
-    return _evaluate(wf.h_prime_values, wf.h_prime, n, t)
+    """Evaluate h_i'(t) for i = 0..n-1.
+
+    Raises MissingDerivativeError when the family carries no derivative.
+    """
+    if wf.h_prime_values is None:
+        raise MissingDerivativeError("weight family carries no derivative")
+    return _evaluate(wf.h_prime_values, n, t)
 
 
 def m_values(fam: EstimatingFamily, t: float, xs: np.ndarray) -> np.ndarray:
     """Evaluate M_i(t, x_i) across the sample."""
-    return _evaluate(fam.m_terms, fam.m, xs.shape[-1], t, xs)
+    return _evaluate(fam.m_terms, xs.shape[-1], t, xs)
 
 
 def m_prime_values(fam: EstimatingFamily, t: float, xs: np.ndarray) -> np.ndarray:
     """Evaluate M_i'(t, x_i) across the sample."""
-    vals = _evaluate(fam.m_prime_terms, fam.m_prime, xs.shape[-1], t, xs)
-    if vals.ndim == 0:
-        vals = np.full(xs.shape, float(vals))
-    return vals
+    return _evaluate(fam.m_prime_terms, xs.shape[-1], t, xs)
 
 
 def moment_values(mp: MomentProvider, theta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (E M_i^2, E M_i') vectors at theta."""
-    e2 = _evaluate(mp.e_m2_values, mp.e_m2, n, theta)
-    ed = _evaluate(mp.e_mprime_values, mp.e_mprime, n, theta)
+    e2 = _evaluate(mp.e_m2_values, n, theta)
+    ed = _evaluate(mp.e_mprime_values, n, theta)
     _require_finite("second moments", e2)
     _require_finite("derivative moments", ed)
     if np.any(e2 < 0.0):

@@ -45,7 +45,6 @@ from .errors import (
     DegenerateDenominatorError,
     DegenerateError,
     DomainError,
-    MissingDerivativeError,
     NoConvergenceError,
     SignMismatchError,
     ZeroVarianceError,
@@ -54,11 +53,9 @@ from .normal import normal_quantile
 
 __all__ = [
     "EstimateResult",
-    "one_step",
     "one_step_weighted",
     "one_step_factorized",
     "studentize",
-    "studentize_unweighted",
     "optimal_weights",
     "efficiency_ratio",
     "newton_solve",
@@ -98,11 +95,7 @@ class EstimateResult:
 
 def unit_weights(domain: Interval = FULL_LINE) -> WeightFamily:
     """The constant weight family h_i(t) = 1."""
-    return WeightFamily(
-        h=lambda i, t: 1.0,
-        h_prime=lambda i, t: 0.0,
-        domain=domain,
-    )
+    return WeightFamily(h_values=lambda t: 1.0, h_prime_values=lambda t: 0.0, domain=domain)
 
 
 def _newton_update(
@@ -116,14 +109,6 @@ def _newton_update(
         theta_star - ratio, "one-step update is not finite", DegenerateDenominatorError
     )
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
-
-
-def one_step(fam: EstimatingFamily, theta_star: float, s: Sample) -> EstimateResult:
-    """Single Newton step on sum_i M_i(t, x_i) from theta_star."""
-    _require_in_domain(theta_star, fam.domain)
-    num_terms = m_values(fam, theta_star, s.x)
-    den_terms = m_prime_values(fam, theta_star, s.x)
-    return _newton_update(theta_star, num_terms, den_terms)
 
 
 def one_step_weighted(
@@ -144,15 +129,14 @@ def one_step_factorized(
     """One-step variant whose denominator differentiates the weights too.
 
     theta_hat = theta_star - sum h_i M_i / (sum h_i M_i' + sum h_i' M_i).
-    Requires the weight family to carry its derivative.
+    Raises MissingDerivativeError unless the weight family carries its
+    derivative.
     """
-    if wf.h_prime is None:
-        raise MissingDerivativeError("weight family carries no derivative")
     t = _column(theta_star, s)
     _require_in_domain(t, fam.domain)
     _require_in_domain(t, wf.domain)
-    h = weight_values(wf, t, s.n)
     hp = weight_prime_values(wf, t, s.n)
+    h = weight_values(wf, t, s.n)
     m = m_values(fam, t, s.x)
     num_terms = h * m
     # a block's two halves may broadcast differently (constant h M' rows)
@@ -205,17 +189,6 @@ def studentize(
     d_star = centering / (np.sqrt(ssq) if isinstance(ssq, np.ndarray) else math.sqrt(ssq))
     half = _critical_value(alpha) / abs(d_star)
     return d_star, (theta_hat - half, theta_hat + half)
-
-
-def studentize_unweighted(
-    fam: EstimatingFamily,
-    theta_star: float,
-    theta_hat: float,
-    s: Sample,
-    alpha: float = 0.05,
-) -> tuple[float, tuple[float, float]]:
-    """studentize with unit weights."""
-    return studentize(fam, unit_weights(fam.domain), theta_star, theta_hat, s, alpha)
 
 
 def optimal_weights(mp: MomentProvider, theta: float, n: int) -> WeightFamily:

@@ -3,8 +3,8 @@
 A model here is a fixed-design mean function f_i(t) with derivatives, a
 variance-weight function w_i(t) scaling Var X_i = sigma^2 / w_i(t), and an
 open parameter domain.  Vector evaluators that give every observation at
-once define it; model.f(i, t) and the other per-index accessors read entry
-i of them.  The quasi-likelihood estimating equation is
+once define it, and model.values reads them after a domain check.  The
+quasi-likelihood estimating equation is
 
     sum_i w_i(t) f_i'(t) (x_i - f_i(t)) = 0,
 
@@ -113,12 +113,11 @@ class RegressionModel:
 
     The vector evaluators f_values, f_prime_values, f_second_values,
     w_values and w_prime_values define the model: each maps t, or a (B, 1)
-    column of parameter values, to one value per observation.  The last two
-    are optional.  The methods f, f_prime, f_second, w and w_prime (index,
-    t) give one observation's value, read off those vectors after checking
-    that t lies in the domain.  a and b hold the covariate grids when the
-    model has them, and kind names the family for dispatch ("linear",
-    "sqrt", "plinear", "mm", or "custom").
+    column of parameter values, to one value per observation;
+    f_second_values and w_prime_values are optional.  values(name, t)
+    evaluates one of them after checking that t lies in the domain.  a and
+    b hold the covariate grids when the model has them, and kind names the
+    family for dispatch ("linear", "sqrt", "plinear", "mm", or "custom").
     """
 
     n: int
@@ -150,21 +149,6 @@ class RegressionModel:
         if values is None:
             raise MissingDerivativeError(f"model carries no {name}_values")
         return np.asarray(values(t), dtype=np.float64)
-
-    def f(self, i: int, t: float) -> float:
-        return float(self.values("f", t)[i])
-
-    def f_prime(self, i: int, t: float) -> float:
-        return float(self.values("f_prime", t)[i])
-
-    def f_second(self, i: int, t: float) -> float:
-        return float(self.values("f_second", t)[i])
-
-    def w(self, i: int, t: float) -> float:
-        return float(self.values("w", t)[i])
-
-    def w_prime(self, i: int, t: float) -> float:
-        return float(self.values("w_prime", t)[i])
 
 
 @dataclass(frozen=True)
@@ -381,10 +365,8 @@ def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]
 
 def generalized_families(
     model: RegressionModel,
-    g: Callable[[int, float], float],
-    g_prime: Callable[[int, float], float],
-    g_values: Callable[[float], np.ndarray] | None = None,
-    g_prime_values: Callable[[float], np.ndarray] | None = None,
+    g_values: Callable[[float], np.ndarray],
+    g_prime_values: Callable[[float], np.ndarray],
 ) -> tuple[EstimatingFamily, WeightFamily]:
     """Families for scores transformed by per-observation factors g_i(t):
 
@@ -392,11 +374,12 @@ def generalized_families(
 
     The induced estimating equation is identical to the quasi-likelihood one,
     but the one-step update differs because the frozen weights differ.
-    g_values and g_prime_values, when given, evaluate g and g' at every
-    index at once.  Raises DivisionByZeroError wherever g_i(t) = 0.
+    g_values and g_prime_values evaluate g and g' at every index at once, or
+    give one 0-d value for all.  Raises DivisionByZeroError wherever
+    g_i(t) = 0.
     """
-    g_vec = lambda t: _evaluate(g_values, g, model.n, t)
-    gp_vec = lambda t: _evaluate(g_prime_values, g_prime, model.n, t)
+    g_vec = lambda t: _evaluate(g_values, model.n, t)
+    gp_vec = lambda t: _evaluate(g_prime_values, model.n, t)
     fam = EstimatingFamily(
         domain=model.domain,
         m_terms=lambda t, xs: g_vec(t) * (xs - model.values("f", t)),

@@ -159,11 +159,7 @@ def test_criterion_03_algebraic_identity():
         worst_forms = max(worst_forms, abs(ratio_form - update_form) / abs(ratio_form))
 
         fam, wf = generalized_families(
-            model,
-            g=lambda i, t: float(1.0 + b[i] * t),
-            g_prime=lambda i, t: float(b[i]),
-            g_values=lambda t: 1.0 + b * t,
-            g_prime_values=lambda t: b,
+            model, g_values=lambda t: 1.0 + b * t, g_prime_values=lambda t: b
         )
         via = one_step_weighted(fam, wf, ts, s).theta_hat
         worst_transformed = max(
@@ -315,10 +311,8 @@ def test_criterion_09_efficiency_sandwich():
         e2 = rng.uniform(0.1, 5.0, n)
         ed = -rng.uniform(0.1, 5.0, n)
         h = (ed / e2) * rng.uniform(0.2, 5.0, n)
-        mp = MomentProvider(
-            e_m2=lambda i, t: float(e2[i]), e_mprime=lambda i, t: float(ed[i])
-        )
-        wf = WeightFamily(h=lambda i, t: float(h[i]))
+        mp = MomentProvider(e_m2_values=lambda t: e2, e_mprime_values=lambda t: ed)
+        wf = WeightFamily(h_values=lambda t: h)
         ratio, bound = efficiency_ratio(wf, mp, 0.0, n)
         spread_root = math.sqrt(float(np.max(h * e2 / ed) / np.min(h * e2 / ed)))
         checked += 1
@@ -332,7 +326,7 @@ def test_criterion_09_efficiency_sandwich():
             violations_upper += 1
 
     # equality branch: the optimal family itself
-    mp = MomentProvider(e_m2=lambda i, t: 2.0, e_mprime=lambda i, t: -1.0)
+    mp = MomentProvider(e_m2_values=lambda t: 2.0, e_mprime_values=lambda t: -1.0)
     ho = optimal_weights(mp, 0.0, 5)
     opt_ratio, _ = efficiency_ratio(ho, mp, 0.0, 5)
     equality_ok = abs(opt_ratio - 1.0) <= 1e-12

@@ -299,28 +299,32 @@ def test_a_vanishing_centering_sum_still_raises_from_the_update():
             studentize(fam, wf, theta_star, theta_star, sample)
 
 
-def test_per_index_families_take_a_block_row_by_row():
-    # families given by per-index callables alone, or a t-dependent h beside
-    # vector m: each block row is bitwise what that row's own Sample gives
+def test_families_take_a_block_row_by_row():
+    # a t-dependent h beside vector m, and 0-d evaluators (unit_weights() and
+    # a constant M') broadcast over the block: each block row is bitwise what
+    # that row's own Sample gives
     a = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     x = 0.9 * a + 0.1 * np.random.default_rng(3).standard_normal((4, a.size))
     block = SampleBlock(x=x, a=a)
     theta = np.array([0.8, 0.85, 0.9, 0.95])
-    per_index = EstimatingFamily(m=lambda i, t, x: x - a[i] * t, m_prime=lambda i, t, x: -a[i])
     vector = EstimatingFamily(m_terms=lambda t, xs: xs - a * t, m_prime_terms=lambda t, xs: -a)
-    wf = WeightFamily(
-        h=lambda i, t: a[i] / (1.0 + t * t),
-        h_prime=lambda i, t: -2.0 * a[i] * t / (1.0 + t * t) ** 2,
+    t_dependent = WeightFamily(
+        h_values=lambda t: a / (1.0 + t * t),
+        h_prime_values=lambda t: -2.0 * a * t / (1.0 + t * t) ** 2,
+    )
+    constant = EstimatingFamily(
+        m_terms=lambda t, xs: xs - 1.5 * t, m_prime_terms=lambda t, xs: -1.5
     )
 
     def bits(values):
         return [float(v).hex() for v in np.ravel(values)]
 
-    for fam in (per_index, vector):
+    for fam, wf in ((vector, t_dependent), (constant, unit_weights())):
         hat = one_step_weighted(fam, wf, theta, block).theta_hat
         factorized = one_step_factorized(fam, wf, theta, block).theta_hat
         d_star, (lo, hi) = studentize(fam, wf, theta, hat, block)
         root = newton_solve(fam, wf, theta, block)
+        assert hat.shape == factorized.shape == d_star.shape == (block.rows,)
         for r, t in enumerate(theta.tolist()):
             s = block.sample(r)
             row_hat = one_step_weighted(fam, wf, t, s).theta_hat

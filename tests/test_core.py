@@ -14,7 +14,13 @@ from onestep import (
     asymptotic_moments,
     score_sums,
 )
-from onestep.core import degeneracy_tolerance, m_prime_values, m_values, weight_values
+from onestep.core import (
+    degeneracy_tolerance,
+    m_prime_values,
+    m_values,
+    moment_values,
+    weight_values,
+)
 from onestep.errors import DegenerateError, DomainError, NonFiniteError
 
 
@@ -22,14 +28,14 @@ def linear_family():
     # M_i(t, x) = x - a_i t with a = (1, 2)
     a = np.array([1.0, 2.0])
     return EstimatingFamily(
-        m=lambda i, t, x: float(x - a[i] * t),
-        m_prime=lambda i, t, x: float(-a[i]),
+        m_terms=lambda t, xs: xs - a * t,
+        m_prime_terms=lambda t, xs: -a,
     )
 
 
 def linear_weights():
     a = np.array([1.0, 2.0])
-    return WeightFamily(h=lambda i, t: float(a[i]), h_prime=lambda i, t: 0.0)
+    return WeightFamily(h_values=lambda t: a, h_prime_values=lambda t: 0.0)
 
 
 def test_interval_validation():
@@ -88,10 +94,10 @@ def test_score_sums_permutation_invariance():
 
         def make(av, xv):
             fam = EstimatingFamily(
-                m=lambda i, tt, xx: float(xx - av[i] * tt),
-                m_prime=lambda i, tt, xx: float(-av[i]),
+                m_terms=lambda tt, xs: xs - av * tt,
+                m_prime_terms=lambda tt, xs: -av,
             )
-            wf = WeightFamily(h=lambda i, tt: float(av[i]))
+            wf = WeightFamily(h_values=lambda tt: av)
             return fam, wf, Sample(x=xv, a=av)
 
         fam, wf, s = make(a, x)
@@ -109,11 +115,11 @@ def test_score_sums_weight_scaling():
     s = Sample(x=[1.0, 3.0], a=[1.0, 2.0])
     fam = linear_family()
     a = np.array([1.0, 2.0])
-    num, den = score_sums(fam, WeightFamily(h=lambda i, t: float(a[i])), 0.5, s)
-    num2, den2 = score_sums(fam, WeightFamily(h=lambda i, t: float(2.0 * a[i])), 0.5, s)
+    num, den = score_sums(fam, WeightFamily(h_values=lambda t: a), 0.5, s)
+    num2, den2 = score_sums(fam, WeightFamily(h_values=lambda t: 2.0 * a), 0.5, s)
     assert num2 == 2.0 * num
     assert den2 == 2.0 * den
-    num3, den3 = score_sums(fam, WeightFamily(h=lambda i, t: float(3.0 * a[i])), 0.5, s)
+    num3, den3 = score_sums(fam, WeightFamily(h_values=lambda t: 3.0 * a), 0.5, s)
     assert num3 == pytest.approx(3.0 * num, rel=1e-14)
     assert den3 == pytest.approx(3.0 * den, rel=1e-14)
 
@@ -122,11 +128,11 @@ def test_score_sums_domain_errors():
     s = Sample(x=[1.0, 3.0], a=[1.0, 2.0])
     dom = Interval(-1.0, 1.0)
     fam = EstimatingFamily(
-        m=lambda i, t, x: x - t,
-        m_prime=lambda i, t, x: -1.0,
+        m_terms=lambda t, xs: xs - t,
+        m_prime_terms=lambda t, xs: -1.0,
         domain=dom,
     )
-    wf = WeightFamily(h=lambda i, t: 1.0, domain=dom)
+    wf = WeightFamily(h_values=lambda t: 1.0, domain=dom)
     with pytest.raises(DomainError):
         score_sums(fam, wf, 2.0, s)
     with pytest.raises(NonFiniteError):
@@ -138,36 +144,47 @@ def test_score_sums_domain_errors():
 def test_score_sums_rejects_nonfinite_terms():
     s = Sample(x=[1.0, 2.0], a=[1.0, 2.0])
     fam = EstimatingFamily(
-        m=lambda i, t, x: math.inf if i == 1 else 0.0,
-        m_prime=lambda i, t, x: -1.0,
+        m_terms=lambda t, xs: np.array([0.0, math.inf]),
+        m_prime_terms=lambda t, xs: -1.0,
     )
-    wf = WeightFamily(h=lambda i, t: 1.0)
+    wf = WeightFamily(h_values=lambda t: 1.0)
     with pytest.raises(NonFiniteError):
         score_sums(fam, wf, 0.0, s)
 
 
-def test_vector_paths_match_scalar_paths():
-    a = np.array([1.0, 2.0, 3.0])
+def test_evaluators_return_n_values_per_row_or_one_for_all():
     xs = np.array([0.5, 1.5, 2.5])
-    fam = EstimatingFamily(
-        m=lambda i, t, x: float(x - a[i] * t),
-        m_prime=lambda i, t, x: float(-a[i]),
-        m_terms=lambda t, xs_: xs_ - a * t,
-        m_prime_terms=lambda t, xs_: -a,
-    )
-    fam_scalar = EstimatingFamily(m=fam.m, m_prime=fam.m_prime)
-    assert np.array_equal(m_values(fam, 0.7, xs), m_values(fam_scalar, 0.7, xs))
-    assert np.array_equal(m_prime_values(fam, 0.7, xs), m_prime_values(fam_scalar, 0.7, xs))
-    wf = WeightFamily(h=lambda i, t: float(a[i]), h_values=lambda t: a)
-    wf_scalar = WeightFamily(h=wf.h)
-    assert np.array_equal(weight_values(wf, 0.7, 3), weight_values(wf_scalar, 0.7, 3))
+    block = np.stack([xs, xs + 1.0])
+    column = np.array([[0.2], [0.7]])
+    short = EstimatingFamily(m_terms=lambda t, x: x[..., :2], m_prime_terms=lambda t, x: -1.0)
+    with pytest.raises(ValueError, match="returned 2 values per row, expected 3"):
+        m_values(short, 0.7, xs)
+    with pytest.raises(ValueError, match="returned 2 values per row, expected 3"):
+        m_values(short, column, block)
+    with pytest.raises(ValueError, match="returned 4 values per row, expected 3"):
+        weight_values(WeightFamily(h_values=lambda t: np.ones(4)), 0.7, 3)
+    # a one-value vector is a width like any other, not a value for every index
+    with pytest.raises(ValueError, match="returned 1 values per row, expected 3"):
+        weight_values(WeightFamily(h_values=lambda t: np.ones(1)), 0.7, 3)
+    mp = MomentProvider(e_m2_values=lambda t: np.ones(2), e_mprime_values=lambda t: -1.0)
+    with pytest.raises(ValueError, match="returned 2 values per row, expected 3"):
+        moment_values(mp, 0.7, 3)
+    with pytest.raises(ValueError, match="returned 2 values per row, expected 3"):
+        score_sums(short, WeightFamily(h_values=lambda t: 1.0), 0.7, Sample(x=xs, a=xs))
+    # a 0-d value stands for every index: the shape of the responses, or of
+    # the rows of t with n values each
+    assert m_prime_values(short, 0.7, xs).tolist() == [-1.0] * 3
+    assert m_prime_values(short, column, block).shape == (2, 3)
+    wf = WeightFamily(h_values=lambda t: 2.0)
+    assert weight_values(wf, 0.7, 3).tolist() == [2.0] * 3
+    assert weight_values(wf, column, 3).shape == (2, 3)
 
 
 def test_asymptotic_moments_linear():
     # h = a, E M^2 = 1, E M' = -a: I = sum a^2 = 5, J = -sum a^2 = -5.
     a = np.array([1.0, 2.0])
-    mp = MomentProvider(e_m2=lambda i, t: 1.0, e_mprime=lambda i, t: float(-a[i]))
-    wf = WeightFamily(h=lambda i, t: float(a[i]))
+    mp = MomentProvider(e_m2_values=lambda t: 1.0, e_mprime_values=lambda t: -a)
+    wf = WeightFamily(h_values=lambda t: a)
     i_nh, j_nh = asymptotic_moments(mp, wf, 0.3, 2)
     assert i_nh == 5.0
     assert j_nh == -5.0
@@ -181,30 +198,26 @@ def test_asymptotic_moments_scale_invariance():
         ed = -rng.uniform(0.2, 3.0, n)
         h = rng.uniform(0.1, 2.0, n)
         c = float(rng.uniform(0.5, 4.0))
-        mp = MomentProvider(
-            e_m2=lambda i, t: float(e2[i]), e_mprime=lambda i, t: float(ed[i])
-        )
-        i1, j1 = asymptotic_moments(mp, WeightFamily(h=lambda i, t: float(h[i])), 0.0, n)
-        i2, j2 = asymptotic_moments(
-            mp, WeightFamily(h=lambda i, t: float(c * h[i])), 0.0, n
-        )
+        mp = MomentProvider(e_m2_values=lambda t: e2, e_mprime_values=lambda t: ed)
+        i1, j1 = asymptotic_moments(mp, WeightFamily(h_values=lambda t: h), 0.0, n)
+        i2, j2 = asymptotic_moments(mp, WeightFamily(h_values=lambda t: c * h), 0.0, n)
         # I/J^2 is the invariant quantity
         assert i2 / j2**2 == pytest.approx(i1 / j1**2, rel=1e-12)
 
 
 def test_asymptotic_moments_degenerate():
-    mp = MomentProvider(e_m2=lambda i, t: 0.0, e_mprime=lambda i, t: -1.0)
-    wf = WeightFamily(h=lambda i, t: 1.0)
+    mp = MomentProvider(e_m2_values=lambda t: 0.0, e_mprime_values=lambda t: -1.0)
+    wf = WeightFamily(h_values=lambda t: 1.0)
     with pytest.raises(DegenerateError):
         asymptotic_moments(mp, wf, 0.0, 3)
-    mp2 = MomentProvider(e_m2=lambda i, t: 1.0, e_mprime=lambda i, t: 0.0)
+    mp2 = MomentProvider(e_m2_values=lambda t: 1.0, e_mprime_values=lambda t: 0.0)
     with pytest.raises(DegenerateError):
         asymptotic_moments(mp2, wf, 0.0, 3)
 
 
 def test_moment_validation():
-    mp = MomentProvider(e_m2=lambda i, t: -1.0, e_mprime=lambda i, t: -1.0)
-    wf = WeightFamily(h=lambda i, t: 1.0)
+    mp = MomentProvider(e_m2_values=lambda t: -1.0, e_mprime_values=lambda t: -1.0)
+    wf = WeightFamily(h_values=lambda t: 1.0)
     with pytest.raises(ValueError):
         asymptotic_moments(mp, wf, 0.0, 2)
 

@@ -14,15 +14,13 @@ from onestep import (
     WeightFamily,
     efficiency_ratio,
     newton_solve,
-    one_step,
     one_step_factorized,
     one_step_weighted,
     optimal_weights,
     studentize,
-    studentize_unweighted,
     unit_weights,
 )
-from onestep.core import score_sums
+from onestep.core import m_values, score_sums, weight_prime_values, weight_values
 from onestep.errors import (
     DegenerateDenominatorError,
     MissingDerivativeError,
@@ -35,10 +33,10 @@ from onestep.errors import (
 def linear_setup():
     a = np.array([1.0, 2.0])
     fam = EstimatingFamily(
-        m=lambda i, t, x: float(x - a[i] * t),
-        m_prime=lambda i, t, x: float(-a[i]),
+        m_terms=lambda t, xs: xs - a * t,
+        m_prime_terms=lambda t, xs: -a,
     )
-    wf = WeightFamily(h=lambda i, t: float(a[i]), h_prime=lambda i, t: 0.0)
+    wf = WeightFamily(h_values=lambda t: a, h_prime_values=lambda t: 0.0)
     s = Sample(x=[1.0, 3.0], a=a)
     return fam, wf, s
 
@@ -50,17 +48,14 @@ def mm_setup():
     b = np.array([1.0, 2.0])
     domain = Interval(-0.5, math.inf)
 
-    def f(i, t):
-        return a[i] / (1.0 + b[i] * t)
-
     fam = EstimatingFamily(
-        m=lambda i, t, x: float(x - f(i, t)),
-        m_prime=lambda i, t, x: float(a[i] * b[i] / (1.0 + b[i] * t) ** 2),
+        m_terms=lambda t, xs: xs - a / (1.0 + b * t),
+        m_prime_terms=lambda t, xs: a * b / (1.0 + b * t) ** 2,
         domain=domain,
     )
     wf = WeightFamily(
-        h=lambda i, t: float(-a[i] * b[i] / (1.0 + b[i] * t) ** 2),
-        h_prime=lambda i, t: float(2.0 * a[i] * b[i] ** 2 / (1.0 + b[i] * t) ** 3),
+        h_values=lambda t: -a * b / (1.0 + b * t) ** 2,
+        h_prime_values=lambda t: 2.0 * a * b**2 / (1.0 + b * t) ** 3,
         domain=domain,
     )
     s = Sample(x=[1.1, 0.9], a=a, b=b)
@@ -80,16 +75,17 @@ def test_one_step_weighted_linear_from_two_starts():
 
 
 def test_one_step_equals_weighted_with_unit_weights():
+    # with unit weights the update is the plain Newton step on sum_i M_i
     fam, _, s = linear_setup()
-    plain = one_step(fam, 0.3, s)
     weighted = one_step_weighted(fam, unit_weights(), 0.3, s)
-    assert plain.theta_hat == weighted.theta_hat
-    assert plain.denominator == weighted.denominator
+    den = math.fsum(-s.a)
+    assert weighted.theta_hat == 0.3 - math.fsum(s.x - s.a * 0.3) / den
+    assert weighted.denominator == den
 
 
 def test_one_step_weighted_scale_invariance():
     fam, wf, s = linear_setup()
-    doubled = WeightFamily(h=lambda i, t: 2.0 * wf.h(i, t))
+    doubled = WeightFamily(h_values=lambda t: 2.0 * wf.h_values(t))
     base = one_step_weighted(fam, wf, 0.25, s)
     scaled = one_step_weighted(fam, doubled, 0.25, s)
     assert scaled.theta_hat == base.theta_hat
@@ -99,11 +95,11 @@ def test_one_step_weighted_scale_invariance():
 def test_one_step_degenerate_denominator():
     a = np.array([1.0, 2.0])
     fam = EstimatingFamily(
-        m=lambda i, t, x: float(x - a[i] * t),
-        m_prime=lambda i, t, x: 0.0,
+        m_terms=lambda t, xs: xs - a * t,
+        m_prime_terms=lambda t, xs: 0.0,
     )
     with pytest.raises(DegenerateDenominatorError):
-        one_step(fam, 0.0, Sample(x=[1.0, 3.0], a=a))
+        one_step_weighted(fam, unit_weights(), 0.0, Sample(x=[1.0, 3.0], a=a))
 
 
 def test_one_step_factorized_example():
@@ -119,15 +115,22 @@ def test_one_step_factorized_example():
 
 def test_one_step_factorized_needs_weight_derivative():
     fam, wf, s = mm_setup()
-    bare = WeightFamily(h=wf.h, domain=wf.domain)
+    bare = WeightFamily(h_values=wf.h_values, domain=wf.domain)
     with pytest.raises(MissingDerivativeError):
         one_step_factorized(fam, bare, 1.0, s)
+
+
+def test_weight_prime_values_names_a_missing_derivative():
+    _, wf, _ = mm_setup()
+    bare = WeightFamily(h_values=wf.h_values, domain=wf.domain)
+    with pytest.raises(MissingDerivativeError, match="carries no derivative"):
+        weight_prime_values(bare, 1.0, 2)
 
 
 def test_one_step_factorized_constant_weights_reduce_to_weighted():
     fam, wf, s = mm_setup()
     const = WeightFamily(
-        h=lambda i, t: wf.h(i, 1.0), h_prime=lambda i, t: 0.0, domain=wf.domain
+        h_values=lambda t: wf.h_values(1.0), h_prime_values=lambda t: 0.0, domain=wf.domain
     )
     a = one_step_weighted(fam, const, 1.0, s)
     b = one_step_factorized(fam, const, 1.0, s)
@@ -169,14 +172,6 @@ def test_studentize_perfect_fit_degenerates():
         studentize(fam, wf, 0.4, 0.5, s)
 
 
-def test_studentize_unweighted_matches_unit_weights():
-    fam, wf, s = linear_setup()
-    d1, ci1 = studentize_unweighted(fam, 0.0, 1.4, s)
-    d2, ci2 = studentize(fam, unit_weights(), 0.0, 1.4, s)
-    assert d1 == d2
-    assert ci1 == ci2
-
-
 def test_studentize_evaluation_points():
     # numerator terms are taken at theta_star, variance terms at theta_hat;
     # swapping the points must change the statistic on asymmetric data
@@ -192,9 +187,7 @@ def test_optimal_weights_ratio_is_one():
         n = int(rng.integers(2, 20))
         e2 = rng.uniform(0.2, 3.0, n)
         ed = -rng.uniform(0.2, 3.0, n)
-        mp = MomentProvider(
-            e_m2=lambda i, t: float(e2[i]), e_mprime=lambda i, t: float(ed[i])
-        )
+        mp = MomentProvider(e_m2_values=lambda t: e2, e_mprime_values=lambda t: ed)
         ho = optimal_weights(mp, 0.0, n)
         ratio, bound = efficiency_ratio(ho, mp, 0.0, n)
         assert ratio == pytest.approx(1.0, abs=1e-13)
@@ -204,12 +197,12 @@ def test_optimal_weights_ratio_is_one():
 def test_optimal_weights_values_and_zero_variance():
     e2 = np.array([1.0, 4.0])
     ed = np.array([-2.0, -2.0])
-    mp = MomentProvider(e_m2=lambda i, t: float(e2[i]), e_mprime=lambda i, t: float(ed[i]))
+    mp = MomentProvider(e_m2_values=lambda t: e2, e_mprime_values=lambda t: ed)
     ho = optimal_weights(mp, 0.0, 2)
-    assert ho.h(0, 0.0) == -2.0
-    assert ho.h(1, 0.0) == -0.5
-    assert ho.h_prime(0, 0.0) == 0.0
-    bad = MomentProvider(e_m2=lambda i, t: 0.0, e_mprime=lambda i, t: -1.0)
+    assert weight_values(ho, 0.0, 2)[0] == -2.0
+    assert weight_values(ho, 0.0, 2)[1] == -0.5
+    assert weight_prime_values(ho, 0.0, 2)[0] == 0.0
+    bad = MomentProvider(e_m2_values=lambda t: 0.0, e_mprime_values=lambda t: -1.0)
     with pytest.raises(ZeroVarianceError):
         optimal_weights(bad, 0.0, 2)
 
@@ -219,8 +212,8 @@ def test_efficiency_ratio_two_point_example():
     # h = (1, 4) has per-index ratios (-1, -4), spread 4.  The variance ratio
     # is 2*17/25 * ... = 1.36 while the first-power bound evaluates to 1.25:
     # the ratio genuinely exceeds it, only the squared bound 1.5625 holds.
-    mp = MomentProvider(e_m2=lambda i, t: 1.0, e_mprime=lambda i, t: -1.0)
-    wf = WeightFamily(h=lambda i, t: float([1.0, 4.0][i]))
+    mp = MomentProvider(e_m2_values=lambda t: 1.0, e_mprime_values=lambda t: -1.0)
+    wf = WeightFamily(h_values=lambda t: np.array([1.0, 4.0]))
     ratio, bound = efficiency_ratio(wf, mp, 0.0, 2)
     assert ratio == pytest.approx(1.36, rel=1e-15)
     assert bound == pytest.approx(1.25, rel=1e-15)
@@ -237,10 +230,8 @@ def test_efficiency_ratio_provable_sandwich():
         e2 = rng.uniform(0.1, 5.0, n)
         ed = -rng.uniform(0.1, 5.0, n)
         h = (ed / e2) * rng.uniform(0.2, 5.0, n)
-        mp = MomentProvider(
-            e_m2=lambda i, t: float(e2[i]), e_mprime=lambda i, t: float(ed[i])
-        )
-        wf = WeightFamily(h=lambda i, t: float(h[i]))
+        mp = MomentProvider(e_m2_values=lambda t: e2, e_mprime_values=lambda t: ed)
+        wf = WeightFamily(h_values=lambda t: h)
         ratio, bound = efficiency_ratio(wf, mp, 0.0, n)
         ratios = np.abs(h * e2 / ed)
         spread = float(np.max(ratios) / np.min(ratios))
@@ -250,14 +241,14 @@ def test_efficiency_ratio_provable_sandwich():
 
 
 def test_efficiency_ratio_sign_handling():
-    mp = MomentProvider(e_m2=lambda i, t: 1.0, e_mprime=lambda i, t: -1.0)
-    up = WeightFamily(h=lambda i, t: float([1.0, 4.0][i]))
-    down = WeightFamily(h=lambda i, t: float([-1.0, -4.0][i]))
+    mp = MomentProvider(e_m2_values=lambda t: 1.0, e_mprime_values=lambda t: -1.0)
+    up = WeightFamily(h_values=lambda t: np.array([1.0, 4.0]))
+    down = WeightFamily(h_values=lambda t: np.array([-1.0, -4.0]))
     r_up, b_up = efficiency_ratio(up, mp, 0.0, 2)
     r_down, b_down = efficiency_ratio(down, mp, 0.0, 2)
     assert r_up == r_down
     assert b_up == b_down
-    mixed = WeightFamily(h=lambda i, t: float([1.0, -4.0][i]))
+    mixed = WeightFamily(h_values=lambda t: np.array([1.0, -4.0]))
     with pytest.raises(SignMismatchError):
         efficiency_ratio(mixed, mp, 0.0, 2)
 
@@ -266,17 +257,17 @@ def test_newton_solve_linear_in_one_iteration():
     a = np.array([1.0, 2.0])
     calls = {"m": 0}
 
-    def m(i, t, x):
+    def m_terms(t, xs):
         calls["m"] += 1
-        return float(x - a[i] * t)
+        return xs - a * t
 
-    fam = EstimatingFamily(m=m, m_prime=lambda i, t, x: float(-a[i]))
-    wf = WeightFamily(h=lambda i, t: float(a[i]))
+    fam = EstimatingFamily(m_terms=m_terms, m_prime_terms=lambda t, xs: -a)
+    wf = WeightFamily(h_values=lambda t: a)
     s = Sample(x=[1.0, 3.0], a=a)
     root = newton_solve(fam, wf, 0.0, s)
     assert root == pytest.approx(1.4, rel=1e-15)
     # one score evaluation at the start plus one at the accepted candidate
-    assert calls["m"] == 2 * s.n
+    assert calls["m"] == 2
 
 
 def test_newton_solve_matches_bracketing_root():
@@ -284,9 +275,7 @@ def test_newton_solve_matches_bracketing_root():
     ours = newton_solve(fam, wf, 0.2, s, tol=1e-12)
 
     def frozen_score(t):
-        h = np.array([wf.h(i, 0.2) for i in range(s.n)])
-        m = np.array([fam.m(i, t, s.x[i]) for i in range(s.n)])
-        return float(np.sum(h * m))
+        return float(np.sum(weight_values(wf, 0.2, s.n) * m_values(fam, t, s.x)))
 
     ref = optimize.brentq(frozen_score, 0.5, 2.0, xtol=1e-13)
     assert ours == pytest.approx(ref, abs=1e-9)
@@ -297,7 +286,7 @@ def test_newton_solve_freezes_weights_at_start():
     start = 0.8
     root = newton_solve(fam, wf, start, s, tol=1e-12)
     frozen = WeightFamily(
-        h=lambda i, t: wf.h(i, start), h_prime=lambda i, t: 0.0, domain=wf.domain
+        h_values=lambda t: wf.h_values(start), h_prime_values=lambda t: 0.0, domain=wf.domain
     )
     at_frozen, _ = score_sums(fam, frozen, root, s)
     at_live, _ = score_sums(fam, wf, root, s)

@@ -1,5 +1,6 @@
 """Tests for the simulation harness: configs, determinism, aggregation."""
 
+import dataclasses
 import math
 import os
 import time
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from onestep import SimConfig, SimSummary, SimulationRecord, montecarlo, run
+from onestep.core import Sample
 from onestep.errors import ConfigError, DegenerateError, DomainError
+from onestep.estimators import one_step_weighted, studentize
 from onestep.montecarlo import (
     _unit_noise,
     build_model,
@@ -250,6 +253,38 @@ def test_z_scale_matches_model_moments():
     scn = build_scenario(cfg)
     assert scn.z_scale == pytest.approx(scn.j_nh / math.sqrt(scn.i_nh), rel=1e-15)
     assert scn.i_nh > 0.0
+
+
+@pytest.mark.parametrize("model_id", ["mm", "sqrt"])
+def test_counted_score_evaluators_replay_the_scenario(model_id):
+    # bench/work.py counts score evaluations by swapping counting wrappers
+    # into the scenario's family with dataclasses.replace: the replaced
+    # family must give the same bits and call both wrappers
+    scn = build_scenario(small_cfg(model_id=model_id))
+    calls = {"m_terms": 0, "m_prime_terms": 0}
+
+    def counted(name):
+        evaluate = getattr(scn.fam, name)
+
+        def wrapper(t, xs):
+            calls[name] += 1
+            return evaluate(t, xs)
+
+        return wrapper
+
+    fam = dataclasses.replace(
+        scn.fam, m_terms=counted("m_terms"), m_prime_terms=counted("m_prime_terms")
+    )
+    noise = _unit_noise("gaussian", np.random.default_rng(11), scn.mean.size)
+    s = Sample(x=scn.mean + scn.noise_sd * noise, a=scn.model.a, b=scn.sample_b)
+    ts = scn.preliminary(s)
+    outputs = []
+    for family in (scn.fam, fam):
+        res = one_step_weighted(family, scn.wf, ts, s)
+        d_star, ci = studentize(family, scn.wf, ts, res.theta_hat, s)
+        outputs.append([float(v).hex() for v in (res.theta_hat, res.denominator, d_star, *ci)])
+    assert outputs[0] == outputs[1]
+    assert calls["m_terms"] > 0 and calls["m_prime_terms"] > 0
 
 
 def test_summarize_skips_degenerate_records():

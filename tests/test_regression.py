@@ -85,29 +85,24 @@ def test_factory_validation():
 def test_sqrt_model_domain():
     model = sqrt_model([1.0, 4.0])
     assert model.domain.lo == -0.25
-    assert model.f(0, 0.0) == 1.0
+    assert model.values("f", 0.0)[0] == 1.0
     with pytest.raises(DomainError):
-        model.f(0, -0.3)
+        model.values("f", -0.3)
     with pytest.raises(DomainError):
-        model.f_prime(1, -0.25)  # boundary itself is excluded
+        model.values("f_prime", -0.25)  # boundary itself is excluded
 
 
 def test_mm_model_domain():
     model = mm_model([1.0, 1.0], [1.0, 2.0])
     assert model.domain.lo == -0.5
     with pytest.raises(DomainError):
-        model.f(0, -0.5)
+        model.values("f", -0.5)
 
 
-def test_model_vector_paths_match_scalar():
-    # every per-index accessor of a model and of its adapters is entry i of
-    # the vector evaluator, bit for bit; on the 2000-point default grid mm's
-    # f'' written as q*q*q differs from (1 + b t)**3 at about a quarter of i
-    def bits(values):
-        return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
-
+def test_model_evaluators_refuse_the_domain_bound():
+    # every evaluator of a model with a finite domain bound, and of its
+    # families and moment provider, raises DomainError at the bound itself
     a, b = default_grid(2000)
-    x = 1.0 + 0.1 * np.sin(np.arange(a.size))
     models = [
         mm_example()[0],
         plinear_example()[0],
@@ -120,48 +115,24 @@ def test_model_vector_paths_match_scalar():
         mm_model(a, b, weight_fn=lambda t: 1.0 + t * t, weight_fn_prime=lambda t: 2.0 * t),
         mm_model(a, b, weights=1.0 + a),
     ]
+    bounded = 0
     for model in models:
-        n = model.n
-        xs = x[:n]
-        gb = np.asarray(model.b if model.b is not None else a[:n])
-        families = [
-            to_families(model),
-            generalized_families(
-                model,
-                g=lambda i, t: float(1.0 + gb[i] * t),
-                g_prime=lambda i, t: float(gb[i]),
-                g_values=lambda t: 1.0 + gb * t,
-                g_prime_values=lambda t: gb,
-            ),
-        ]
+        if not math.isfinite(model.domain.lo):
+            continue
+        bounded += 1
+        n, lo = model.n, model.domain.lo  # the open domain excludes its bound
+        xs = np.ones(n)
+        for name in ("f", "f_prime", "f_second", "w", "w_prime"):
+            with pytest.raises(DomainError):
+                model.values(name, lo)
+        fam, wf = to_families(model)
         mp = moment_provider(model)
-        idx = range(0, n, 5)
-        for t in (0.3, 0.7):
-            for name in ("f", "f_prime", "f_second", "w", "w_prime"):
-                vector = np.broadcast_to(getattr(model, f"{name}_values")(t), (n,))
-                assert bits([getattr(model, name)(i, t) for i in idx]) == bits(vector[idx]), name
-            for fam, wf in families:
-                assert bits([fam.m(i, t, xs[i]) for i in idx]) == bits(m_values(fam, t, xs)[idx])
-                assert bits([fam.m_prime(i, t, xs[i]) for i in idx]) == bits(
-                    m_prime_values(fam, t, xs)[idx]
-                )
-                assert bits([wf.h(i, t) for i in idx]) == bits(weight_values(wf, t, n)[idx])
-            wf = families[0][1]
-            assert bits([wf.h_prime(i, t) for i in idx]) == bits(weight_prime_values(wf, t, n)[idx])
-            e2, ed = moment_values(mp, t, n)
-            assert bits([mp.e_m2(i, t) for i in idx]) == bits(e2[idx])
-            assert bits([mp.e_mprime(i, t) for i in idx]) == bits(ed[idx])
-        if math.isfinite(model.domain.lo):
-            lo = model.domain.lo  # the open domain excludes its bound
-            for name in ("f", "f_prime", "f_second", "w", "w_prime"):
-                with pytest.raises(DomainError):
-                    getattr(model, name)(0, lo)
-            fam, wf = families[0]
-            for accessor in (lambda: fam.m(0, lo, 1.0), lambda: fam.m_prime(0, lo, 1.0),
-                             lambda: wf.h(0, lo), lambda: wf.h_prime(0, lo),
-                             lambda: mp.e_m2(0, lo), lambda: mp.e_mprime(0, lo)):
-                with pytest.raises(DomainError):
-                    accessor()
+        for evaluate in (lambda: m_values(fam, lo, xs), lambda: m_prime_values(fam, lo, xs),
+                         lambda: weight_values(wf, lo, n), lambda: weight_prime_values(wf, lo, n),
+                         lambda: mp.e_m2_values(lo), lambda: mp.e_mprime_values(lo)):
+            with pytest.raises(DomainError):
+                evaluate()
+    assert bounded == 5
 
 
 def test_heteroscedastic_mm_weights():
@@ -170,8 +141,8 @@ def test_heteroscedastic_mm_weights():
         weight_fn=lambda t: 1.0 + t * t,
         weight_fn_prime=lambda t: 2.0 * t,
     )
-    assert model.w(0, 2.0) == 5.0
-    assert model.w_prime(1, 2.0) == 4.0
+    assert model.values("w", 2.0)[0] == 5.0
+    assert model.values("w_prime", 2.0)[1] == 4.0
     assert np.array_equal(model.w_values(3.0), np.array([10.0, 10.0]))
 
 
@@ -181,9 +152,9 @@ def test_to_families_score_shape():
     model, s = mm_example()
     fam, wf = to_families(model)
     # M = x - f and h = w f' at a point checked by hand
-    assert fam.m(0, 0.0, 1.1) == pytest.approx(1.1 - 2.0, rel=1e-15)
-    assert fam.m_prime(0, 0.0, 1.1) == pytest.approx(2.0, rel=1e-15)  # -f' = ab
-    assert wf.h(0, 0.0) == pytest.approx(-2.0, rel=1e-15)
+    assert m_values(fam, 0.0, s.x)[0] == pytest.approx(1.1 - 2.0, rel=1e-15)
+    assert m_prime_values(fam, 0.0, s.x)[0] == pytest.approx(2.0, rel=1e-15)  # -f' = ab
+    assert weight_values(wf, 0.0, s.n)[0] == pytest.approx(-2.0, rel=1e-15)
     assert wf.h_prime_exact
 
 
@@ -239,20 +210,21 @@ def test_generalized_families_zero_factor():
     model, s = mm_example()
     fam, wf = generalized_families(
         model,
-        g=lambda i, t: t,  # vanishes at t = 0
-        g_prime=lambda i, t: 1.0,
+        g_values=lambda t: t,  # vanishes at t = 0
+        g_prime_values=lambda t: 1.0,
     )
     with pytest.raises(DivisionByZeroError):
         weight_values(wf, 0.0, model.n)
-    assert fam.m(0, 1.0, 1.1) == pytest.approx(1.1 - 1.0, rel=1e-12)
+    assert m_values(fam, 1.0, s.x)[0] == pytest.approx(1.1 - 1.0, rel=1e-12)
 
 
 def test_moment_provider_values():
     model = mm_model([2.0, 3.0], [1.0, 2.0], sigma=0.5, weights=[1.0, 4.0])
     mp = moment_provider(model)
-    assert mp.e_m2(0, 1.0) == pytest.approx(0.25, rel=1e-15)
-    assert mp.e_m2(1, 1.0) == pytest.approx(0.0625, rel=1e-15)
-    assert mp.e_mprime(0, 0.0) == pytest.approx(2.0, rel=1e-15)  # -f'(0) = ab
+    e2, _ = moment_values(mp, 1.0, model.n)
+    assert e2[0] == pytest.approx(0.25, rel=1e-15)
+    assert e2[1] == pytest.approx(0.0625, rel=1e-15)
+    assert moment_values(mp, 0.0, model.n)[1][0] == pytest.approx(2.0, rel=1e-15)  # -f'(0) = ab
 
 
 # --- contrasts and preliminary estimators ---
@@ -484,11 +456,7 @@ def test_mm_closed_form_equals_transformed_one_step():
     model, s = mm_example()
     b = np.asarray(model.b)
     fam, wf = generalized_families(
-        model,
-        g=lambda i, t: float(1.0 + b[i] * t),
-        g_prime=lambda i, t: float(b[i]),
-        g_values=lambda t: 1.0 + b * t,
-        g_prime_values=lambda t: b,
+        model, g_values=lambda t: 1.0 + b * t, g_prime_values=lambda t: b
     )
     ts = preliminary_mm([1.0, 1.0], s)
     closed = mm_closed_form(model, ts, s)
