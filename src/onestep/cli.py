@@ -18,10 +18,10 @@ import gc
 import importlib
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
@@ -397,41 +397,28 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return pairs
 
 
-_CONFIG_KEYS = {
-    "model": str,
-    "theta_true": float,
-    "sigma": float,
-    "noise": str,
-    "n": int,
-    "replications": int,
-    "seed": int,
-    "alpha": float,
-    "pipeline": str,
-    "covariates": str,
-}
-
-
 def _sim_config_from_file(path: Path) -> SimConfig:
-    from .montecarlo import SimConfig
+    from .montecarlo import SimConfig, config_key
 
     pairs = _parse_config_file(path)
-    unknown = set(pairs) - set(_CONFIG_KEYS)
+    keys = {config_key(f): f for f in fields(SimConfig)}
+    unknown = set(pairs) - set(keys)
     if unknown:
         raise ConfigError(f"{path}: unknown key {sorted(unknown)[0]!r}")
+    parsers = get_type_hints(SimConfig)
     kwargs = {}
     for key, value in pairs.items():
-        caster = _CONFIG_KEYS[key]
+        name = keys[key].name
         try:
-            kwargs[key] = caster(value)
+            kwargs[name] = parsers[name](value)
         except ValueError:
             raise ConfigError(
-                f"{path}: key {key!r}: cannot parse {_quote(value)} as {caster.__name__}"
+                f"{path}: key {key!r}: cannot parse {_quote(value)} as {parsers[name].__name__}"
             ) from None
-    for required in ("model", "theta_true", "sigma", "n", "replications", "seed"):
-        if required not in kwargs:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-    rename = {"model": "model_id", "covariates": "covariate_spec"}
-    return SimConfig(**{rename.get(k, k): v for k, v in kwargs.items()})
+    for key, f in keys.items():
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    return SimConfig(**kwargs)
 
 
 def _config_digest(cfg: SimConfig) -> str:
@@ -490,24 +477,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         written.append(path)
 
         path = out_dir / "summary.csv"
-        _write_csv(
-            path,
-            "summary",
-            [
-                "model", "n", "replications", "seed", "noise", "pipeline",
-                "sigma", "theta_true", "alpha",
-                "mean_z", "var_z", "ks_z", "ks_zstud", "coverage",
-                "var_ratio", "mse_star", "mse_hat", "degenerate_count",
-            ],
-            [[
-                cfg.model_id, cfg.n, cfg.replications, cfg.seed, cfg.noise, cfg.pipeline,
-                cfg.sigma, cfg.theta_true, cfg.alpha,
-                summary.mean_z, summary.var_z, summary.ks_z, summary.ks_zstud,
-                summary.coverage, summary.var_ratio, summary.mse_star, summary.mse_hat,
-                summary.degenerate_count,
-            ]],
-            digest,
-        )
+        row = {
+            "model": cfg.model_id, "n": cfg.n, "replications": cfg.replications,
+            "seed": cfg.seed, "noise": cfg.noise, "pipeline": cfg.pipeline,
+            "sigma": cfg.sigma, "theta_true": cfg.theta_true, "alpha": cfg.alpha,
+            **asdict(summary),
+        }
+        _write_csv(path, "summary", list(row), [row.values()], digest)
         written.append(path)
 
         m = len(valid_z)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -105,31 +105,45 @@ _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 _BLOCK_ELEMENTS = 2**15
 
 
+def config_key(f: Field) -> str:
+    """The config-file key of SimConfig field f: its metadata's "key", else its name."""
+    return f.metadata.get("key", f.name)
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Validated simulation settings.  Invalid values raise ConfigError."""
+    """Validated simulation settings.  Invalid values raise ConfigError.
 
-    model_id: str
+    The fields are the keys of a campaign's config file, one table for
+    `onestep simulate` and this check alike: a field's key is config_key,
+    its annotation parses the value, and a field without a default is a
+    required key.  A field whose metadata lists "allowed" values takes
+    those alone, checked in field order.
+    """
+
+    model_id: str = field(metadata={"key": "model", "allowed": MODEL_IDS})
     theta_true: float
     sigma: float
     n: int
     replications: int
     seed: int
-    noise: str = "gaussian"
+    noise: str = field(default="gaussian", metadata={"allowed": NOISE_KINDS})
     alpha: float = 0.05
-    pipeline: str = "one_step_weighted"
-    covariate_spec: str = "default-grid"
+    pipeline: str = field(default="one_step_weighted", metadata={"allowed": PIPELINES})
+    covariate_spec: str = field(
+        default="default-grid", metadata={"key": "covariates", "allowed": COVARIATE_SPECS}
+    )
 
     def __post_init__(self) -> None:
-        if self.model_id not in MODEL_IDS:
-            raise ConfigError(f"model must be one of {MODEL_IDS}, got {self.model_id!r}")
-        if self.noise not in NOISE_KINDS:
-            raise ConfigError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        check_pipeline(self.pipeline, self.model_id)
-        if self.covariate_spec not in COVARIATE_SPECS:
-            raise ConfigError(
-                f"covariates must be one of {COVARIATE_SPECS}, got {self.covariate_spec!r}"
-            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = f.metadata.get("allowed")
+            if allowed is not None and value not in allowed:
+                raise ConfigError(f"{config_key(f)} must be one of {allowed}, got {value!r}")
+            if f.name == "pipeline":
+                # the closed-form pipeline needs the mm model; a config with
+                # that defect and a bad later key is named for this one
+                check_pipeline(value, self.model_id)
         if not isinstance(self.n, int) or self.n < 2:
             raise ConfigError(f"n must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.replications, int) or self.replications < 1:

@@ -141,14 +141,16 @@ class RegressionModel:
     def values(self, name: str, t) -> np.ndarray:
         """The evaluator {name}_values at t, name one of f, f_prime, f_second, w, w_prime.
 
-        Raises DomainError (NonFiniteError) unless t lies in the domain and
-        MissingDerivativeError when the model does not carry the evaluator.
+        Raises DomainError (NonFiniteError) unless t lies in the domain,
+        MissingDerivativeError when the model does not carry the evaluator,
+        and ValueError when it gives neither n values per row nor one 0-d
+        value for every index (core._evaluate's width rule).
         """
         _require_in_domain(t, self.domain)
         values = getattr(self, f"{name}_values")
         if values is None:
             raise MissingDerivativeError(f"model carries no {name}_values")
-        return np.asarray(values(t), dtype=np.float64)
+        return _evaluate(values, self.n, t)
 
 
 @dataclass(frozen=True)

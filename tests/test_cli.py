@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -60,7 +61,7 @@ def read_report(path: Path):
     return rows[0]
 
 
-def write_config(path: Path, **overrides):
+def write_config(path: Path, drop=(), **overrides):
     pairs = {
         "model": "mm",
         "theta_true": 1.0,
@@ -70,6 +71,7 @@ def write_config(path: Path, **overrides):
         "seed": 9,
     }
     pairs.update(overrides)
+    pairs = {k: v for k, v in pairs.items() if k not in drop}
     path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
 
@@ -334,6 +336,117 @@ def test_simulate_config_errors(tmp_path):
     cp = run_cli("simulate", outside, "--out", tmp_path / "o")
     assert cp.returncode == 1
     assert cp.stderr == "error: parameter -5.0 outside domain (-0.4, inf)\n"
+
+
+_MODELS = "('sqrt', 'plinear', 'mm', 'custom-linear')"
+_PIPELINES = (
+    "('one_step_weighted', 'one_step_factorized', 'lse_one_step', 'mm_closed_form', "
+    "'newton_oracle')"
+)
+
+
+@pytest.mark.parametrize("drop, overrides, message", [
+    pytest.param((), {"zzz": 1, "bogus": 2}, "{path}: unknown key 'bogus'", id="unknown"),
+    pytest.param((), {"n": "many", "widgets": 3}, "{path}: unknown key 'widgets'",
+                 id="unknown-before-parse"),
+    pytest.param((), {"n": 2.5}, "{path}: key 'n': cannot parse '2.5' as int", id="int"),
+    pytest.param((), {"sigma": "x"}, "{path}: key 'sigma': cannot parse 'x' as float", id="float"),
+    pytest.param((), {"sigma": "x", "alpha": "y"},
+                 "{path}: key 'sigma': cannot parse 'x' as float", id="parse-in-file-order"),
+    pytest.param(("seed",), {"n": "many"}, "{path}: key 'n': cannot parse 'many' as int",
+                 id="parse-before-missing"),
+    pytest.param(("theta_true", "sigma", "seed"), {}, "{path}: missing required key 'theta_true'",
+                 id="missing-several"),
+    pytest.param(("model", "n"), {}, "{path}: missing required key 'model'", id="missing-model"),
+    pytest.param((), {"model": "cubic"}, f"model must be one of {_MODELS}, got 'cubic'",
+                 id="model"),
+    pytest.param((), {"noise": "cauchy"},
+                 "noise must be one of ('gaussian', 'scaled-uniform', 'scaled-laplace'), "
+                 "got 'cauchy'", id="noise"),
+    pytest.param((), {"pipeline": "gradient_descent"},
+                 f"pipeline must be one of {_PIPELINES}, got 'gradient_descent'", id="pipeline"),
+    pytest.param((), {"covariates": "random"},
+                 "covariates must be one of ('default-grid',), got 'random'", id="covariates"),
+    pytest.param((), {"model": "sqrt", "pipeline": "mm_closed_form"},
+                 "the closed-form pipeline applies to the mm model only", id="closed-form"),
+    pytest.param((), {"model": "sqrt", "pipeline": "mm_closed_form", "covariates": "random"},
+                 "the closed-form pipeline applies to the mm model only", id="closed-form-first"),
+    pytest.param((), {"model": "cubic", "pipeline": "gradient_descent"},
+                 f"model must be one of {_MODELS}, got 'cubic'", id="model-first"),
+    pytest.param((), {"pipeline": "gradient_descent", "covariates": "random"},
+                 f"pipeline must be one of {_PIPELINES}, got 'gradient_descent'",
+                 id="pipeline-first"),
+    pytest.param((), {"noise": "cauchy", "n": 1},
+                 "noise must be one of ('gaussian', 'scaled-uniform', 'scaled-laplace'), "
+                 "got 'cauchy'", id="values-before-ranges"),
+    pytest.param((), {"n": 1}, "n must be an integer >= 2, got 1", id="n"),
+    pytest.param((), {"replications": 0}, "replications must be a positive integer, got 0",
+                 id="replications"),
+    pytest.param((), {"seed": -1}, "seed must be an unsigned 64-bit integer, got -1",
+                 id="seed-negative"),
+    pytest.param((), {"seed": 2**64},
+                 "seed must be an unsigned 64-bit integer, got 18446744073709551616",
+                 id="seed-too-large"),
+    pytest.param((), {"theta_true": "inf"}, "theta_true must be a finite real, got inf",
+                 id="theta_true-inf"),
+    pytest.param((), {"theta_true": "nan"}, "theta_true must be a finite real, got nan",
+                 id="theta_true-nan"),
+    pytest.param((), {"sigma": 0}, "sigma must be a positive real, got 0.0", id="sigma-zero"),
+    pytest.param((), {"sigma": "inf"}, "sigma must be a positive real, got inf", id="sigma-inf"),
+    pytest.param((), {"alpha": 0}, "alpha must lie in (0, 1), got 0.0", id="alpha-zero"),
+    pytest.param((), {"alpha": 1}, "alpha must lie in (0, 1), got 1.0", id="alpha-one"),
+])
+def test_simulate_config_diagnostics(tmp_path, capsys, drop, overrides, message):
+    # the whole stderr: the first defect in the order the checks run is named alone
+    path = tmp_path / "bad.cfg"
+    write_config(path, drop=drop, **overrides)
+    code, err = run_in_process(capsys, "simulate", path, "--out", tmp_path / "o")
+    assert code == 1
+    assert err == "error: " + message.format(path=path) + "\n"
+
+
+def test_config_file_round_trips_every_field(tmp_path):
+    # every field at a value other than its default, where it has another
+    cfg = SimConfig(
+        model_id="sqrt", theta_true=0.75, sigma=0.2, n=17, replications=3, seed=2**63 + 5,
+        noise="scaled-laplace", alpha=0.1, pipeline="newton_oracle", covariate_spec="default-grid",
+    )
+    for f in dataclasses.fields(SimConfig):
+        if f.default is not dataclasses.MISSING and f.metadata.get("allowed") != (f.default,):
+            assert getattr(cfg, f.name) != f.default, f.name
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(
+        f"{montecarlo.config_key(f)} = {getattr(cfg, f.name)}\n"
+        for f in dataclasses.fields(SimConfig)
+    ))
+    assert cli._sim_config_from_file(path) == cfg
+
+
+def test_config_digest_is_pinned():
+    # the digest hashes every field by name: a renamed field or a changed
+    # format shows here, as in every config= line and bench/reference.json
+    cfg = SimConfig(model_id="mm", theta_true=1.0, sigma=0.05, n=500, replications=2000,
+                    seed=20250819)
+    assert cli._config_digest(cfg) == "b86ef663eb8d2022"
+    cfg = SimConfig(model_id="sqrt", theta_true=0.75, sigma=0.2, n=17, replications=3,
+                    seed=2**63 + 5, noise="scaled-laplace", alpha=0.1, pipeline="newton_oracle")
+    assert cli._config_digest(cfg) == "5bc484902822a5e4"
+
+
+def test_readme_key_table_lists_the_config_fields():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### simulate", 1)[1]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            table[cells[0].strip("`")] = cells[1]
+        elif table:
+            break
+    assert table == {
+        montecarlo.config_key(f): "yes" if f.default is dataclasses.MISSING else "no"
+        for f in dataclasses.fields(SimConfig)
+    }
 
 
 def test_estimate_and_simulate_accept_the_same_pipelines(tmp_path, capsys):

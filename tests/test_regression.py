@@ -8,6 +8,7 @@ import pytest
 from onestep import (
     Contrasts,
     Interval,
+    RegressionModel,
     Sample,
     asymptotic_variance,
     default_contrasts,
@@ -133,6 +134,24 @@ def test_model_evaluators_refuse_the_domain_bound():
             with pytest.raises(DomainError):
                 evaluate()
     assert bounded == 5
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_model_evaluators_take_the_families_width_rule(width):
+    # a custom model's f_values of the wrong width is named, neither
+    # broadcast silently (width 1) nor left to numpy's broadcast error
+    model = RegressionModel(
+        n=3, sigma=1.0,
+        f_values=lambda t: np.full(width, t),
+        f_prime_values=lambda t: np.ones(3),
+        w_values=lambda t: np.ones(3),
+    )
+    s = Sample(x=[1.0, 2.0, 1.5], a=[1.0, 1.0, 1.0])
+    message = f"an evaluator returned {width} values per row, expected 3"
+    with pytest.raises(ValueError, match=message):
+        one_step_weighted(*to_families(model), 0.5, s)
+    with pytest.raises(ValueError, match=message):
+        weighted_one_step(model, 0.5, s)
 
 
 def test_heteroscedastic_mm_weights():
