@@ -114,13 +114,6 @@ def _write_csv(path: Path, name: str, header: list[str], rows, digest: str | Non
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_lines(path: Path, name: str, header: list[str], lines, digest: str) -> None:
-    """_write_csv for rows given as finished lines, whose cells need no quoting."""
-    with open(path, "w", newline="") as fh:
-        _start_csv(fh, name, header, digest)
-        fh.writelines(lines)
-
-
 def _split_head(
     path: Path, chunks: Iterator[list[str]]
 ) -> tuple[list[str], list[str], list[str], int]:
@@ -362,8 +355,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         model = _build_estimate_model(args.model, s, s.w_known)
         fam, wf = to_families(model)
         update = resolve_pipeline(args.pipeline, model, fam, wf, newton_tol=1e-10)
-        if not wf.h_prime_exact:
-            warnings.append("weight derivative approximated numerically")
         if args.theta_start is not None:
             preliminary = lambda _: args.theta_start
         else:
@@ -453,81 +444,66 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = _config_digest(cfg)
-    written: list[Path] = []
-    try:
-        records, summary = run(cfg, threads=threads)
-        valid_z = [rec.z for rec in records if not rec.degenerate]
-        valid_z.sort()
-
-        # records.csv and qq.csv hold ints, floats and flags alone (records
-        # carry Python floats and bools): each row is one line, floats in
-        # repr and flags as 1/0, as _fmt gives them
-        path = out_dir / "records.csv"
-        _write_lines(
-            path,
-            "records",
+    records, summary = run(cfg, threads=threads)
+    valid_z = sorted(rec.z for rec in records if not rec.degenerate)
+    m = len(valid_z)
+    edges = np.linspace(-4.0, 4.0, 41).tolist()
+    counts, _ = np.histogram(valid_z, bins=edges)
+    row = {
+        "model": cfg.model_id, "n": cfg.n, "replications": cfg.replications,
+        "seed": cfg.seed, "noise": cfg.noise, "pipeline": cfg.pipeline,
+        "sigma": cfg.sigma, "theta_true": cfg.theta_true, "alpha": cfg.alpha,
+        **asdict(summary),
+    }
+    manifest = {
+        "config_path": str(args.config),
+        "output_dir": str(out_dir),
+        "tool_version": __version__,
+        "config_digest": digest,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "python_version": sys.version.split()[0],
+        "numpy_version": np.__version__,
+        "threads": threads,
+        "workers": worker_count(cfg, threads),
+        "rows_per_block": rows_per_block(cfg.n),
+        "heap": args.heap,
+    }
+    # No cell needs quoting: ints, floats, 1/0 flags, words of MODEL_IDS, NOISE_KINDS or PIPELINES
+    tables = {
+        "records": (
             ["rep", "theta_star", "theta_hat", "z", "z_stud", "covered", "degenerate"],
             (
                 f"{r.rep},{r.theta_star!r},{r.theta_hat!r},{r.z!r},{r.z_stud!r},"
                 f"{r.covered:d},{r.degenerate:d}\n"
                 for r in records
             ),
-            digest,
-        )
-        written.append(path)
-
-        path = out_dir / "summary.csv"
-        row = {
-            "model": cfg.model_id, "n": cfg.n, "replications": cfg.replications,
-            "seed": cfg.seed, "noise": cfg.noise, "pipeline": cfg.pipeline,
-            "sigma": cfg.sigma, "theta_true": cfg.theta_true, "alpha": cfg.alpha,
-            **asdict(summary),
-        }
-        _write_csv(path, "summary", list(row), [row.values()], digest)
-        written.append(path)
-
-        m = len(valid_z)
-        path = out_dir / "qq.csv"
-        _write_lines(
-            path,
-            "qq",
+        ),
+        "summary": (list(row), [",".join(map(_fmt, row.values())) + "\n"]),
+        "qq": (
             ["theoretical", "observed"],
             (f"{normal_quantile((i + 0.5) / m)!r},{z!r}\n" for i, z in enumerate(valid_z)),
-            digest,
-        )
-        written.append(path)
-
-        edges = np.linspace(-4.0, 4.0, 41)
-        counts, _ = np.histogram(valid_z, bins=edges)
-        path = out_dir / "hist.csv"
-        _write_csv(
-            path,
-            "hist",
+        ),
+        "hist": (
             ["bin_lo", "bin_hi", "count"],
-            ([edges[k], edges[k + 1], int(counts[k])] for k in range(40)),
-            digest,
-        )
-        written.append(path)
-
-        manifest = {
-            "config_path": str(args.config),
-            "output_dir": str(out_dir),
-            "tool_version": __version__,
-            "config_digest": digest,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "python_version": sys.version.split()[0],
-            "numpy_version": np.__version__,
-            "threads": threads,
-            "workers": worker_count(cfg, threads),
-            "rows_per_block": rows_per_block(cfg.n),
-            "heap": args.heap,
-        }
+            (f"{lo!r},{hi!r},{c}\n" for lo, hi, c in zip(edges, edges[1:], counts.tolist())),
+        ),
+    }
+    # A path is listed as soon as open makes it: a failure, mid-write included,
+    # removes every file this run opened and none that it could not open
+    written: list[Path] = []
+    try:
+        for name, (header, lines) in tables.items():
+            path = out_dir / f"{name}.csv"
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                _start_csv(fh, name, header, digest)
+                fh.writelines(lines)
         path = out_dir / "manifest.json"
         with open(path, "w") as fh:
+            written.append(path)
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
-        written.append(path)
-    except (EstimationError, ValueError, OSError):
+    except BaseException:
         for path in written:
             try:
                 path.unlink()
@@ -535,7 +511,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 pass
         raise
     print(
-        f"wrote {out_dir}/records.csv, summary.csv, qq.csv, hist.csv, manifest.json "
+        f"wrote {out_dir}/{', '.join(p.name for p in written)} "
         f"({summary.degenerate_count} degenerate)"
     )
     return 0
@@ -555,7 +531,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(path, newline="") as fh:
             comments, header, lines, start = _split_head(path, iter([fh.read().splitlines()]))
         columns, row_lines = _split_rows(path, header, lines, start)
-        schemas = [c[1:].strip().split()[0] for c in comments if len(c) > 1]
+        schemas = [w for c in comments for w in c[1:].split()[:1]]
         if expected_schema not in schemas:
             raise ValueError(
                 f"{path}: not a {expected_schema} file (found {schemas or 'no schema line'})"

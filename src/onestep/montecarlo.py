@@ -55,7 +55,7 @@ from .core import (
     asymptotic_moments,
     exact_sum,
 )
-from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError
+from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError, NonFiniteError
 from .estimators import EstimateResult
 from .normal import normal_cdf, normal_quantile
 from .regression import (
@@ -197,7 +197,7 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> floa
     if n == 0:
         raise EmptyInputError("cannot compute a KS distance of an empty sample")
     if not np.all(np.isfinite(arr)):
-        raise EstimationError("KS input contains non-finite values")
+        raise NonFiniteError("KS input contains non-finite values")
     f = np.fromiter((cdf(v) for v in arr), np.float64, n)
     grid = np.arange(1, n + 1, dtype=np.float64) / n
     upper = np.max(grid - f)

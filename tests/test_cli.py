@@ -19,8 +19,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from onestep import cli, montecarlo
-from onestep.errors import ConfigError
+from onestep import cli, montecarlo, normal
+from onestep.errors import ConfigError, DomainError
 from onestep.montecarlo import PIPELINES, SimConfig, rows_per_block
 from onestep import (
     Sample,
@@ -98,6 +98,11 @@ def test_estimate_round_trip(tmp_path):
     assert row["denominator"] == repr(res.denominator)
     assert row["warnings"] == ""
     assert float(row["theta_star"]) == ts
+    # estimate warns of degeneracy alone: every model it builds carries w', with or without w
+    for model_id in cli.ESTIMATE_MODELS:
+        for w in (None, np.array([1.0, 2.0])):
+            _, wf = to_families(cli._build_estimate_model(model_id, s, w))
+            assert wf.h_prime_exact, (model_id, w)
 
 
 def test_estimate_theta_start_override(tmp_path):
@@ -501,6 +506,19 @@ def test_report_rejects_wrong_schema(tmp_path):
     )
     assert cp.returncode == 1
     assert "records.csv" in cp.stderr
+
+
+def test_report_reads_a_summary_after_blank_comment_lines(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    row = ["mm", "30", *["0.5"] * (len(cli._COMPARISON_COLUMNS) - 3), "0"]
+    summary.write_text(
+        "#\n#   \n# onestep/summary/v1\n"
+        + ",".join(cli._COMPARISON_COLUMNS) + "\n" + ",".join(row) + "\n"
+    )
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(capsys, "report", summary, "--out", out)
+    assert (code, err) == (0, "")
+    assert out.read_text().splitlines()[2] == ",".join(row)
 
 
 def test_report_rejects_missing_file(tmp_path):
@@ -1102,7 +1120,7 @@ def _rows_as_write_csv_gives_them(path: Path, name: str, header, rows, digest) -
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, threads):
+def test_simulate_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, threads):
     cfgfile = tmp_path / "sim.cfg"
     write_config(
         cfgfile, model="sqrt", n=5, sigma=5.0, noise="scaled-laplace",
@@ -1113,7 +1131,7 @@ def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, th
     assert (code, err) == (0, "")
     cfg = cli._sim_config_from_file(cfgfile)
     digest = cli._config_digest(cfg)
-    records, _ = montecarlo.run(cfg, threads=threads)
+    records, summary = montecarlo.run(cfg, threads=threads)
     assert sum(r.degenerate for r in records) > 0  # nan cells are written too
     fields = ["rep", "theta_star", "theta_hat", "z", "z_stud", "covered", "degenerate"]
     expected = _rows_as_write_csv_gives_them(
@@ -1121,6 +1139,17 @@ def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, th
         ([getattr(r, f) for f in fields] for r in records), digest,
     )
     assert (out / "records.csv").read_bytes() == expected
+    config_columns = {
+        "model": "model_id", "n": "n", "replications": "replications", "seed": "seed",
+        "noise": "noise", "pipeline": "pipeline", "sigma": "sigma",
+        "theta_true": "theta_true", "alpha": "alpha",
+    }
+    stats = dataclasses.asdict(summary)
+    expected = _rows_as_write_csv_gives_them(
+        tmp_path / "summary.csv", "summary", [*config_columns, *stats],
+        [[*(getattr(cfg, f) for f in config_columns.values()), *stats.values()]], digest,
+    )
+    assert (out / "summary.csv").read_bytes() == expected
     valid_z = sorted(r.z for r in records if not r.degenerate)
     m = len(valid_z)
     expected = _rows_as_write_csv_gives_them(
@@ -1128,6 +1157,49 @@ def test_records_and_qq_lines_are_the_bytes_write_csv_gives(tmp_path, capsys, th
         ([montecarlo.normal_quantile((i + 0.5) / m), valid_z[i]] for i in range(m)), digest,
     )
     assert (out / "qq.csv").read_bytes() == expected
+    edges = np.linspace(-4.0, 4.0, 41)
+    counts, _ = np.histogram(valid_z, bins=edges)
+    expected = _rows_as_write_csv_gives_them(
+        tmp_path / "hist.csv", "hist", ["bin_lo", "bin_hi", "count"],
+        ([edges[k], edges[k + 1], int(counts[k])] for k in range(40)), digest,
+    )
+    assert (out / "hist.csv").read_bytes() == expected
+
+
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    quantile = normal.normal_quantile
+    calls = 0
+
+    def failing_quantile(p):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise DomainError("injected")
+        return quantile(p)
+
+    # simulate looks the quantile up at call time, so only qq.csv's rows see this one
+    monkeypatch.setattr(normal, "normal_quantile", failing_quantile)
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile, replications=400)
+    out = tmp_path / "out"
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out)
+    assert (code, err) == (1, "error: injected\n")
+    assert calls == 101  # qq.csv was part written when the write failed
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_open_removes_the_files_before_it_and_keeps_its_path(tmp_path, capsys):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile)
+    out = tmp_path / "out"
+    out.mkdir()
+    # open follows the link into a missing directory and fails; unlink would remove the link
+    (out / "hist.csv").symlink_to(tmp_path / "missing" / "hist.csv")
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out)
+    assert code == 1
+    assert err.startswith("error: ") and "hist.csv" in err
+    assert [p.name for p in out.iterdir()] == ["hist.csv"]
+    assert (out / "hist.csv").is_symlink()
 
 
 def test_main_freezes_what_is_alive_at_start_and_importing_does_not(tmp_path):

@@ -91,8 +91,9 @@ def test_ks_matches_reference():
 def test_ks_empty_and_nonfinite():
     with pytest.raises(EmptyInputError):
         ks_statistic([], normal_cdf)
-    with pytest.raises(Exception):
-        ks_statistic([math.nan, 0.0], normal_cdf)
+    for values in ([math.nan, 0.0], [1.0, math.nan], [math.inf]):
+        with pytest.raises(NonFiniteError, match="^KS input contains non-finite values$"):
+            ks_statistic(values, normal_cdf)
 
 
 def test_ks_permutation_invariant():
