@@ -12,6 +12,7 @@ estimation (the data admits no stable estimate).
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import ctypes
 import gc
@@ -67,10 +68,10 @@ _SIMULATE_MODULES = ("datetime", "hashlib", "json", "onestep.montecarlo")
 # A cell or value longer than this is quoted in an error line by its start and its length
 _QUOTE_LIMIT = 32
 
-# estimate reads its CSV this many characters at a time: small against a
-# large file, so that one chunk's text and line strings weigh less than the
-# table being built, whose converted parts and their join then set the peak.
-_CHUNK_CHARS = 1 << 18
+# estimate reads its CSV this many bytes at a time: small against a large
+# file, so that one chunk's text and line strings weigh less than the table
+# being built, whose converted parts and their join then set the peak.
+_CHUNK_BYTES = 1 << 18
 
 # glibc's malloc thresholds, pinned by main: the values its own dynamic rule
 # reaches after a first free of 32 MiB.  Below them every block temporary
@@ -218,25 +219,40 @@ def _parse_float(text: str, where: str) -> float:
 
 
 def _line_chunks(fh):
-    """fh's lines as str.splitlines gives them, in lists of about _CHUNK_CHARS characters.
+    """The lines of text file fh as str.splitlines gives them, in lists of about _CHUNK_BYTES bytes.
 
-    Every list but the last ends after a "\n", or after a "\r" that was not
-    the last character read, so no line, nor a "\r\n", is split between two
-    lists: together they are the lines of the whole text.  Input that cannot
-    seek (a pipe) is read whole, as one list, so that an undecodable byte is
-    named by its offset in the input.
+    fh.buffer is read _CHUNK_BYTES at a time, a pipe as a file, and decoded
+    with fh.encoding by an incremental decoder.  Every list but the last
+    ends after a "\n", or after a "\r" that was not the last character
+    decoded, so no line, nor a "\r\n", is split between two lists: together
+    they are the lines of the whole text.  An undecodable byte raises the
+    UnicodeDecodeError a whole read would, its position counted from the
+    start of the input.
     """
-    if not fh.seekable():
-        yield fh.read().splitlines()
-        return
+    decoder = codecs.getincrementaldecoder(fh.encoding)(fh.errors)
     carry = ""
-    while text := fh.read(_CHUNK_CHARS):
+    done = 0  # bytes read before this block
+    while True:
+        block = fh.buffer.read(_CHUNK_BYTES)
+        last = not block
+        try:
+            text = decoder.decode(block, final=last)
+        except UnicodeDecodeError as exc:
+            # the decoder failed on the bytes it held and block, which start this far in
+            at = done - len(decoder.getstate()[0])
+            raise UnicodeDecodeError(
+                exc.encoding, bytes(at) + exc.object, at + exc.start, at + exc.end, exc.reason
+            ) from None
+        done += len(block)
+        del block  # only the text is held while its lines are used
         cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
         if cut:
             yield (carry + text[:cut]).splitlines()
             carry = text[cut:]
         else:
             carry += text
+        if last:
+            break
     if carry:
         yield carry.splitlines()
 
@@ -267,19 +283,13 @@ def _read_table(
 def _load_data_csv(path: Path) -> Sample:
     """Read an estimate input: columns x, a, optional b, optional w.
 
-    The input is read once, by _read_table: in bounded memory while its
-    lines are plain, through csv.reader from the first chunk that is not.
-    A file is read again, whole, only for an undecodable byte, so that the
-    error names the byte by its offset in the file, not in a chunk.
+    The input, a file or a pipe, is read once, by _read_table: in bounded
+    memory while its lines are plain, through csv.reader from the first
+    chunk that is not.  The columns are the rows of one frozen array, which
+    Sample and the model factories take without a copy.
     """
-    with open(path, newline="") as fh:
-        try:
-            header, parts, columns, row_lines = _read_table(path, fh)
-        except UnicodeDecodeError:
-            if fh.seekable():
-                fh.seek(0)
-                fh.read()  # raises it again, counting from the start of the file
-            raise
+    with open(path) as fh:
+        header, parts, columns, row_lines = _read_table(path, fh)
     allowed = {"x", "a", "b", "w"}
     unknown = [col for col in header if col not in allowed]
     if unknown:
@@ -302,9 +312,10 @@ def _load_data_csv(path: Path) -> Sample:
         del columns
     elif not parts:
         raise ValueError(f"{path}: no data rows")
-    table = np.concatenate(parts)
-    del parts  # the converted parts go before Sample copies the columns
-    arrays = dict(zip(header, table.T))
+    table = np.concatenate([part.T for part in parts], axis=1)  # (width, n), rows contiguous
+    del parts  # the converted parts go before the columns are used
+    table.flags.writeable = False
+    arrays = dict(zip(header, table))
     return Sample(x=arrays["x"], a=arrays["a"], b=arrays.get("b"), w_known=arrays.get("w"))
 
 

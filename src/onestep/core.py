@@ -88,7 +88,13 @@ FULL_LINE = Interval()
 def _as_array(
     name: str, values, *, n: int | None = None, ndim: int = 1, positive: bool = False
 ) -> np.ndarray:
-    """values as a validated, copied and read-only float64 array."""
+    """values as a validated, read-only float64 array, copied unless already frozen.
+
+    Every check runs either way.  An array that _frozen vouches for is kept
+    as it is; anything else (a list, a writable array, a view of one, an
+    array over a bytearray) is copied and the copy made read-only, so no
+    later write by the caller reaches the result.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
@@ -100,13 +106,25 @@ def _as_array(
         raise NonFiniteError(f"{name} contains non-finite entries")
     if positive and np.any(arr <= 0.0):
         raise ValueError(f"{name} entries must be strictly positive")
-    arr = arr.copy()
-    arr.flags.writeable = False
+    if not _frozen(arr):
+        arr = arr.copy()
+        arr.flags.writeable = False
     return arr
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether arr is C-contiguous and read-only, and no writable memory backs it.
+
+    That is, arr owns its data or views a read-only array that owns its own.
+    """
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        return False
+    owner = arr if arr.base is None else arr.base
+    return isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+
+
 def _freeze_design(obj, n: int) -> None:
-    """Validate, copy and freeze the covariates a, b and w_known of obj."""
+    """Validate and freeze the covariates a, b and w_known of obj, copied unless already frozen."""
     object.__setattr__(obj, "a", _as_array("a", obj.a, n=n))
     if obj.b is not None:
         object.__setattr__(obj, "b", _as_array("b", obj.b, n=n))
@@ -120,7 +138,8 @@ class Sample:
 
     x is required; a holds the primary covariate, b an optional secondary
     covariate, and w_known optional strictly positive known variance weights.
-    All arrays are validated, copied, and frozen read-only.
+    All arrays are validated and frozen read-only: copied unless already
+    frozen (core._as_array), so a row of a frozen block passes as it is.
     """
 
     x: np.ndarray
@@ -141,9 +160,10 @@ class Sample:
 class SampleBlock:
     """B samples of one fixed design: row r of x holds the responses of sample r.
 
-    x has shape (B, n); a, b and w_known are shared by every row and are
-    validated, copied and frozen as in Sample.  A plain class, unlike
-    Sample, because building a dataclass costs a millisecond at import.
+    x has shape (B, n); a, b and w_known are shared by every row.  All are
+    validated and frozen as in Sample: copied unless already frozen.  A
+    plain class, unlike Sample, because building a dataclass costs a
+    millisecond at import.
     """
 
     __slots__ = ("x", "a", "b", "w_known")
@@ -244,12 +264,12 @@ def _evaluate(values, n: int, t, xs=None) -> np.ndarray:
     Every evaluator's result passes through here.  One with n values per
     row is kept as it is.  A 0-d result stands for every index: it is
     broadcast to the shape of xs, or without responses to shape(t)[:-1] +
-    (n,), one row per row of a (B, 1) column t.  Any other width raises
-    ValueError.
+    (n,), one row per row of a (B, 1) column t, as a read-only view with
+    stride 0 that holds the one value.  Any other width raises ValueError.
     """
     vals = np.asarray(values(t) if xs is None else values(t, xs), dtype=np.float64)
     if vals.ndim == 0:
-        return np.full(np.shape(t)[:-1] + (n,) if xs is None else xs.shape, vals)
+        return np.broadcast_to(vals, np.shape(t)[:-1] + (n,) if xs is None else xs.shape)
     if vals.shape[-1] != n:
         raise ValueError(f"an evaluator returned {vals.shape[-1]} values per row, expected {n}")
     return vals

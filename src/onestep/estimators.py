@@ -207,7 +207,7 @@ def optimal_weights(mp: MomentProvider, theta: float, n: int) -> WeightFamily:
     return WeightFamily(
         domain=FULL_LINE,
         h_values=lambda t: ho,
-        h_prime_values=lambda t: np.zeros(n),
+        h_prime_values=lambda t: 0.0,
     )
 
 

@@ -206,10 +206,11 @@ def ks_statistic(values: Sequence[float], cdf: Callable[[float], float]) -> floa
 
 
 def default_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The documented fixed covariate grids for an n-point design."""
+    """The documented fixed covariate grids for an n-point design, frozen read-only."""
     i = np.arange(n, dtype=np.float64)
     a = 0.5 + 2.0 * i / (n - 1)
     b = 0.2 + i / (n - 1)
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
@@ -257,13 +258,15 @@ def build_scenario(cfg: SimConfig) -> Scenario:
     model = build_model(cfg.model_id, cfg.n, cfg.sigma)
     fam, wf = to_families(model)
     theta = cfg.theta_true
+    # the moments first, while the fewest other vectors are alive: their
+    # sums hold the most vectors of length n at once
+    i_nh, j_nh = asymptotic_moments(moment_provider(model), wf, theta, model.n)
+    z_scale = j_nh / math.sqrt(i_nh)
     mean = model.values("f", theta)
+    mean.flags.writeable = False
     noise_sd = cfg.sigma / np.sqrt(model.values("w", theta))
     preliminary = resolve_preliminary(model, Sample(x=mean, a=model.a, b=model.b))
     update = resolve_pipeline(cfg.pipeline, model, fam, wf, newton_tol=1e-9)
-
-    i_nh, j_nh = asymptotic_moments(moment_provider(model), wf, theta, model.n)
-    z_scale = j_nh / math.sqrt(i_nh)
     return Scenario(
         model=model,
         fam=fam,
@@ -337,6 +340,7 @@ def _outcomes(cfg: SimConfig, scn: Scenario, s: Sample | SampleBlock) -> tuple:
 def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[tuple]:
     """The records of replications reps, each a row in SimulationRecord field order."""
     x = _draw(cfg, scn, reps)
+    x.flags.writeable = False  # the block and its rows' Samples take x without a copy
     # A block of one row (n > 2**14) takes the per-row path: its (1, n)
     # arrays run slower than vectors.  Evaluating such rows as (1, n) blocks
     # instead was slower in 8 of 8 alternations on sqrt, n = 20000,
@@ -414,15 +418,20 @@ def worker_count(cfg: SimConfig, threads: int) -> int:
     """Processes run(cfg, threads) evaluates the campaign's blocks on.
 
     As many as threads asks for, but no more than there are blocks of
-    rows_per_block(n) replications or processors, and one where os.fork
-    does not exist.
+    rows_per_block(n) replications or processors this process may run on
+    (its CPU affinity, where the platform reports one), and one where
+    os.fork does not exist.
     """
     if threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     if not hasattr(os, "fork"):
         return 1
     blocks = -(-cfg.replications // rows_per_block(cfg.n))
-    return min(threads, blocks, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(threads, blocks, cpus)
 
 
 def _evaluate(cfg: SimConfig, scn: Scenario, blocks: Sequence[range]) -> list:

@@ -172,18 +172,14 @@ class Contrasts:
 
 
 def _constant_weights(weights, n: int) -> dict:
-    """w_values and w_prime_values of variance weights constant in t (ones by default)."""
-    if weights is None:
-        wv = np.ones(n)
-        wv.flags.writeable = False
-    else:
-        wv = _as_array("weights", weights, n=n, positive=True)
-    return {"w_values": lambda t: wv, "w_prime_values": lambda t: np.zeros(n)}
+    """w_values and w_prime_values of variance weights constant in t (a 0-d one by default)."""
+    wv = 1.0 if weights is None else _as_array("weights", weights, n=n, positive=True)
+    return {"w_values": lambda t: wv, "w_prime_values": lambda t: 0.0}
 
 
 def _per_observation(value, n: int) -> np.ndarray:
-    """A value shared by all n observations, repeated along the last axis."""
-    return np.full(np.shape(value)[:-1] + (n,), value, dtype=np.float64)
+    """A value shared by all n observations, broadcast along the last axis (read-only)."""
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), np.shape(value)[:-1] + (n,))
 
 
 def _check_sample(model: RegressionModel, s: Sample | SampleBlock) -> None:
@@ -203,7 +199,7 @@ def linear_model(a, sigma: float = 1.0, weights=None) -> RegressionModel:
         domain=FULL_LINE,
         f_values=lambda t: a * t,
         f_prime_values=lambda t: a,
-        f_second_values=lambda t: np.zeros(n),
+        f_second_values=lambda t: 0.0,
         **_constant_weights(weights, n),
         a=a,
         kind="linear",
@@ -513,7 +509,7 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         )
     contrasts = Contrasts(c=c / peak, constraint_kind=kind)
     if kind == "sum_zero":
-        w = s.w_known if s.w_known is not None else np.ones(n)
+        w = s.w_known if s.w_known is not None else 1.0
         den_terms = contrasts.c * w * a
     else:
         den_terms = contrasts.c * a
@@ -534,9 +530,9 @@ def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarra
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
     if not c.sums_to_zero:
         raise ConstraintError("contrast coefficients must sum to zero")
-    w = s.w_known if s.w_known is not None else np.ones(s.n)
+    cw = cv if s.w_known is None else cv * s.w_known
     with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
-        num_terms, den_terms = cv * w * (np.square(s.x) - 1.0), cv * w * s.a
+        num_terms, den_terms = cw * (np.square(s.x) - 1.0), cw * s.a
     theta, _ = _ratio(num_terms, den_terms, "contrast denominator is numerically zero")
     return _finite(theta, "preliminary estimate is not finite")
 
@@ -568,8 +564,8 @@ def plinear_one_step(
 
     w is a vector of constant variance weights, unit weights when None.
     """
-    b = s.b if s.b is not None else np.zeros(s.n)
-    wv = np.ones(s.n) if w is None else _as_array("weights", w, n=s.n, positive=True)
+    b = s.b if s.b is not None else 0.0
+    wv = 1.0 if w is None else _as_array("weights", w, n=s.n, positive=True)
     gv = float(g(theta_star))
     slope = s.a + b * float(g_prime(theta_star))
     resid = s.x - (s.a * theta_star + b * gv)
@@ -662,10 +658,11 @@ def resolve_preliminary(
 
     Its coefficients are the given ones or else the default for the design:
     all ones for mm, default_contrasts (sum-zero for sqrt and linear,
-    b-orthogonal for plinear) otherwise.
+    b-orthogonal for plinear) otherwise.  mm's are frozen here, once, so
+    that preliminary_mm takes them without a copy.
     """
     if model.kind == "mm":
-        c = np.ones(design.n) if coefficients is None else coefficients
+        c = _as_array("c", np.ones(design.n) if coefficients is None else coefficients)
         return lambda s: preliminary_mm(c, s)
     if model.kind not in _CONTRAST_PRELIMINARIES:
         raise ConfigError(f"no explicit preliminary for a {model.kind!r} model")

@@ -42,6 +42,7 @@ def run_cli(*args, env_extra=None, cwd=None, stdin_text=None):
         [sys.executable, "-m", "onestep", *map(str, args)],
         capture_output=True,
         text=True,
+        errors="surrogateescape",  # stdin_text may carry undecodable bytes as surrogates
         env=env,
         cwd=cwd,
         input=stdin_text,
@@ -276,6 +277,8 @@ def test_simulate_reruns_identically(tmp_path):
 def test_simulate_outputs_do_not_depend_on_worker_processes(tmp_path):
     cfgfile = tmp_path / "sim.cfg"
     write_config(cfgfile, n=2**13, replications=10)  # blocks of 4, 4 and 2
+    # the processors this process may run on cap the workers
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     outputs = {}
     for threads in (1, 2, 3):
         out = tmp_path / f"t{threads}"
@@ -285,7 +288,7 @@ def test_simulate_outputs_do_not_depend_on_worker_processes(tmp_path):
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == threads
-        assert manifest["workers"] == min(threads, 3, os.cpu_count() or 1)
+        assert manifest["workers"] == min(threads, 3, cpus)
     assert outputs[1] == outputs[2] == outputs[3]
 
 
@@ -552,34 +555,50 @@ def test_blank_body_gives_one_error_line_and_no_warning(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 @pytest.mark.parametrize(
-    "last_row", ["", "1,2,3\n", '"0.9",1.5,0.7,1.0\n'], ids=["plain", "ragged", "quoted_cell"]
+    "last_row",
+    [b"", b"1,2,3\n", b'"0.9",1.5,0.7,1.0\n', b"0.9,1.5,\xff0.7,1.0\n"],
+    ids=["plain", "ragged", "quoted_cell", "bad_byte"],
 )
 def test_estimate_reads_a_pipe_as_it_reads_the_file(tmp_path, last_row):
     # a pipe cannot seek back, nor be opened again for its text, so it is
-    # read once, whole, from the handle that opened it; the file is longer
-    # than one chunk, so a last row csv.reader splits is the file's last chunk
+    # read once, in chunks as a file is, from the handle that opened it; the
+    # file is longer than one chunk, so a last row csv.reader splits, or
+    # whose byte does not decode, is in the file's last chunk
     n = 4000
     rng = np.random.default_rng(5)
     a = np.linspace(0.5, 2.5, n)
     b = np.linspace(0.2, 1.2, n)
     w = 0.5 + rng.random(n)
     x = a / (1.0 + b) + 0.05 * rng.standard_normal(n) / np.sqrt(w)
-    text = "x,a,b,w\n" + "".join(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n" for row in zip(
+    payload = ("x,a,b,w\n" + "".join(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}\n" for row in zip(
         x.tolist(), a.tolist(), b.tolist(), w.tolist()
-    )) + last_row
-    assert len(text) > cli._CHUNK_CHARS
+    ))).encode() + last_row
+    assert len(payload) - len(last_row) > cli._CHUNK_BYTES
     data = tmp_path / "data.csv"
-    data.write_text(text)
+    data.write_bytes(payload)
     args = ("--model", "mm")
     from_file = run_cli("estimate", data, *args, "--out", tmp_path / "file.csv")
-    from_pipe = run_cli("estimate", "/dev/stdin", *args, "--out", tmp_path / "pipe.csv", stdin_text=text)
-    if last_row != "1,2,3\n":
+    from_pipe = run_cli(
+        "estimate", "/dev/stdin", *args, "--out", tmp_path / "pipe.csv",
+        stdin_text=payload.decode(errors="surrogateescape"),
+    )
+    if last_row in (b"", b'"0.9",1.5,0.7,1.0\n'):
         assert (from_file.returncode, from_file.stderr) == (from_pipe.returncode, from_pipe.stderr) == (0, "")
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
         return
-    message = f"row {n + 1} (line {n + 2}) has 3 fields, expected 4"
-    assert (from_file.returncode, from_file.stderr) == (1, f"error: {data}: {message}\n")
-    assert (from_pipe.returncode, from_pipe.stderr) == (1, f"error: /dev/stdin: {message}\n")
+    if last_row == b"1,2,3\n":
+        message = f"row {n + 1} (line {n + 2}) has 3 fields, expected 4"
+        assert (from_file.returncode, from_file.stderr) == (1, f"error: {data}: {message}\n")
+        assert (from_pipe.returncode, from_pipe.stderr) == (1, f"error: /dev/stdin: {message}\n")
+        return
+    bad = payload.index(b"\xff")
+    assert bad > cli._CHUNK_BYTES
+    with pytest.raises(UnicodeDecodeError) as whole:
+        payload.decode()
+    assert f"position {bad}:" in str(whole.value)
+    assert (from_file.returncode, from_file.stderr) == (1, f"error: {whole.value}\n")
+    assert (from_pipe.returncode, from_pipe.stderr) == (1, f"error: {whole.value}\n")
+    assert not (tmp_path / "file.csv").exists() and not (tmp_path / "pipe.csv").exists()
 
 
 def test_report_rejects_duplicate_column(tmp_path, capsys):

@@ -15,6 +15,7 @@ from onestep import (
     score_sums,
 )
 from onestep.core import (
+    SampleBlock,
     degeneracy_tolerance,
     m_prime_values,
     m_values,
@@ -22,6 +23,7 @@ from onestep.core import (
     weight_values,
 )
 from onestep.errors import DegenerateError, DomainError, NonFiniteError
+from onestep.regression import sqrt_model
 
 
 def linear_family():
@@ -70,6 +72,54 @@ def test_sample_input_is_copied():
     s = Sample(x=raw, a=[1.0, 2.0])
     raw[0] = 99.0
     assert s.x[0] == 1.0
+
+
+def frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+def test_frozen_arrays_pass_without_a_copy():
+    # read-only, C-contiguous float64 arrays that own their data, and rows
+    # of such a block, are taken as they are, by every constructor
+    a, b, w = frozen([1.0, 2.0, 3.0]), frozen([0.5, 0.25, 2.0]), frozen([1.0, 4.0, 2.0])
+    x = frozen([[1.0, 3.0, 2.0], [2.0, 1.0, 5.0]])
+    s = Sample(x=x[1], a=a, b=b, w_known=w)
+    assert s.a is a and s.b is b and s.w_known is w
+    assert s.x.base is x
+    block = SampleBlock(x=x, a=a, b=b, w_known=w)
+    assert block.x is x and block.a is a and block.b is b and block.w_known is w
+    assert np.shares_memory(block.sample(0).x, x)
+    model = sqrt_model(a, weights=w)
+    assert model.a is a and model.values("w", 1.0) is w
+    # the checks still run on an array that is not copied
+    with pytest.raises(NonFiniteError):
+        Sample(x=frozen([1.0, math.inf]), a=a[:2])
+    with pytest.raises(ValueError, match="strictly positive"):
+        Sample(x=a, a=a, w_known=frozen([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="has length 2, expected 3"):
+        Sample(x=a, a=frozen([1.0, 2.0]))
+
+
+def test_arrays_that_writable_memory_backs_are_copied():
+    raw = np.array([1.0, 2.0, 3.0])
+    view = raw[:]
+    view.flags.writeable = False  # read-only, but raw can still write to it
+    held = bytearray(np.array([1.0, 2.0, 3.0]).tobytes())
+    over_bytes = np.frombuffer(held)
+    over_bytes.flags.writeable = False  # read-only, but held can still write to it
+    column = frozen([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])[:, 0]  # not contiguous
+    for values in (raw, view, np.frombuffer(held), over_bytes, column):
+        s = Sample(x=values, a=values)
+        assert not np.shares_memory(s.x, values) and not np.shares_memory(s.a, values)
+        assert not s.x.flags.writeable
+    raw[0] = 9.0
+    held[:8] = np.array([9.0]).tobytes()
+    assert Sample(x=view, a=view).x[0] == 9.0  # the copy is taken when Sample is built
+    s = Sample(x=over_bytes, a=over_bytes)
+    held[:8] = np.array([7.0]).tobytes()
+    assert s.x[0] == 9.0
 
 
 def test_score_sums_linear_example():
@@ -178,6 +228,14 @@ def test_evaluators_return_n_values_per_row_or_one_for_all():
     wf = WeightFamily(h_values=lambda t: 2.0)
     assert weight_values(wf, 0.7, 3).tolist() == [2.0] * 3
     assert weight_values(wf, column, 3).shape == (2, 3)
+    # held once, as a read-only view with stride 0: a write to it raises
+    for vals in (
+        m_prime_values(short, 0.7, xs), m_prime_values(short, column, block),
+        weight_values(wf, 0.7, 3), weight_values(wf, column, 3),
+    ):
+        assert not any(vals.strides) and not vals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vals[..., 0] = 5.0
 
 
 def test_asymptotic_moments_linear():

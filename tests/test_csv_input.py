@@ -13,6 +13,7 @@ chunks are cut.
 
 import csv
 import io
+import os
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -33,10 +34,15 @@ PADDING = ["", " ", "  ", "\t", " ", "　", "\xa0"]
 DIGIT_ZEROS = ["0", "０", "٠", "०"]
 COMMENTS = ["# onestep/data/v1", "#", '# a,"b",c', "#x,a"]
 # the reader's own chunk size, before a test patches it
-CHUNK_CHARS = cli._CHUNK_CHARS
+CHUNK_BYTES = cli._CHUNK_BYTES
 BAD_CELLS = [
     "", "oops", "1..2", "1__0", "_1", "1_", "0x10", "1e", "nan(1)", "1 2", "١٫٥", "--1",
 ]
+
+
+def text_file(text: str) -> io.TextIOWrapper:
+    """text as an open text file, in UTF-8, the way _line_chunks reads a file."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
 
 
 def write(tmp_path: Path, text: str) -> Path:
@@ -175,15 +181,15 @@ def test_reads_like_oracle(tmp_path, monkeypatch, quoted, defect, data):
     text = data.draw(data_files(quoted, defect))
     header, expected = oracle(text)
     path = write(tmp_path, text)
-    # chunks of a few characters cut the file at every kind of place
-    chunk = data.draw(st.just(CHUNK_CHARS) | st.integers(1, 40), label="chunk")
-    monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+    # chunks of a few bytes cut the file at every kind of place, inside a character too
+    chunk = data.draw(st.just(CHUNK_BYTES) | st.integers(1, 40), label="chunk")
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
     # numpy's reader takes the file exactly when it is well formed and no
     # cell is quoted or holds an underscore or a non-ASCII digit
     plain = defect is None and not quoted and "_" not in text
     plain = plain and all(ch.isascii() or ch.isspace() for ch in text)
     assert loadtxt_takes(path) is plain
-    if plain and chunk == CHUNK_CHARS:
+    if plain and chunk == CHUNK_BYTES:
         assert reader_path(path) == "chunks"
     # Sample rejects nan and inf; take the columns as they are read, so that
     # every spelling is compared bit for bit
@@ -300,13 +306,27 @@ def test_cell_scan_runs_only_on_failure(tmp_path, monkeypatch):
 )
 def test_chunks_hold_the_lines_of_the_whole_text(text, chunk):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_CHUNK_CHARS", chunk)
-        chunks = list(cli._line_chunks(io.StringIO(text, newline="")))
+        mp.setattr(cli, "_CHUNK_BYTES", chunk)
+        chunks = list(cli._line_chunks(text_file(text)))
     assert [line for lines in chunks for line in lines] == text.splitlines()
     assert all(chunks)
 
 
-# Each tail follows 12 plain rows, so at 24 characters a chunk it lies
+def test_a_pipe_is_read_in_chunks_as_a_file_is(monkeypatch):
+    # a pipe cannot seek; it is not read whole for that
+    text = "x,a\n" + "".join(f"{i},{i / 8}\n" for i in range(12))
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "wb") as pipe:
+        pipe.write(text.encode())  # less than a pipe holds, so nothing waits for the reader
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 24)
+    with open(read_fd) as fh:
+        assert not fh.seekable()
+        chunks = list(cli._line_chunks(fh))
+    assert len(text) == 93 and len(chunks) == 4  # one per read of 24 bytes, as from a file
+    assert [line for lines in chunks for line in lines] == text.splitlines()
+
+
+# Each tail follows 12 plain rows, so at 24 bytes a chunk it lies
 # in a later chunk than the header: (tail, path, x column read)
 LATER_CHUNK_TAILS = {
     "blank_line": ("\n", "csv", None),
@@ -328,7 +348,7 @@ def test_a_later_chunk_reads_or_is_refused_like_oracle(tmp_path, monkeypatch, na
     text = head + tail + "9,10\n"
     header, expected = oracle(text)
     path = write(tmp_path, text)
-    monkeypatch.setattr(cli, "_CHUNK_CHARS", 24)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 24)
     assert reader_path(path) == path_taken
     monkeypatch.setattr(cli, "Sample", dict)
     if x_read is None:
@@ -350,7 +370,7 @@ def test_crlf_file_reads_in_chunks_wherever_they_are_cut(tmp_path, monkeypatch):
     path = write(tmp_path, text)
     monkeypatch.setattr(cli, "Sample", dict)
     for chunk in range(1, len(text) + 1):
-        monkeypatch.setattr(cli, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
         assert reader_path(path) == "chunks"
         got = cli._load_data_csv(path)
         assert got["x"].tolist() == expected["x"].tolist()
@@ -366,13 +386,13 @@ def test_undecodable_byte_is_named_by_its_offset_in_the_file(tmp_path, monkeypat
         with open(path, newline="") as fh:
             fh.read()
     assert "position 16006" in str(whole.value)
-    monkeypatch.setattr(cli, "_CHUNK_CHARS", 24)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 24)
     with pytest.raises(UnicodeDecodeError) as exc:
         cli._load_data_csv(path)
     assert str(exc.value) == str(whole.value)
 
 
-# At 24 characters a chunk, the three comments fill a chunk each, and the
+# At 24 bytes a chunk, the three comments fill a chunk each, and the
 # first chunk ends inside the quoted header cell "w\n", after its line
 # break.  (comments and header, rows, columns read or message)
 COMMENTS_PAST_A_CHUNK = "".join(f"# comment line {i} of the file\n" for i in range(3))
@@ -404,8 +424,8 @@ def test_header_past_the_first_chunk_or_cut_in_its_quotes(tmp_path, monkeypatch,
     head, rows, expected = HEADER_CASES[name]
     text = head + rows
     path = write(tmp_path, text)
-    monkeypatch.setattr(cli, "_CHUNK_CHARS", 24)
-    first = next(cli._line_chunks(io.StringIO(text, newline="")))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 24)
+    first = next(cli._line_chunks(text_file(text)))
     if name.startswith("comments"):
         assert first == ["# comment line 0 of the file"]
     else:

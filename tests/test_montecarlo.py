@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -111,6 +112,18 @@ def test_thread_count_does_not_change_results_on_long_vectors():
     assert repr(rec1) + repr(sum1) == repr(rec2) + repr(sum2)
 
 
+def usable_cpus() -> int:
+    """The processors this process may run on, which cap the worker pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def set_cpus(monkeypatch, count: int) -> None:
+    """Make worker_count see count processors, through the affinity as under taskset."""
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_worker_pool_is_capped_by_blocks_and_processors(monkeypatch):
     # the counting fork forks for real, so the runs below never ask for more
     # processors than the host has; the caps beyond it are read off
@@ -123,7 +136,7 @@ def test_worker_pool_is_capped_by_blocks_and_processors(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     cfg = small_cfg(n=2**15, replications=6)  # one replication per block
     expected = repr(run(cfg, threads=1))
     assert forks == []
@@ -134,18 +147,52 @@ def test_worker_pool_is_capped_by_blocks_and_processors(monkeypatch):
     assert len(forks) == min(6, cpus) - 1 + min(3, cpus) - 1
 
     forks.clear()
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 4)
     assert montecarlo.worker_count(cfg, 1) == 1
     assert montecarlo.worker_count(cfg, 10**6) == 4
     assert montecarlo.worker_count(three_blocks, 10**6) == 3
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
-    assert montecarlo.worker_count(cfg, 10**6) == 1
+    set_cpus(monkeypatch, 1)
     assert repr(run(cfg, threads=10**6)) == expected
     assert forks == []  # one processor: no child
+    # where the platform reports no affinity, os.cpu_count caps the pool
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    assert montecarlo.worker_count(cfg, 10**6) == 4
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    assert montecarlo.worker_count(cfg, 10**6) == 1
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     monkeypatch.delattr(montecarlo.os, "fork")
     assert montecarlo.worker_count(cfg, 10**6) == 1
     assert repr(run(cfg, threads=10**6)) == expected  # no fork: serial
+
+
+def test_workers_are_capped_by_the_processors_the_process_may_run_on(monkeypatch):
+    # under taskset or a cpuset the host has more processors than this
+    # process may use, and workers beyond those would not run in parallel
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 1)
+    assert montecarlo.worker_count(small_cfg(n=2**15, replications=6), 4) == 1
+
+
+@pytest.mark.parametrize(
+    "model_id, pipeline, vectors",
+    [("mm", "one_step_weighted", 13), ("sqrt", "newton_oracle", 14), ("plinear", "one_step_weighted", 14)],
+)
+def test_a_campaign_holds_few_vectors_of_length_n(model_id, pipeline, vectors):
+    # at large n the vectors of length n set the memory: frozen arrays are
+    # not copied and constants are not filled out, so the scenario and one
+    # replication at a time stay within this many of them (numpy's buffers
+    # are what tracemalloc sees)
+    n = 100_000
+    cfg = small_cfg(model_id=model_id, pipeline=pipeline, n=n, replications=2, sigma=0.1)
+    run(dataclasses.replace(cfg, n=50))  # what any first run allocates once
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * 8 * n, f"peak {peak / (8 * n):.2f} vectors of length n"
 
 
 def _assert_no_child_left():
@@ -155,7 +202,7 @@ def _assert_no_child_left():
 
 def test_exception_in_a_child_reaches_the_caller(monkeypatch):
     # two workers: the second share, blocks 3-5, goes to the one child
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     evaluate = montecarlo._replicate_block
 
     def replicate_block(cfg, scn, reps):
@@ -174,7 +221,7 @@ def test_exception_in_a_child_reaches_the_caller(monkeypatch):
 def test_exception_in_the_caller_kills_and_reaps_the_child(monkeypatch):
     # the caller's share fails at once while the child sleeps in its block:
     # the child is killed, not waited for
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
 
     def replicate_block(cfg, scn, reps):
         if reps[0] == 0:
@@ -193,7 +240,7 @@ def test_forked_records_match_serial_ones_with_degenerate_rows(monkeypatch):
     # degenerate records travel as NaN rows and must come back holding
     # math.nan itself, as serial ones do, or they would not compare equal;
     # with blocks of 16 rows, the child's share is replications 16-39
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     cfg = small_cfg(model_id="sqrt", theta_true=0.01, sigma=3.0, n=2048, replications=40)
     serial = run(cfg, threads=1)
     assert any(rec.degenerate for rec in serial[0][16:])
