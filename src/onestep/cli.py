@@ -552,7 +552,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: missing column {missing[0]!r}")
         if not row_lines:
             raise ValueError(f"{path}: no summary row")
-        rows.append([columns[col][0] for col in _COMPARISON_COLUMNS])
+        rows.extend(zip(*(columns[col] for col in _COMPARISON_COLUMNS)))
     out_path = Path(args.out)
     _write_csv(out_path, "comparison", _COMPARISON_COLUMNS, rows)
     print(f"wrote {out_path}")

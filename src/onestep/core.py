@@ -15,10 +15,11 @@ That makes every score sum reproducible bitwise under permutation of the
 observation indices and under any chunked or threaded evaluation order,
 which the simulation harness relies on.
 
-A SampleBlock stacks B samples of one design as the rows of a (B, n)
-matrix.  The estimators that accept one take a (B,) parameter vector,
-evaluate the families at it as a (B, 1) column, and sum row by row, so each
-row's result is bitwise what the same call gives on that row's Sample.
+A Sample whose responses x form a (B, n) matrix is a block: B samples of
+one design, one per row.  The estimators that accept one take a (B,)
+parameter vector, evaluate the families at it as a (B, 1) column, and sum
+row by row, so each row's result is bitwise what the same call gives on the
+Sample of that row alone.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "FULL_LINE",
     "Interval",
     "Sample",
-    "SampleBlock",
     "EstimatingFamily",
     "WeightFamily",
     "MomentProvider",
@@ -86,7 +86,8 @@ FULL_LINE = Interval()
 
 
 def _as_array(
-    name: str, values, *, n: int | None = None, ndim: int = 1, positive: bool = False
+    name: str, values, *, n: int | None = None, ndim: tuple[int, ...] = (1,),
+    positive: bool = False,
 ) -> np.ndarray:
     """values as a validated, read-only float64 array, copied unless already frozen.
 
@@ -96,8 +97,9 @@ def _as_array(
     later write by the caller reaches the result.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
+    if arr.ndim not in ndim:
+        allowed = " or ".join(f"{('one', 'two')[k - 1]}-dimensional" for k in ndim)
+        raise ValueError(f"{name} must be {allowed}, got {arr.ndim} dimensions")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
     if n is not None and arr.shape[-1] != n:
@@ -136,10 +138,12 @@ def _freeze_design(obj, n: int) -> None:
 class Sample:
     """Observed responses with their fixed design covariates.
 
-    x is required; a holds the primary covariate, b an optional secondary
-    covariate, and w_known optional strictly positive known variance weights.
-    All arrays are validated and frozen read-only: copied unless already
-    frozen (core._as_array), so a row of a frozen block passes as it is.
+    x holds the (n,) responses of one sample, or a (B, n) block whose rows
+    are B samples of one design; a holds the primary covariate, b an
+    optional secondary covariate, and w_known optional strictly positive
+    known variance weights, each of length n and shared by every row.  All
+    arrays are validated and frozen read-only: copied unless already frozen
+    (core._as_array), so a row of a frozen block passes as it is.
     """
 
     x: np.ndarray
@@ -148,50 +152,22 @@ class Sample:
     w_known: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        x = _as_array("x", self.x)
+        x = _as_array("x", self.x, ndim=(1, 2))
         object.__setattr__(self, "x", x)
-        _freeze_design(self, x.size)
+        _freeze_design(self, x.shape[-1])
 
     @property
     def n(self) -> int:
-        return int(self.x.size)
+        return int(self.x.shape[-1])
 
 
-class SampleBlock:
-    """B samples of one fixed design: row r of x holds the responses of sample r.
-
-    x has shape (B, n); a, b and w_known are shared by every row.  All are
-    validated and frozen as in Sample: copied unless already frozen.  A
-    plain class, unlike Sample, because building a dataclass costs a
-    millisecond at import.
-    """
-
-    __slots__ = ("x", "a", "b", "w_known")
-
-    def __init__(self, x, a, b=None, w_known=None) -> None:
-        self.x = _as_array("x", x, ndim=2)
-        self.a, self.b, self.w_known = a, b, w_known
-        _freeze_design(self, self.x.shape[1])
-
-    @property
-    def n(self) -> int:
-        return int(self.x.shape[1])
-
-    @property
-    def rows(self) -> int:
-        return int(self.x.shape[0])
-
-    def sample(self, r: int) -> Sample:
-        """Row r as a Sample."""
-        return Sample(x=self.x[r], a=self.a, b=self.b, w_known=self.w_known)
-
-
-def _column(t, s: Sample | SampleBlock):
-    """The parameter as the evaluators take it: t for a Sample, a (B, 1) column for a block."""
-    if isinstance(s, SampleBlock):
+def _column(t, s: Sample):
+    """The parameter as the evaluators take it: t for one sample, a (B, 1) column for a block."""
+    if s.x.ndim == 2:
+        rows = s.x.shape[0]
         t = np.asarray(t, dtype=np.float64)
-        if t.shape != (s.rows,):
-            raise ValueError(f"a block of {s.rows} rows needs a ({s.rows},) parameter vector")
+        if t.shape != (rows,):
+            raise ValueError(f"a block of {rows} rows needs a ({rows},) parameter vector")
         return t[:, None]
     return t
 
@@ -517,7 +493,7 @@ def _finite(value, message: str, error: type[Exception] = NonFiniteError):
     return value
 
 
-def _score_terms(fam: EstimatingFamily, wf: WeightFamily, t, s: Sample | SampleBlock):
+def _score_terms(fam: EstimatingFamily, wf: WeightFamily, t, s: Sample):
     """The terms h_i(t) M_i(t, x_i) and h_i(t) M_i'(t, x_i), t checked against both domains."""
     _require_in_domain(t, fam.domain)
     _require_in_domain(t, wf.domain)

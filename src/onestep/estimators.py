@@ -7,8 +7,8 @@ core.asymptotic_moments; the studentizer removes the unknown moments so
 confidence intervals need no variance plug-in.
 
 one_step_weighted, one_step_factorized, studentize and newton_solve also
-take a SampleBlock with a (B,) parameter vector and return one value per
-row, each bitwise what the call gives on that row's Sample.
+take a block, a Sample whose x has B rows, with a (B,) parameter vector and
+return one value per row, each bitwise what the call gives on that row alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .core import (
     Interval,
     MomentProvider,
     Sample,
-    SampleBlock,
     WeightFamily,
     _checked_sum,
     _column,
@@ -112,7 +111,7 @@ def _newton_update(
 
 
 def one_step_weighted(
-    fam: EstimatingFamily, wf: WeightFamily, theta_star: float | np.ndarray, s: Sample | SampleBlock
+    fam: EstimatingFamily, wf: WeightFamily, theta_star: float | np.ndarray, s: Sample
 ) -> EstimateResult:
     """Single Newton step on sum_i h_i(t) M_i(t, x_i), weights frozen at theta_star.
 
@@ -124,7 +123,7 @@ def one_step_weighted(
 
 
 def one_step_factorized(
-    fam: EstimatingFamily, wf: WeightFamily, theta_star: float | np.ndarray, s: Sample | SampleBlock
+    fam: EstimatingFamily, wf: WeightFamily, theta_star: float | np.ndarray, s: Sample
 ) -> EstimateResult:
     """One-step variant whose denominator differentiates the weights too.
 
@@ -139,9 +138,10 @@ def one_step_factorized(
     h = weight_values(wf, t, s.n)
     m = m_values(fam, t, s.x)
     num_terms = h * m
-    # a block's two halves may broadcast differently (constant h M' rows)
-    halves = np.broadcast_arrays(h * m_prime_values(fam, t, s.x), hp * m)
-    den_terms = np.concatenate(halves, axis=-1)
+    # both halves h M' and h' M in one array, for one exact sum per row
+    den_terms = np.empty(s.x.shape[:-1] + (2 * s.n,))
+    np.multiply(h, m_prime_values(fam, t, s.x), out=den_terms[..., :s.n])
+    np.multiply(hp, m, out=den_terms[..., s.n:])
     return _newton_update(theta_star, num_terms, den_terms)
 
 
@@ -150,7 +150,7 @@ def studentize(
     wf: WeightFamily,
     theta_star: float | np.ndarray,
     theta_hat: float | np.ndarray,
-    s: Sample | SampleBlock,
+    s: Sample,
     alpha: float = 0.05,
     *,
     centering: float | np.ndarray | None = None,
@@ -259,7 +259,7 @@ def newton_solve(
     fam: EstimatingFamily,
     wf: WeightFamily,
     theta_start: float | np.ndarray,
-    s: Sample | SampleBlock,
+    s: Sample,
     max_iter: int = 100,
     tol: float = 1e-10,
 ) -> float | np.ndarray:
@@ -273,11 +273,11 @@ def newton_solve(
     Raises NoConvergenceError when the budget is exhausted and
     DegenerateDenominatorError when the score derivative is numerically zero.
     """
-    if isinstance(s, SampleBlock):
+    if s.x.ndim == 2:
         starts = _column(theta_start, s)[:, 0].tolist()
         return np.array([
-            newton_solve(fam, wf, start, s.sample(r), max_iter, tol)
-            for r, start in enumerate(starts)
+            newton_solve(fam, wf, start, Sample(row, s.a, s.b, s.w_known), max_iter, tol)
+            for row, start in zip(s.x, starts)
         ])
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -9,13 +9,13 @@ deterministic down to the last bit.
 The estimator is regression.estimation_sequence (preliminary, pipeline,
 studentizer), the function `onestep estimate` calls too; _outcomes runs it
 and derives z, z_stud and coverage.  It takes the replications of a block
-together as the rows of a (B, n) SampleBlock, and each row's outcome is
-bitwise the one its own Sample gives.  A block in which any row fails is
-evaluated again one row at a time through _outcomes on each row's Sample,
-so a degenerate replication fails exactly as it would alone; a block of
-one row takes that per-row path at once.  Each record travels as a row of
-its fields in SimulationRecord order, and run builds the SimulationRecords
-once all rows are in.
+together as the rows of one Sample with (B, n) responses, and each row's
+outcome is bitwise the one its own Sample gives.  A block in which any row
+fails is evaluated again one row at a time through _outcomes on each row's
+Sample, so a degenerate replication fails exactly as it would alone; a
+block of one row takes that per-row path at once.  Each record travels as
+a row of its fields in SimulationRecord order, and run builds the
+SimulationRecords once all rows are in.
 
 With more than one worker, the blocks are split into contiguous shares.
 The calling process evaluates the first; each other share goes to a child
@@ -50,7 +50,6 @@ import numpy as np
 from .core import (
     EstimatingFamily,
     Sample,
-    SampleBlock,
     WeightFamily,
     asymptotic_moments,
     exact_sum,
@@ -224,8 +223,8 @@ class Scenario:
     mean: np.ndarray
     noise_sd: np.ndarray
     sample_b: np.ndarray | None
-    preliminary: Callable[[Sample | SampleBlock], float]
-    pipeline: Callable[[float | np.ndarray, Sample | SampleBlock], EstimateResult]
+    preliminary: Callable[[Sample], float]
+    pipeline: Callable[[float | np.ndarray, Sample], EstimateResult]
     z_scale: float
     i_nh: float
     j_nh: float
@@ -322,10 +321,10 @@ def _draw(cfg: SimConfig, scn: Scenario, reps: range) -> np.ndarray:
     return x
 
 
-def _outcomes(cfg: SimConfig, scn: Scenario, s: Sample | SampleBlock) -> tuple:
+def _outcomes(cfg: SimConfig, scn: Scenario, s: Sample) -> tuple:
     """(theta_star, theta_hat, z, z_stud, covered) of s, through estimation_sequence.
 
-    Floats for a Sample, one value per row for a SampleBlock.  Raises the
+    Floats for one sample, one value per row for a block of them.  Raises the
     EstimationError of the first step that fails.
     """
     est: dict = {}
@@ -346,7 +345,7 @@ def _replicate_block(cfg: SimConfig, scn: Scenario, reps: range) -> list[tuple]:
     # instead was slower in 8 of 8 alternations on sqrt, n = 20000,
     # newton_oracle, 2 threads (median +6%).
     if len(reps) > 1:
-        block = SampleBlock(x=x, a=scn.model.a, b=scn.sample_b)
+        block = Sample(x=x, a=scn.model.a, b=scn.sample_b)
         try:
             outcomes = _outcomes(cfg, scn, block)
         except EstimationError:

@@ -19,8 +19,8 @@ estimation_sequence, the one function both run the estimator through
 (preliminary, update, studentize).
 
 The preliminary estimators, lse_one_step and mm_closed_form also take a
-SampleBlock with a (B,) parameter vector, and the model evaluators take a
-(B, 1) parameter column, giving one row per sample.
+block, a Sample whose x has B rows, with a (B,) parameter vector, and the
+model evaluators take a (B, 1) parameter column, giving one row per sample.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .core import (
     Interval,
     MomentProvider,
     Sample,
-    SampleBlock,
     WeightFamily,
     _all_finite,
     _as_array,
@@ -182,7 +181,7 @@ def _per_observation(value, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=np.float64), np.shape(value)[:-1] + (n,))
 
 
-def _check_sample(model: RegressionModel, s: Sample | SampleBlock) -> None:
+def _check_sample(model: RegressionModel, s: Sample) -> None:
     if s.n != model.n:
         raise ValueError(f"sample has {s.n} observations, model expects {model.n}")
 
@@ -423,7 +422,7 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
 
 
 def lse_one_step(
-    model: RegressionModel, theta_star: float | np.ndarray, s: Sample | SampleBlock
+    model: RegressionModel, theta_star: float | np.ndarray, s: Sample
 ) -> EstimateResult:
     """One Newton step on the least-squares normal equation:
 
@@ -519,7 +518,7 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
     return contrasts
 
 
-def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarray:
+def preliminary_sqrt(c: Contrasts, s: Sample) -> float | np.ndarray:
     """Explicit start for the square-root mean with known constant weights:
 
     theta_star = sum c w (x^2 - 1) / sum c w a, requiring sum c = 0 so the
@@ -537,7 +536,7 @@ def preliminary_sqrt(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarra
     return _finite(theta, "preliminary estimate is not finite")
 
 
-def preliminary_plinear(c: Contrasts, s: Sample | SampleBlock) -> float | np.ndarray:
+def preliminary_plinear(c: Contrasts, s: Sample) -> float | np.ndarray:
     """Explicit start for the partially linear mean:
 
     theta_star = sum c x / sum c a, requiring sum c b = 0 so the nonlinear
@@ -577,7 +576,7 @@ def plinear_one_step(
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
-def preliminary_mm(c, s: Sample | SampleBlock) -> float | np.ndarray:
+def preliminary_mm(c, s: Sample) -> float | np.ndarray:
     """Explicit start for the saturation curve:
 
     theta_star = sum c (a - x) / sum c b x.  Any fixed coefficient vector c
@@ -618,7 +617,7 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
 
 
 def mm_closed_form(
-    model: RegressionModel, theta_star: float | np.ndarray, s: Sample | SampleBlock
+    model: RegressionModel, theta_star: float | np.ndarray, s: Sample
 ) -> float | np.ndarray:
     """Closed-form refinement for the saturation curve:
 
@@ -653,7 +652,7 @@ _CONTRAST_PRELIMINARIES = {
 
 def resolve_preliminary(
     model: RegressionModel, design: Sample, coefficients: np.ndarray | None = None
-) -> Callable[[Sample | SampleBlock], float | np.ndarray]:
+) -> Callable[[Sample], float | np.ndarray]:
     """The model's explicit preliminary estimator, as a function of the sample.
 
     Its coefficients are the given ones or else the default for the design:
@@ -693,7 +692,7 @@ def check_pipeline(name: str, model_kind: str) -> None:
 
 def resolve_pipeline(
     name: str, model: RegressionModel, fam: EstimatingFamily, wf: WeightFamily, newton_tol: float
-) -> Callable[[float | np.ndarray, Sample | SampleBlock], EstimateResult]:
+) -> Callable[[float | np.ndarray, Sample], EstimateResult]:
     """The update named name, as a function (theta_star, sample) -> EstimateResult.
 
     fam and wf are the model's families (to_families).  mm_closed_form and
@@ -718,18 +717,18 @@ def resolve_pipeline(
 def estimation_sequence(
     fam: EstimatingFamily,
     wf: WeightFamily,
-    preliminary: Callable[[Sample | SampleBlock], float | np.ndarray],
-    update: Callable[[float | np.ndarray, Sample | SampleBlock], EstimateResult],
+    preliminary: Callable[[Sample], float | np.ndarray],
+    update: Callable[[float | np.ndarray, Sample], EstimateResult],
     pipeline: str,
-    s: Sample | SampleBlock,
+    s: Sample,
     alpha: float,
     out: dict,
 ) -> None:
     """The estimator: preliminary, the update named pipeline, then studentize.
 
     Fills out with theta_star, theta_hat, denominator, d_star, ci_lo and
-    ci_hi, in that order: floats for a Sample, one value per row for a
-    SampleBlock.  A step that fails raises its EstimationError and leaves
+    ci_hi, in that order: floats for one sample, one value per row for a
+    block.  A step that fails raises its EstimationError and leaves
     the values of the steps before it in out.  one_step_weighted's
     denominator is sum_i h_i(theta_star) M_i'(theta_star, x_i), the
     studentizer's numerator, so studentize takes it as computed; after any

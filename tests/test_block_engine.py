@@ -8,6 +8,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from onestep.core import (
     _VECTOR_SUM_MIN_TERMS,
     EstimatingFamily,
     Sample,
-    SampleBlock,
     WeightFamily,
     exact_sum,
 )
@@ -183,7 +183,7 @@ def test_block_with_a_failing_row(monkeypatch):
     monkeypatch.setattr(montecarlo, "_draw", draw_with_zero_row)
     records, summary = run(cfg)
     scn = build_scenario(cfg)
-    block = SampleBlock(x=draw_with_zero_row(cfg, scn, range(5)), a=scn.model.a, b=scn.sample_b)
+    block = Sample(x=draw_with_zero_row(cfg, scn, range(5)), a=scn.model.a, b=scn.sample_b)
     with pytest.raises(DegenerateDenominatorError):
         preliminary_mm(np.ones(cfg.n), block)
     expected = replay(cfg)
@@ -272,8 +272,8 @@ def test_studentize_takes_the_update_denominator_bit_for_bit():
     cfg = campaign("mm", "one_step_weighted", "scaled-laplace", 500, 1)
     scn = build_scenario(cfg)
     x = _draw(cfg, scn, range(9))
-    block = SampleBlock(x=x, a=scn.model.a, b=scn.sample_b)
-    for s in (block, block.sample(4)):
+    block = Sample(x=x, a=scn.model.a, b=scn.sample_b)
+    for s in (block, Sample(x=x[4], a=block.a, b=block.b)):
         theta_star = scn.preliminary(s)
         res = one_step_weighted(scn.fam, scn.wf, theta_star, s)
         alone = studentize(scn.fam, scn.wf, theta_star, res.theta_hat, s, 0.1)
@@ -291,7 +291,7 @@ def test_a_vanishing_centering_sum_still_raises_from_the_update():
     )
     wf = unit_weights()
     s = Sample(x=[0.5, 1.0, 1.5, 2.0], a=np.ones(4))
-    block = SampleBlock(x=np.stack([s.x, s.x + 1.0]), a=s.a)
+    block = Sample(x=np.stack([s.x, s.x + 1.0]), a=s.a)
     for sample, theta_star in ((s, 1.0), (block, np.array([1.0, 2.0]))):
         with pytest.raises(DegenerateDenominatorError, match="one-step denominator"):
             one_step_weighted(fam, wf, theta_star, sample)
@@ -302,10 +302,9 @@ def test_a_vanishing_centering_sum_still_raises_from_the_update():
 def test_families_take_a_block_row_by_row():
     # a t-dependent h beside vector m, and 0-d evaluators (unit_weights() and
     # a constant M') broadcast over the block: each block row is bitwise what
-    # that row's own Sample gives
+    # that row's own Sample gives, in a block of four rows and of one
     a = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     x = 0.9 * a + 0.1 * np.random.default_rng(3).standard_normal((4, a.size))
-    block = SampleBlock(x=x, a=a)
     theta = np.array([0.8, 0.85, 0.9, 0.95])
     vector = EstimatingFamily(m_terms=lambda t, xs: xs - a * t, m_prime_terms=lambda t, xs: -a)
     t_dependent = WeightFamily(
@@ -319,14 +318,17 @@ def test_families_take_a_block_row_by_row():
     def bits(values):
         return [float(v).hex() for v in np.ravel(values)]
 
-    for fam, wf in ((vector, t_dependent), (constant, unit_weights())):
-        hat = one_step_weighted(fam, wf, theta, block).theta_hat
-        factorized = one_step_factorized(fam, wf, theta, block).theta_hat
-        d_star, (lo, hi) = studentize(fam, wf, theta, hat, block)
-        root = newton_solve(fam, wf, theta, block)
-        assert hat.shape == factorized.shape == d_star.shape == (block.rows,)
-        for r, t in enumerate(theta.tolist()):
-            s = block.sample(r)
+    families = ((vector, t_dependent), (constant, unit_weights()))
+    blocks = ((x, theta), (x[2][None, :], theta[2:3]))
+    for (fam, wf), (rows, ts) in product(families, blocks):
+        block = Sample(x=rows, a=a)
+        hat = one_step_weighted(fam, wf, ts, block).theta_hat
+        factorized = one_step_factorized(fam, wf, ts, block).theta_hat
+        d_star, (lo, hi) = studentize(fam, wf, ts, hat, block)
+        root = newton_solve(fam, wf, ts, block)
+        assert hat.shape == factorized.shape == d_star.shape == ts.shape
+        for r, t in enumerate(ts.tolist()):
+            s = Sample(x=rows[r], a=a)
             row_hat = one_step_weighted(fam, wf, t, s).theta_hat
             row_d, row_ci = studentize(fam, wf, t, row_hat, s)
             assert bits(hat[r]) == bits(row_hat)

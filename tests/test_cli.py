@@ -524,6 +524,24 @@ def test_report_reads_a_summary_after_blank_comment_lines(tmp_path, capsys):
     assert out.read_text().splitlines()[2] == ",".join(row)
 
 
+def test_report_copies_every_row_of_a_summary(tmp_path, capsys):
+    # summaries of two rows and of one, their columns reversed and one more:
+    # every row, in file order, with the cells of the comparison columns
+    rows = [
+        ["mm", "30", "0.125", "0.25", "0.95", "1.0", "2e-05", "1e-05", "0"],
+        ["sqrt", "500", "0.5", "0.0625", "0.9", "1.5", "3.0", "nan", "2"],
+    ]
+    two, one = tmp_path / "two.csv", tmp_path / "one.csv"
+    for path, table in ((two, rows), (one, rows[:1])):
+        lines = [["sigma", *reversed(cli._COMPARISON_COLUMNS)]]
+        lines += [["0.1", *reversed(row)] for row in table]
+        path.write_text("# onestep/summary/v1\n" + "".join(",".join(li) + "\n" for li in lines))
+    out = tmp_path / "c.csv"
+    code, err = run_in_process(capsys, "report", two, one, "--out", out)
+    assert (code, err) == (0, "")
+    assert out.read_text().splitlines()[2:] == [",".join(row) for row in (*rows, rows[0])]
+
+
 def test_report_rejects_missing_file(tmp_path):
     cp = run_cli("report", tmp_path / "ghost.csv", "--out", tmp_path / "c.csv")
     assert cp.returncode == 1

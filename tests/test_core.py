@@ -15,7 +15,6 @@ from onestep import (
     score_sums,
 )
 from onestep.core import (
-    SampleBlock,
     degeneracy_tolerance,
     m_prime_values,
     m_values,
@@ -57,8 +56,12 @@ def test_sample_validation_and_freezing():
     assert not s.x.flags.writeable
     with pytest.raises(ValueError):
         Sample(x=[1.0, 2.0], a=[1.0])  # length mismatch
-    with pytest.raises(ValueError):
-        Sample(x=[[1.0]], a=[1.0])  # not 1-d
+    assert Sample(x=[[1.0]], a=[1.0]).n == 1  # a block of one row
+    ranks = "x must be one-dimensional or two-dimensional"
+    with pytest.raises(ValueError, match=f"{ranks}, got 3 dimensions"):
+        Sample(x=[[[1.0]]], a=[1.0])
+    with pytest.raises(ValueError, match=f"{ranks}, got 0 dimensions"):
+        Sample(x=1.0, a=[1.0])
     with pytest.raises(ValueError):
         Sample(x=[], a=[])
     with pytest.raises(NonFiniteError):
@@ -88,9 +91,9 @@ def test_frozen_arrays_pass_without_a_copy():
     s = Sample(x=x[1], a=a, b=b, w_known=w)
     assert s.a is a and s.b is b and s.w_known is w
     assert s.x.base is x
-    block = SampleBlock(x=x, a=a, b=b, w_known=w)
+    block = Sample(x=x, a=a, b=b, w_known=w)
     assert block.x is x and block.a is a and block.b is b and block.w_known is w
-    assert np.shares_memory(block.sample(0).x, x)
+    assert block.n == 3
     model = sqrt_model(a, weights=w)
     assert model.a is a and model.values("w", 1.0) is w
     # the checks still run on an array that is not copied

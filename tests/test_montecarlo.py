@@ -176,7 +176,12 @@ def test_workers_are_capped_by_the_processors_the_process_may_run_on(monkeypatch
 
 @pytest.mark.parametrize(
     "model_id, pipeline, vectors",
-    [("mm", "one_step_weighted", 13), ("sqrt", "newton_oracle", 14), ("plinear", "one_step_weighted", 14)],
+    [
+        ("mm", "one_step_weighted", 13),
+        ("sqrt", "newton_oracle", 14),
+        ("plinear", "one_step_weighted", 14),
+        ("mm", "one_step_factorized", 22),
+    ],
 )
 def test_a_campaign_holds_few_vectors_of_length_n(model_id, pipeline, vectors):
     # at large n the vectors of length n set the memory: frozen arrays are
