@@ -125,15 +125,6 @@ def _frozen(arr: np.ndarray) -> bool:
     return isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
 
 
-def _freeze_design(obj, n: int) -> None:
-    """Validate and freeze the covariates a, b and w_known of obj, copied unless already frozen."""
-    object.__setattr__(obj, "a", _as_array("a", obj.a, n=n))
-    if obj.b is not None:
-        object.__setattr__(obj, "b", _as_array("b", obj.b, n=n))
-    if obj.w_known is not None:
-        object.__setattr__(obj, "w_known", _as_array("w_known", obj.w_known, n=n, positive=True))
-
-
 @dataclass(frozen=True)
 class Sample:
     """Observed responses with their fixed design covariates.
@@ -153,8 +144,15 @@ class Sample:
 
     def __post_init__(self) -> None:
         x = _as_array("x", self.x, ndim=(1, 2))
+        n = x.shape[-1]
         object.__setattr__(self, "x", x)
-        _freeze_design(self, x.shape[-1])
+        object.__setattr__(self, "a", _as_array("a", self.a, n=n))
+        if self.b is not None:
+            object.__setattr__(self, "b", _as_array("b", self.b, n=n))
+        if self.w_known is not None:
+            object.__setattr__(
+                self, "w_known", _as_array("w_known", self.w_known, n=n, positive=True)
+            )
 
     @property
     def n(self) -> int:
@@ -191,16 +189,13 @@ class WeightFamily:
     """Parameter-dependent weights h_i(t), optionally with derivatives.
 
     h_values(t) and h_prime_values(t) give one value per index.
-    h_prime_values is the analytic derivative of h when available.
-    Adapters that fall back to a finite-difference derivative mark it by
-    setting h_prime_exact to False so downstream consumers can surface a
-    warning.
+    h_prime_values is the analytic derivative of h, None when the family
+    carries none.
     """
 
     h_values: Callable[[float], np.ndarray]
     h_prime_values: Callable[[float], np.ndarray] | None = None
     domain: Interval = FULL_LINE
-    h_prime_exact: bool = True
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ from .core import (
     EstimatingFamily,
     Sample,
     WeightFamily,
+    _wide_sum,
     asymptotic_moments,
-    exact_sum,
 )
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError, NonFiniteError
 from .estimators import EstimateResult
@@ -377,14 +377,14 @@ def _records(rows) -> list[SimulationRecord]:
     ]
 
 
-def _mean(values: np.ndarray) -> float:
-    return exact_sum(values) / values.size
+def _mean(values: np.ndarray, name: str) -> float:
+    return _wide_sum(values, name) / values.size
 
 
-def _sample_var(values: np.ndarray, center: float) -> float:
+def _sample_var(values: np.ndarray, center: float, name: str) -> float:
     if values.size < 2:
         return math.nan
-    return exact_sum(np.square(values - center)) / (values.size - 1)
+    return _wide_sum(np.square(values - center), name) / (values.size - 1)
 
 
 def summarize(cfg: SimConfig, scn: Scenario, records: Sequence[SimulationRecord]) -> SimSummary:
@@ -396,19 +396,19 @@ def summarize(cfg: SimConfig, scn: Scenario, records: Sequence[SimulationRecord]
     z_studs = np.array([rec.z_stud for rec in valid])
     stars = np.array([rec.theta_star for rec in valid])
     hats = np.array([rec.theta_hat for rec in valid])
-    mean_z = _mean(zs)
-    var_hat = _sample_var(hats, _mean(hats))
+    mean_z = _mean(zs, "z")
+    var_hat = _sample_var(hats, _mean(hats, "theta_hat"), "squared theta_hat deviations")
     asvar = scn.i_nh / (scn.j_nh * scn.j_nh)
     theta = cfg.theta_true
     return SimSummary(
         mean_z=mean_z,
-        var_z=_sample_var(zs, mean_z),
+        var_z=_sample_var(zs, mean_z, "squared z deviations"),
         ks_z=ks_statistic(zs, normal_cdf),
         ks_zstud=ks_statistic(z_studs, normal_cdf),
         coverage=sum(rec.covered for rec in valid) / len(valid),
         var_ratio=var_hat / asvar,
-        mse_star=_mean(np.square(stars - theta)),
-        mse_hat=_mean(np.square(hats - theta)),
+        mse_star=_mean(np.square(stars - theta), "squared theta_star errors"),
+        mse_hat=_mean(np.square(hats - theta), "squared theta_hat errors"),
         degenerate_count=len(records) - len(valid),
     )
 

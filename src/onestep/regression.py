@@ -98,9 +98,6 @@ __all__ = [
 
 ContrastKind = Literal["sum_zero", "b_orthogonal"]
 
-# Relative step used when a weight derivative must be approximated.
-_FD_STEP = 1e-6
-
 # The names the term checks of the termwise one-step updates give.
 _UPDATE_TERMS = ("update terms", "denominator terms")
 _UPDATE_NOT_FINITE = "one-step update is not finite"
@@ -154,15 +151,15 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class Contrasts:
-    """A contrast vector c with the linear constraint it is meant to satisfy."""
+    """A contrast vector c, validated and frozen read-only.
+
+    Each preliminary checks the linear constraint it needs c to satisfy.
+    """
 
     c: np.ndarray
-    constraint_kind: ContrastKind
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", _as_array("contrast vector", self.c))
-        if self.constraint_kind not in ("sum_zero", "b_orthogonal"):
-            raise ValueError(f"unknown constraint kind {self.constraint_kind!r}")
 
     @cached_property
     def sums_to_zero(self) -> bool:
@@ -280,7 +277,10 @@ def mm_model(
     """Saturation curve: f_i(t) = a_i / (1 + b_i t) with a_i, b_i > 0.
 
     Variance weights are either constant per observation (weights) or a
-    shared function of the parameter (weight_fn, with optional derivative).
+    shared function of the parameter (weight_fn, with optional derivative
+    weight_fn_prime).  Without weight_fn_prime, a weight_fn model's families
+    (to_families) carry no h', so one_step_factorized raises
+    MissingDerivativeError on them.
     """
     if weights is not None and weight_fn is not None:
         raise ValueError("pass constant weights or weight_fn, not both")
@@ -314,9 +314,8 @@ def mm_model(
 def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]:
     """Quasi-likelihood families: M_i = x - f_i(t), h_i = w_i(t) f_i'(t).
 
-    The weight derivative h' = w' f' + w f'' is attached when the model has a
-    second derivative of f; a missing analytic w' is replaced by a central
-    difference and the family is marked h_prime_exact=False.
+    The weight derivative h' = w' f' + w f'' is attached when the model
+    carries both f'' and w'; otherwise the family carries no h'.
 
     Each thread keeps the model's values at the last parameter value it
     evaluated, keyed by the bytes of t, so the terms of one update or
@@ -339,23 +338,15 @@ def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]
         m_terms=lambda t, xs: xs - at("f", t),
         m_prime_terms=lambda t, xs: -at("f_prime", t),
     )
-    exact = model.f_second_values is None or model.w_prime_values is not None
     h_prime_values = None
-    if model.f_second_values is not None:
-        if exact:
-            wp = lambda t: at("w_prime", t)
-        else:
-            def wp(t):
-                d = _FD_STEP * (1.0 + abs(t))
-                return (model.values("w", t + d) - model.values("w", t - d)) / (2.0 * d)
-
-        h_prime_values = lambda t: wp(t) * at("f_prime", t) + at("w", t) * at("f_second", t)
-
+    if model.f_second_values is not None and model.w_prime_values is not None:
+        h_prime_values = lambda t: (
+            at("w_prime", t) * at("f_prime", t) + at("w", t) * at("f_second", t)
+        )
     wf = WeightFamily(
         domain=model.domain,
         h_values=lambda t: at("w", t) * at("f_prime", t),
         h_prime_values=h_prime_values,
-        h_prime_exact=exact,
     )
     return fam, wf
 
@@ -417,7 +408,7 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
         wfp * (s.x - model.values("f", theta_star)), wfp * fp,
         "weighted design sum is numerically zero", _UPDATE_TERMS,
     )
-    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE)
+    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -439,7 +430,7 @@ def lse_one_step(
         resid * fp, fp * fp - resid * model.values("f_second", t),
         "curvature sum is numerically zero", _UPDATE_TERMS,
     )
-    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE)
+    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -506,7 +497,7 @@ def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
         raise DegenerateDenominatorError(
             "design admits no informative contrast of this kind"
         )
-    contrasts = Contrasts(c=c / peak, constraint_kind=kind)
+    contrasts = Contrasts(c=c / peak)
     if kind == "sum_zero":
         w = s.w_known if s.w_known is not None else 1.0
         den_terms = contrasts.c * w * a
@@ -572,7 +563,7 @@ def plinear_one_step(
         wv * slope * resid, wv * slope * slope,
         "weighted design sum is numerically zero", _UPDATE_TERMS,
     )
-    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE)
+    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -612,7 +603,7 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
     ratio, den = _ratio(
         wp * (s.x - a / q), wp * p, "design sum is numerically zero", _UPDATE_TERMS
     )
-    theta_hat = _finite(theta_star - ratio, _UPDATE_NOT_FINITE)
+    theta_hat = _finite(theta_star - ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
@@ -669,7 +660,7 @@ def resolve_preliminary(
     if coefficients is None:
         contrasts = default_contrasts(design, constraint)
     else:
-        contrasts = Contrasts(coefficients, constraint)
+        contrasts = Contrasts(coefficients)
     return lambda s: estimator(contrasts, s)
 
 

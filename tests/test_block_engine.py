@@ -170,8 +170,6 @@ def test_blocks_match_replay(model_id, pipeline, noise, n):
 
 def test_block_with_a_failing_row(monkeypatch):
     # an all-zero response row makes the mm preliminary's denominator vanish
-    from onestep import montecarlo
-
     cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 30)
     draw = montecarlo._draw
 
@@ -260,7 +258,7 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
         return exact_sum(v)
 
     monkeypatch.setattr(RegressionModel, "values", counted_values)
-    for module in (core, regression, montecarlo):
+    for module in (core, regression):  # montecarlo sums through core._wide_sum
         monkeypatch.setattr(module, "exact_sum", counted_sum)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
     assert not any(row[-1] for row in records)

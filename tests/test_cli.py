@@ -99,11 +99,11 @@ def test_estimate_round_trip(tmp_path):
     assert row["denominator"] == repr(res.denominator)
     assert row["warnings"] == ""
     assert float(row["theta_star"]) == ts
-    # estimate warns of degeneracy alone: every model it builds carries w', with or without w
+    # every model estimate builds carries w', with or without w, so its families carry h'
     for model_id in cli.ESTIMATE_MODELS:
         for w in (None, np.array([1.0, 2.0])):
             _, wf = to_families(cli._build_estimate_model(model_id, s, w))
-            assert wf.h_prime_exact, (model_id, w)
+            assert wf.h_prime_values is not None, (model_id, w)
 
 
 def test_estimate_theta_start_override(tmp_path):
@@ -789,6 +789,37 @@ def test_partial_report_when_the_update_fails(tmp_path, capsys):
         "theta_star": "-0.5", "theta_hat": "", "d_star": "", "ci_lo": "", "ci_hi": "",
         "denominator": "", "warnings": "one-step denominator 0.0 is numerically zero",
     }
+
+
+@pytest.mark.parametrize("pipeline", ["one_step_weighted", "one_step_factorized", "lse_one_step"])
+def test_a_non_finite_update_exits_2_under_every_newton_pipeline(tmp_path, capsys, pipeline):
+    # responses near the largest double over tiny slopes: the ratio, and so
+    # the update, passes it; the start is reported under every pipeline
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,b\n1e307,0.001,0\n1e307,0.002,0\n-1e306,0.0015,0\n")
+    out = tmp_path / "report.csv"
+    code, err = run_in_process(
+        capsys, "estimate", data, "--model", "plinear", "--theta-start", "0",
+        "--pipeline", pipeline, "--out", out,
+    )
+    assert (code, err) == (2, "")
+    assert read_report(out) == {
+        "theta_star": "0.0", "theta_hat": "", "d_star": "", "ci_lo": "", "ci_hi": "",
+        "denominator": "", "warnings": "one-step update is not finite",
+    }
+
+
+def test_a_summary_sum_past_the_largest_double_is_named(tmp_path, capsys):
+    # sigma 1e153 puts squared errors near 1e306, and 20000 of them past the
+    # largest double: the summary's sum is named in one line, no CSV written
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile, model="custom-linear", sigma=1e153, n=20, replications=20000, seed=3)
+    out = tmp_path / "out"
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out)
+    assert (code, err) == (
+        1, "error: the exact sum of squared theta_hat deviations lies beyond the largest double\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("model", ["sqrt", "plinear"])

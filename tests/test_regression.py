@@ -19,6 +19,7 @@ from onestep import (
     mm_model,
     mm_one_step,
     moment_provider,
+    one_step_factorized,
     one_step_weighted,
     plinear_model,
     plinear_one_step,
@@ -174,7 +175,7 @@ def test_to_families_score_shape():
     assert m_values(fam, 0.0, s.x)[0] == pytest.approx(1.1 - 2.0, rel=1e-15)
     assert m_prime_values(fam, 0.0, s.x)[0] == pytest.approx(2.0, rel=1e-15)  # -f' = ab
     assert weight_values(wf, 0.0, s.n)[0] == pytest.approx(-2.0, rel=1e-15)
-    assert wf.h_prime_exact
+    assert wf.h_prime_values is not None
 
 
 def test_to_families_weight_derivative():
@@ -189,24 +190,26 @@ def test_to_families_weight_derivative():
     numeric = (weight_values(wf, t + d, 2) - weight_values(wf, t - d, 2)) / (2 * d)
     analytic = weight_prime_values(wf, t, 2)
     assert np.allclose(analytic, numeric, rtol=1e-8, atol=1e-8)
-    assert wf.h_prime_exact
+    assert wf.h_prime_values is not None
 
 
-def test_to_families_fd_fallback_flag():
-    # weight_fn without its derivative: h' falls back to a finite difference
-    # and the family says so
+def test_to_families_without_weight_derivative_carries_no_h_prime():
+    # weight_fn without its derivative: the families carry no h', so the
+    # factorized step raises MissingDerivativeError, also next to the domain
+    # bound -0.5 that a difference quotient would have probed past
     model = mm_model([2.0, 3.0], [1.0, 2.0], weight_fn=lambda t: 1.0 + t * t)
-    _, wf = to_families(model)
-    assert not wf.h_prime_exact
-    exact_model = mm_model(
-        [2.0, 3.0], [1.0, 2.0],
-        weight_fn=lambda t: 1.0 + t * t,
-        weight_fn_prime=lambda t: 2.0 * t,
-    )
-    _, wf_exact = to_families(exact_model)
-    approx = weight_prime_values(wf, 0.4, 2)
-    truth = weight_prime_values(wf_exact, 0.4, 2)
-    assert np.allclose(approx, truth, rtol=1e-7)
+    fam, wf = to_families(model)
+    assert wf.h_prime_values is None
+    s = Sample(x=[1.1, 0.9], a=[2.0, 3.0], b=[1.0, 2.0])
+    for theta_star in (0.4, -0.4999999):
+        with pytest.raises(MissingDerivativeError):
+            one_step_factorized(fam, wf, theta_star, s)
+    res = one_step_weighted(fam, wf, 0.4, s)
+    fp = -np.array([2.0, 6.0]) / np.square(1.0 + np.array([1.0, 2.0]) * 0.4)
+    h = 1.16 * fp
+    resid = s.x - np.array([2.0, 3.0]) / (1.0 + np.array([1.0, 2.0]) * 0.4)
+    expected = 0.4 - math.fsum(h * resid) / math.fsum(-h * fp)
+    assert res.theta_hat == pytest.approx(expected, rel=1e-12)
 
 
 def test_weighted_one_step_matches_core_adapter_bitwise():
@@ -253,7 +256,7 @@ def test_default_contrasts_sum_zero():
     c = default_contrasts(s, "sum_zero")
     assert abs(math.fsum(c.c)) < 1e-14
     assert np.max(np.abs(c.c)) == 1.0
-    assert c.constraint_kind == "sum_zero"
+    assert c.sums_to_zero
 
 
 def test_default_contrasts_b_orthogonal():
@@ -291,9 +294,7 @@ def test_default_contrasts_degenerate_designs():
 
 def test_contrasts_validation():
     with pytest.raises(ValueError):
-        Contrasts(c=[], constraint_kind="sum_zero")
-    with pytest.raises(ValueError):
-        Contrasts(c=[1.0, -1.0], constraint_kind="nonsense")
+        Contrasts(c=[])
 
 
 def test_preliminary_sqrt_example():
@@ -302,13 +303,13 @@ def test_preliminary_sqrt_example():
         a=[1.0, 3.0],
         w_known=[1.0, 2.0],
     )
-    c = Contrasts(c=[-1.0, 1.0], constraint_kind="sum_zero")
+    c = Contrasts(c=[-1.0, 1.0])
     assert preliminary_sqrt(c, s) == pytest.approx(0.8980525830020305, rel=1e-15)
 
 
 def test_preliminary_sqrt_constraint_enforced():
     s = Sample(x=[1.0, 2.0], a=[1.0, 3.0])
-    bad = Contrasts(c=[1.0, 1.0], constraint_kind="sum_zero")
+    bad = Contrasts(c=[1.0, 1.0])
     with pytest.raises(ConstraintError):
         preliminary_sqrt(bad, s)
 
@@ -320,8 +321,8 @@ def test_sum_zero_is_tested_once_per_contrast_vector(monkeypatch):
         regression, "_sums_to_zero", lambda terms: calls.append(None) or sums_to_zero(terms)
     )
     s = Sample(x=[1.0, 2.0], a=[1.0, 3.0])
-    good = Contrasts(c=[-1.0, 1.0], constraint_kind="sum_zero")
-    bad = Contrasts(c=[1.0, 1.0], constraint_kind="sum_zero")
+    good = Contrasts(c=[-1.0, 1.0])
+    bad = Contrasts(c=[1.0, 1.0])
     assert preliminary_sqrt(good, s) == preliminary_sqrt(good, s)
     for _ in range(2):
         with pytest.raises(ConstraintError):
@@ -331,22 +332,22 @@ def test_sum_zero_is_tested_once_per_contrast_vector(monkeypatch):
 
 def test_contrast_constraints_are_tested_at_any_scale():
     # sum |c| overflows a double in each case below
-    assert Contrasts(c=[1e308, -1e308, 0.0], constraint_kind="sum_zero").sums_to_zero
-    lopsided = Contrasts(c=[1e308, 1e308, -1e308], constraint_kind="sum_zero")
+    assert Contrasts(c=[1e308, -1e308, 0.0]).sums_to_zero
+    lopsided = Contrasts(c=[1e308, 1e308, -1e308])
     with pytest.raises(ConstraintError):
         preliminary_sqrt(lopsided, Sample(x=[1.0, 2.0, 3.0], a=[1.0, 2.0, 3.0]))
     s = Sample(x=[1.0, 2.0, 3.0], a=[1.0, 2.0, 3.0], b=[1.0, 1.0, 1.5])
     with pytest.raises(ConstraintError):
-        preliminary_plinear(Contrasts(c=[1e308, 1e308, -1e308], constraint_kind="b_orthogonal"), s)
+        preliminary_plinear(Contrasts(c=[1e308, 1e308, -1e308]), s)
     # c * b overflows in both cases below; b is scaled to a unit peak first
-    overflowing = Contrasts(c=[1e308, 1e308, -1.6e308], constraint_kind="b_orthogonal")
+    overflowing = Contrasts(c=[1e308, 1e308, -1.6e308])
     with pytest.raises(ConstraintError):
         preliminary_plinear(overflowing, s)
     regression._validate_b_orthogonal(np.array([1e308, 1e308, -1e308 / 0.75]), s.b)
     # a power-of-two scale changes no decision
     for c in ([-1.0, 1.0, 0.0], [1.0, 1.0, -2.0 + 2.0**-40], [3.0, -1.0, -2.0]):
         decisions = {
-            Contrasts(c=np.array(c) * scale, constraint_kind="sum_zero").sums_to_zero
+            Contrasts(c=np.array(c) * scale).sums_to_zero
             for scale in (2.0**-1000, 1.0, 2.0**1000)
         }
         assert len(decisions) == 1
@@ -358,7 +359,7 @@ def test_sqrt_one_step_example():
         a=[1.0, 3.0],
         w_known=[1.0, 2.0],
     )
-    c = Contrasts(c=[-1.0, 1.0], constraint_kind="sum_zero")
+    c = Contrasts(c=[-1.0, 1.0])
     ts = preliminary_sqrt(c, s)
     model = sqrt_model([1.0, 3.0], weights=[1.0, 2.0])
     res = weighted_one_step(model, ts, s)
@@ -394,20 +395,20 @@ def test_lse_matches_weighted_when_f_is_linear():
 
 def test_preliminary_plinear_example():
     _, s = plinear_example()
-    c = Contrasts(c=[-1.0, 1.0, 0.0], constraint_kind="b_orthogonal")
+    c = Contrasts(c=[-1.0, 1.0, 0.0])
     assert preliminary_plinear(c, s) == pytest.approx(0.92, rel=1e-15)
 
 
 def test_preliminary_plinear_constraint_enforced():
     _, s = plinear_example()
-    bad = Contrasts(c=[1.0, 1.0, 0.0], constraint_kind="b_orthogonal")
+    bad = Contrasts(c=[1.0, 1.0, 0.0])
     with pytest.raises(ConstraintError):
         preliminary_plinear(bad, s)
 
 
 def test_plinear_one_step_example():
     _, s = plinear_example()
-    c = Contrasts(c=[-1.0, 1.0, 0.0], constraint_kind="b_orthogonal")
+    c = Contrasts(c=[-1.0, 1.0, 0.0])
     ts = preliminary_plinear(c, s)
     res = plinear_one_step(lambda t: t * t, lambda t: 2.0 * t, ts, s)
     assert res.theta_hat == pytest.approx(1.0042805960233474, rel=1e-14)
