@@ -43,7 +43,6 @@ from .regression import (
     plinear_g_prime,
     plinear_g_second,
     plinear_model,
-    resolve_pipeline,
     resolve_preliminary,
     sqrt_model,
     to_families,
@@ -365,16 +364,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         s = _load_data_csv(Path(args.data))
         model = _build_estimate_model(args.model, s, s.w_known)
         fam, wf = to_families(model)
-        update = resolve_pipeline(args.pipeline, model, fam, wf, newton_tol=1e-10)
         if args.theta_start is not None:
             preliminary = lambda _: args.theta_start
         else:
-            custom = (
-                None if args.contrasts == "default"
-                else _load_contrast_file(Path(args.contrasts), s.n)
-            )
-            preliminary = resolve_preliminary(model, s, custom)
-        estimation_sequence(fam, wf, preliminary, update, args.pipeline, s, args.alpha, report)
+            def preliminary(s):  # resolved after estimation_sequence checks the pipeline
+                custom = (
+                    None if args.contrasts == "default"
+                    else _load_contrast_file(Path(args.contrasts), s.n)
+                )
+                return resolve_preliminary(model, s, custom)(s)
+        estimation_sequence(
+            model, fam, wf, preliminary, args.pipeline, s, args.alpha, report, newton_tol=1e-10
+        )
     except _DEGENERATE_EXITS as exc:
         degenerate = True  # report what was computed before the failing step
         warnings.append(str(exc))

@@ -6,9 +6,10 @@ degree of parallelism produces identical records.  Aggregation walks the
 records in replication order with exact summation, making the whole run
 deterministic down to the last bit.
 
-The estimator is regression.estimation_sequence (preliminary, pipeline,
-studentizer), the function `onestep estimate` calls too; _outcomes runs it
-and derives z, z_stud and coverage.  It takes the replications of a block
+The estimator is regression.estimation_sequence (preliminary, the update
+the config's pipeline names, studentizer), the function `onestep estimate`
+calls too; _outcomes runs it on the scenario's model and families and
+derives z, z_stud and coverage.  It takes the replications of a block
 together as the rows of one Sample with (B, n) responses, and each row's
 outcome is bitwise the one its own Sample gives.  A block in which any row
 fails is evaluated again one row at a time through _outcomes on each row's
@@ -55,7 +56,6 @@ from .core import (
     asymptotic_moments,
 )
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError, NonFiniteError
-from .estimators import EstimateResult
 from .normal import normal_cdf, normal_quantile
 from .regression import (
     PIPELINES,
@@ -69,7 +69,6 @@ from .regression import (
     plinear_g_prime,
     plinear_g_second,
     plinear_model,
-    resolve_pipeline,
     resolve_preliminary,
     sqrt_model,
     to_families,
@@ -224,7 +223,6 @@ class Scenario:
     noise_sd: np.ndarray
     sample_b: np.ndarray | None
     preliminary: Callable[[Sample], float]
-    pipeline: Callable[[float | np.ndarray, Sample], EstimateResult]
     z_scale: float
     i_nh: float
     j_nh: float
@@ -253,7 +251,7 @@ def build_model(model_id: str, n: int, sigma: float) -> RegressionModel:
 
 
 def build_scenario(cfg: SimConfig) -> Scenario:
-    """Resolve a config into model, families, preliminary, and pipeline."""
+    """Resolve a config into model, families, preliminary, noise and asymptotic moments."""
     model = build_model(cfg.model_id, cfg.n, cfg.sigma)
     fam, wf = to_families(model)
     theta = cfg.theta_true
@@ -265,7 +263,6 @@ def build_scenario(cfg: SimConfig) -> Scenario:
     mean.flags.writeable = False
     noise_sd = cfg.sigma / np.sqrt(model.values("w", theta))
     preliminary = resolve_preliminary(model, Sample(x=mean, a=model.a, b=model.b))
-    update = resolve_pipeline(cfg.pipeline, model, fam, wf, newton_tol=1e-9)
     return Scenario(
         model=model,
         fam=fam,
@@ -274,7 +271,6 @@ def build_scenario(cfg: SimConfig) -> Scenario:
         noise_sd=noise_sd,
         sample_b=model.b,
         preliminary=preliminary,
-        pipeline=update,
         z_scale=z_scale,
         i_nh=i_nh,
         j_nh=j_nh,
@@ -329,7 +325,8 @@ def _outcomes(cfg: SimConfig, scn: Scenario, s: Sample) -> tuple:
     """
     est: dict = {}
     estimation_sequence(
-        scn.fam, scn.wf, scn.preliminary, scn.pipeline, cfg.pipeline, s, cfg.alpha, est
+        scn.model, scn.fam, scn.wf, scn.preliminary, cfg.pipeline, s, cfg.alpha, est,
+        newton_tol=1e-9,
     )
     err = est["theta_hat"] - cfg.theta_true
     covered = (est["ci_lo"] <= cfg.theta_true) & (cfg.theta_true <= est["ci_hi"])

@@ -12,11 +12,11 @@ which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
 M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 (square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
 explicit preliminary estimators, the adapters to the core families, and
-what the command line and the simulation harness share: the tables
-resolve_preliminary, each model kind's preliminary estimator, and
-resolve_pipeline, the function of each update name they accept, and
+what the command line and the simulation harness share:
+resolve_preliminary, each model kind's preliminary estimator;
+check_pipeline, which names the updates they accept; and
 estimation_sequence, the one function both run the estimator through
-(preliminary, update, studentize).
+(preliminary, the update a pipeline name selects, studentize).
 
 The preliminary estimators, lse_one_step and mm_closed_form also take a
 block, a Sample whose x has B rows, with a (B,) parameter vector, and the
@@ -91,7 +91,6 @@ __all__ = [
     "mm_one_step",
     "mm_closed_form",
     "check_pipeline",
-    "resolve_pipeline",
     "resolve_preliminary",
     "estimation_sequence",
 ]
@@ -176,6 +175,11 @@ def _constant_weights(weights, n: int) -> dict:
 def _per_observation(value, n: int) -> np.ndarray:
     """A value shared by all n observations, broadcast along the last axis (read-only)."""
     return np.broadcast_to(np.asarray(value, dtype=np.float64), np.shape(value)[:-1] + (n,))
+
+
+def _cube(q: np.ndarray) -> np.ndarray:
+    """q^3 as q^2 q, the same bits on every CPU; numpy picks q ** 3's pow kernel by CPU."""
+    return np.square(q) * q
 
 
 def _check_sample(model: RegressionModel, s: Sample) -> None:
@@ -301,7 +305,7 @@ def mm_model(
         domain=Interval(-1.0 / float(np.max(b)), math.inf),
         f_values=lambda t: a / (1.0 + b * t),
         f_prime_values=lambda t: -(a * b) / np.square(1.0 + b * t),
-        f_second_values=lambda t: 2.0 * a * b * b / (1.0 + b * t) ** 3,
+        f_second_values=lambda t: 2.0 * a * b * b / _cube(1.0 + b * t),
         **w_evaluators,
         a=a,
         b=b,
@@ -622,7 +626,7 @@ def mm_closed_form(
     a, b = model.a, model.b
     t = _column(theta_star, s)
     wv = model.values("w", t)
-    q3 = (1.0 + b * t) ** 3
+    q3 = _cube(1.0 + b * t)
     theta, _ = _ratio(
         wv * a * b * (a - s.x) / q3, wv * a * np.square(b) * s.x / q3,
         "response-weighted design sum is numerically zero",
@@ -681,54 +685,46 @@ def check_pipeline(name: str, model_kind: str) -> None:
         raise ConfigError("the closed-form pipeline applies to the mm model only")
 
 
-def resolve_pipeline(
-    name: str, model: RegressionModel, fam: EstimatingFamily, wf: WeightFamily, newton_tol: float
-) -> Callable[[float | np.ndarray, Sample], EstimateResult]:
-    """The update named name, as a function (theta_star, sample) -> EstimateResult.
-
-    fam and wf are the model's families (to_families).  mm_closed_form and
-    newton_oracle have no single Newton denominator and report it as NaN;
-    newton_oracle solves to |score| <= newton_tol.  Raises ConfigError as
-    check_pipeline does.
-    """
-    check_pipeline(name, model.kind)
-    if name == "one_step_weighted":
-        return lambda ts, s: one_step_weighted(fam, wf, ts, s)
-    if name == "one_step_factorized":
-        return lambda ts, s: one_step_factorized(fam, wf, ts, s)
-    if name == "lse_one_step":
-        return lambda ts, s: lse_one_step(model, ts, s)
-    if name == "mm_closed_form":
-        solve = lambda ts, s: mm_closed_form(model, ts, s)
-    else:  # newton_oracle
-        solve = lambda ts, s: newton_solve(fam, wf, ts, s, max_iter=100, tol=newton_tol)
-    return lambda ts, s: EstimateResult(theta_star=ts, theta_hat=solve(ts, s), denominator=math.nan)
-
-
 def estimation_sequence(
+    model: RegressionModel,
     fam: EstimatingFamily,
     wf: WeightFamily,
     preliminary: Callable[[Sample], float | np.ndarray],
-    update: Callable[[float | np.ndarray, Sample], EstimateResult],
     pipeline: str,
     s: Sample,
     alpha: float,
     out: dict,
+    newton_tol: float,
 ) -> None:
     """The estimator: preliminary, the update named pipeline, then studentize.
 
-    Fills out with theta_star, theta_hat, denominator, d_star, ci_lo and
-    ci_hi, in that order: floats for one sample, one value per row for a
-    block.  A step that fails raises its EstimationError and leaves
-    the values of the steps before it in out.  one_step_weighted's
-    denominator is sum_i h_i(theta_star) M_i'(theta_star, x_i), the
-    studentizer's numerator, so studentize takes it as computed; after any
-    other update studentize sums it itself.
+    fam and wf are the model's families (to_families).  Fills out with
+    theta_star, theta_hat, denominator, d_star, ci_lo and ci_hi, in that
+    order: floats for one sample, one value per row for a block.  A step
+    that fails raises its EstimationError and leaves the values of the steps
+    before it in out.  mm_closed_form and newton_oracle have no single
+    Newton denominator and report it as NaN; newton_oracle solves to
+    |score| <= newton_tol.  Raises ConfigError as check_pipeline does,
+    before any step.
     """
+    check_pipeline(pipeline, model.kind)
     out["theta_star"] = theta_star = preliminary(s)
-    res = update(theta_star, s)
+    centering = None
+    if pipeline == "one_step_weighted":
+        res = one_step_weighted(fam, wf, theta_star, s)
+        # its denominator is sum_i h_i(theta_star) M_i'(theta_star, x_i), the
+        # studentizer's numerator, so studentize takes it as computed
+        centering = res.denominator
+    elif pipeline == "one_step_factorized":
+        res = one_step_factorized(fam, wf, theta_star, s)
+    elif pipeline == "lse_one_step":
+        res = lse_one_step(model, theta_star, s)
+    elif pipeline == "mm_closed_form":
+        res = EstimateResult(theta_star, mm_closed_form(model, theta_star, s), math.nan)
+    else:  # newton_oracle
+        theta_hat = newton_solve(fam, wf, theta_star, s, max_iter=100, tol=newton_tol)
+        res = EstimateResult(theta_star, theta_hat, math.nan)
     out["theta_hat"], out["denominator"] = res.theta_hat, res.denominator
     out["d_star"], (out["ci_lo"], out["ci_hi"]) = studentize(
-        fam, wf, theta_star, res.theta_hat, s, alpha,
-        centering=res.denominator if pipeline == "one_step_weighted" else None,
+        fam, wf, theta_star, res.theta_hat, s, alpha, centering=centering
     )

@@ -42,7 +42,12 @@ from onestep.montecarlo import (
     build_scenario,
     rows_per_block,
 )
-from onestep.regression import RegressionModel, preliminary_mm
+from onestep.regression import (
+    RegressionModel,
+    lse_one_step,
+    mm_closed_form,
+    preliminary_mm,
+)
 
 # --- row-wise exact sums ---
 
@@ -126,10 +131,22 @@ def replay(cfg):
     return records
 
 
+# theta_hat of each pipeline through its public update, at the campaign's newton tolerance
+REPLAY_UPDATES = {
+    "one_step_weighted": lambda scn, ts, s: one_step_weighted(scn.fam, scn.wf, ts, s).theta_hat,
+    "one_step_factorized": lambda scn, ts, s: one_step_factorized(scn.fam, scn.wf, ts, s).theta_hat,
+    "lse_one_step": lambda scn, ts, s: lse_one_step(scn.model, ts, s).theta_hat,
+    "mm_closed_form": lambda scn, ts, s: mm_closed_form(scn.model, ts, s),
+    "newton_oracle": lambda scn, ts, s: newton_solve(
+        scn.fam, scn.wf, ts, s, max_iter=100, tol=1e-9
+    ),
+}
+
+
 def replay_row(cfg, scn, r, s):
     try:
         theta_star = scn.preliminary(s)
-        theta_hat = scn.pipeline(theta_star, s).theta_hat
+        theta_hat = REPLAY_UPDATES[cfg.pipeline](scn, theta_star, s)
         d_star, ci = studentize(scn.fam, scn.wf, theta_star, theta_hat, s, cfg.alpha)
     except EstimationError:
         nan = math.nan

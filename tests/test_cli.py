@@ -468,13 +468,16 @@ def test_estimate_and_simulate_accept_the_same_pipelines(tmp_path, capsys):
                   pipeline="gradient_descent")
 
     data = tmp_path / "data.csv"
-    data.write_text("x,a\n1.4,1.0\n2.1,3.0\n")
-    code, err = run_in_process(
-        capsys, "estimate", data, "--model", "sqrt", "--pipeline", "mm_closed_form",
-        "--out", tmp_path / "r.csv",
-    )
-    assert code == 1
-    assert "error: the closed-form pipeline applies to the mm model only" in err
+    # the second design admits no sum-zero contrast: the pipeline is named before that shows
+    for text in ("x,a\n1.4,1.0\n2.1,3.0\n", "x,a\n1.0,2.0\n1.1,2.0\n1.2,2.0\n"):
+        data.write_text(text)
+        code, err = run_in_process(
+            capsys, "estimate", data, "--model", "sqrt", "--pipeline", "mm_closed_form",
+            "--out", tmp_path / "r.csv",
+        )
+        assert code == 1
+        assert "error: the closed-form pipeline applies to the mm model only" in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_report_combines_summaries(tmp_path):

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -292,6 +294,53 @@ def test_all_models_and_pipelines_run_clean():
     assert summary.degenerate_count == 0
     _, summary = run(small_cfg(pipeline="one_step_factorized"))
     assert summary.degenerate_count == 0
+
+
+# Short campaigns of every model and pipeline, one digest line each.
+_CAMPAIGN_DIGESTS = """
+import hashlib
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from onestep import SimConfig, run
+from onestep.montecarlo import MODEL_IDS, PIPELINES
+
+print(" ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
+for model_id in MODEL_IDS:
+    for pipeline in PIPELINES:
+        if pipeline == "mm_closed_form" and model_id != "mm":
+            continue
+        cfg = SimConfig(
+            model_id=model_id, theta_true=1.0, sigma=0.1, n=700, replications=20, seed=3,
+            noise="scaled-laplace", pipeline=pipeline,
+        )
+        print(model_id, pipeline, hashlib.sha256(repr(run(cfg)).encode()).hexdigest())
+"""
+
+
+def test_campaigns_give_the_same_bits_without_cpu_dispatch():
+    # numpy picks some kernels (pow among them) by the CPU it runs on; with
+    # every dispatch target this host offers disabled, a child process stands
+    # in for a CPU without them.  numpy 2.4 names targets like X86_V4.
+    umath = pytest.importorskip(
+        "numpy._core._multiarray_umath", reason="numpy before 2.0 keeps its dispatch table elsewhere"
+    )
+    active = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    if not active:
+        pytest.skip("numpy dispatches no kernel by CPU on this host, so there is nothing to disable")
+
+    def digests(**env):
+        cp = subprocess.run(
+            [sys.executable, "-c", _CAMPAIGN_DIGESTS],
+            capture_output=True, text=True, env=dict(os.environ, **env),
+        )
+        assert cp.returncode == 0, cp.stderr
+        return cp.stdout.splitlines()
+
+    here = digests()
+    baseline = digests(NPY_DISABLE_CPU_FEATURES=" ".join(active))
+    assert here[0] == " ".join(active)
+    assert baseline[0] == ""
+    assert len(here) == 1 + 4 * 4 + 1  # four pipelines per model, mm_closed_form on mm
+    assert baseline[1:] == here[1:]
 
 
 def test_records_are_ordered_and_complete():

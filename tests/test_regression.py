@@ -38,6 +38,7 @@ from onestep.core import (
     weight_values,
 )
 from onestep.errors import (
+    ConfigError,
     ConstraintError,
     DegenerateDenominatorError,
     DivisionByZeroError,
@@ -547,3 +548,32 @@ def test_noiseless_recovery_all_models():
         assert ts == pytest.approx(theta, abs=1e-10)
         assert mm_one_step(mm, ts, s).theta_hat == pytest.approx(theta, abs=1e-10)
         assert mm_closed_form(mm, ts, s) == pytest.approx(theta, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "pipeline,message",
+    [
+        (
+            "gradient_descent",
+            "pipeline must be one of ('one_step_weighted', 'one_step_factorized', "
+            "'lse_one_step', 'mm_closed_form', 'newton_oracle'), got 'gradient_descent'",
+        ),
+        ("mm_closed_form", "the closed-form pipeline applies to the mm model only"),
+    ],
+)
+def test_estimation_sequence_checks_the_pipeline_before_any_step(pipeline, message):
+    a, _ = default_grid(20)
+    model = sqrt_model(a)
+    fam, wf = to_families(model)
+    s = Sample(x=model.f_values(0.7), a=a)
+
+    def preliminary(s):
+        raise AssertionError("the preliminary ran before the pipeline check")
+
+    out = {}
+    with pytest.raises(ConfigError) as excinfo:
+        regression.estimation_sequence(
+            model, fam, wf, preliminary, pipeline, s, 0.05, out, newton_tol=1e-9
+        )
+    assert str(excinfo.value) == message
+    assert out == {}
