@@ -17,91 +17,29 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the public names it defines
-_EXPORTS = {
-    "core": (
-        "FULL_LINE",
-        "Interval",
-        "Sample",
-        "EstimatingFamily",
-        "WeightFamily",
-        "MomentProvider",
-        "score_sums",
-        "asymptotic_moments",
-    ),
-    "errors": (
-        "EstimationError",
-        "DomainError",
-        "NonFiniteError",
-        "DegenerateError",
-        "DegenerateDenominatorError",
-        "MissingDerivativeError",
-        "ZeroVarianceError",
-        "SignMismatchError",
-        "NoConvergenceError",
-        "ConstraintError",
-        "EmptyInputError",
-        "DivisionByZeroError",
-        "ConfigError",
-    ),
-    "estimators": (
-        "EstimateResult",
-        "one_step_weighted",
-        "one_step_factorized",
-        "studentize",
-        "optimal_weights",
-        "efficiency_ratio",
-        "newton_solve",
-        "unit_weights",
-    ),
-    "regression": (
-        "RegressionModel",
-        "Contrasts",
-        "linear_model",
-        "sqrt_model",
-        "plinear_model",
-        "mm_model",
-        "to_families",
-        "generalized_families",
-        "moment_provider",
-        "weighted_one_step",
-        "lse_one_step",
-        "asymptotic_variance",
-        "default_contrasts",
-        "preliminary_sqrt",
-        "preliminary_plinear",
-        "plinear_one_step",
-        "preliminary_mm",
-        "mm_one_step",
-        "mm_closed_form",
-    ),
-    "montecarlo": (
-        "SimConfig",
-        "SimulationRecord",
-        "SimSummary",
-        "run",
-        "ks_statistic",
-    ),
-    "normal": (
-        "normal_cdf",
-        "normal_quantile",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_MODULE_OF]
+# Each module imports only modules listed before it, so a name is found
+# after loading just the modules it needs.
+_MODULES = ("errors", "normal", "core", "estimators", "regression", "montecarlo")
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a module, as onestep.montecarlo after a plain import onestep
+    """A submodule by name, or the first module's value for a name in its ``__all__``.
+
+    ``__all__`` itself is ``__version__`` followed by every module's
+    ``__all__``, without repeats.  A name that no module lists raises
+    AttributeError, by which time all six modules have been imported.
+    """
+    if name in _MODULES or name == "cli":  # as onestep.montecarlo after a plain import onestep
         return importlib.import_module(f".{name}", __name__)
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later reads skip this hook
-    return value
+    modules = (importlib.import_module(f".{module}", __name__) for module in _MODULES)
+    if name == "__all__":
+        return list(dict.fromkeys(["__version__", *(n for m in modules for n in m.__all__)]))
+    for module in modules:  # imported one by one, up to the first that lists the name
+        if name in module.__all__:
+            value = globals()[name] = getattr(module, name)  # later reads skip this hook
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_MODULE_OF})
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -444,6 +444,14 @@ def _resolve_threads(flag_value: int) -> int:
     return flag_value
 
 
+def _libc_version() -> str | None:
+    """The C library and its version as glibc reports them, or None where it does not."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     import json
     from datetime import datetime, timezone
@@ -475,6 +483,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
+        "libc": _libc_version(),
         "threads": threads,
         "workers": worker_count(cfg, threads),
         "rows_per_block": rows_per_block(cfg.n),

@@ -6,6 +6,22 @@ EstimationError, so callers can catch one base class at pipeline boundaries.
 
 from __future__ import annotations
 
+__all__ = [
+    "EstimationError",
+    "DomainError",
+    "NonFiniteError",
+    "DegenerateError",
+    "DegenerateDenominatorError",
+    "MissingDerivativeError",
+    "ZeroVarianceError",
+    "SignMismatchError",
+    "NoConvergenceError",
+    "ConstraintError",
+    "EmptyInputError",
+    "DivisionByZeroError",
+    "ConfigError",
+]
+
 
 class EstimationError(Exception):
     """Base class for all errors raised by this library."""

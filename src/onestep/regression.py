@@ -56,7 +56,6 @@ from .errors import (
     ConfigError,
     ConstraintError,
     DegenerateDenominatorError,
-    DegenerateError,
     DivisionByZeroError,
     MissingDerivativeError,
     NonFiniteError,
@@ -82,7 +81,6 @@ __all__ = [
     "moment_provider",
     "weighted_one_step",
     "lse_one_step",
-    "asymptotic_variance",
     "default_contrasts",
     "preliminary_sqrt",
     "preliminary_plinear",
@@ -436,19 +434,6 @@ def lse_one_step(
     )
     theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
     return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
-
-
-def asymptotic_variance(model: RegressionModel, theta: float, n: int | None = None) -> float:
-    """Asymptotic variance sigma^2 / sum_{i<n} w_i(theta) f_i'(theta)^2."""
-    if n is None:
-        n = model.n
-    if not 1 <= n <= model.n:
-        raise ValueError(f"n must lie in 1..{model.n}")
-    terms = (model.values("w", theta) * np.square(model.values("f_prime", theta)))[:n]
-    total = _checked_sum(terms, "information terms")
-    if total <= 0.0:
-        raise DegenerateError("information sum is zero")
-    return model.sigma * model.sigma / total
 
 
 # --- contrasts and explicit preliminary estimators ---

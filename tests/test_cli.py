@@ -248,11 +248,13 @@ def test_simulate_outputs(tmp_path):
     ]
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
+    assert "libc" in manifest
     assert manifest["threads"] == 1
     assert manifest["workers"] == 1
     assert manifest["rows_per_block"] == rows_per_block(30)
     assert list(manifest)[-1] == "heap"
     if platform.libc_ver()[0] == "glibc":
+        assert manifest["libc"] == os.confstr("CS_GNU_LIBC_VERSION")  # as "glibc 2.36"
         assert manifest["heap"] == {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
 
 

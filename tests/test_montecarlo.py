@@ -316,6 +316,52 @@ for model_id in MODEL_IDS:
 """
 
 
+def _campaign_digests(**env) -> list[str]:
+    """The lines _CAMPAIGN_DIGESTS prints in a child process with env added to os.environ."""
+    cp = subprocess.run(
+        [sys.executable, "-c", _CAMPAIGN_DIGESTS],
+        capture_output=True, text=True, env=dict(os.environ, **env),
+    )
+    assert cp.returncode == 0, cp.stderr
+    return cp.stdout.splitlines()
+
+
+# _CAMPAIGN_DIGESTS' campaign lines as numpy 2.4.6 on glibc 2.36 (x86-64) gave them
+_RECORDED_PLATFORM = ("2.4.6", "glibc 2.36")
+_RECORDED_DIGESTS = """
+sqrt one_step_weighted a13f6a65ddd1d9ab5269f0bd367463cdc339b231ec586535a21d6a87065f1577
+sqrt one_step_factorized fea627d35e118ed34d7f1507f988377351865a9d2221b1750bf709602f8e261a
+sqrt lse_one_step fea627d35e118ed34d7f1507f988377351865a9d2221b1750bf709602f8e261a
+sqrt newton_oracle c90e5393edc4ad380b781e4b209ee1c15c2fba9fb09b4da6ed4575dd478b1ec0
+plinear one_step_weighted b5dc71d472549af8773d85a5c8ec1b53c9503d0c01c5df76f44322a58a0600d9
+plinear one_step_factorized 7603e2526282a4cbf16a347de5236afa021e71e9be97ed1868500537fd4e503a
+plinear lse_one_step 7603e2526282a4cbf16a347de5236afa021e71e9be97ed1868500537fd4e503a
+plinear newton_oracle 43502c84ffd587d61de510bafa9ad9c0876332a9b32e4fd796209c222ff57af3
+mm one_step_weighted 68432c3d09290f6e4bdbd4532ebd9158f36d8869db9de9a5fa93e6b4b728aa6f
+mm one_step_factorized 9955f845bf52a1b18a24b686012cf23364762996131a65d18d5f71a7bc45eabe
+mm lse_one_step b8c4bfd54551a4218054c2f1f8bf53eb92858e05c8bddcf07770c0bf3e998f57
+mm mm_closed_form 72223884f84d5d6b986714cbd8f17297709fb1b20887de1afc3a0a473891466b
+mm newton_oracle c4d0ae8265edbe9ea797afa3436c12bead2ffb1ac9b9e962e01a21dfc161328d
+custom-linear one_step_weighted d8a421057574222e8160a657441d7f4455025d96ecd1bd825ac080437ab76f8c
+custom-linear one_step_factorized d8a421057574222e8160a657441d7f4455025d96ecd1bd825ac080437ab76f8c
+custom-linear lse_one_step d8a421057574222e8160a657441d7f4455025d96ecd1bd825ac080437ab76f8c
+custom-linear newton_oracle d8a421057574222e8160a657441d7f4455025d96ecd1bd825ac080437ab76f8c
+"""
+
+
+def test_campaigns_give_the_recorded_bits():
+    # Every model and pipeline is pinned here, not only the benchmark's three
+    # configs; another numpy or libm may round a transcendental differently
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc = None
+    here = (np.__version__, libc)
+    if here != _RECORDED_PLATFORM:
+        pytest.skip(f"digests were recorded with numpy and libc {_RECORDED_PLATFORM}, not {here}")
+    assert _campaign_digests()[1:] == _RECORDED_DIGESTS.strip().splitlines()
+
+
 def test_campaigns_give_the_same_bits_without_cpu_dispatch():
     # numpy picks some kernels (pow among them) by the CPU it runs on; with
     # every dispatch target this host offers disabled, a child process stands
@@ -327,16 +373,8 @@ def test_campaigns_give_the_same_bits_without_cpu_dispatch():
     if not active:
         pytest.skip("numpy dispatches no kernel by CPU on this host, so there is nothing to disable")
 
-    def digests(**env):
-        cp = subprocess.run(
-            [sys.executable, "-c", _CAMPAIGN_DIGESTS],
-            capture_output=True, text=True, env=dict(os.environ, **env),
-        )
-        assert cp.returncode == 0, cp.stderr
-        return cp.stdout.splitlines()
-
-    here = digests()
-    baseline = digests(NPY_DISABLE_CPU_FEATURES=" ".join(active))
+    here = _campaign_digests()
+    baseline = _campaign_digests(NPY_DISABLE_CPU_FEATURES=" ".join(active))
     assert here[0] == " ".join(active)
     assert baseline[0] == ""
     assert len(here) == 1 + 4 * 4 + 1  # four pipelines per model, mm_closed_form on mm

@@ -10,7 +10,6 @@ from onestep import (
     Interval,
     RegressionModel,
     Sample,
-    asymptotic_variance,
     default_contrasts,
     generalized_families,
     linear_model,
@@ -489,30 +488,6 @@ def test_mm_closed_form_differs_from_plain_one_step():
     model, s = mm_example()
     ts = preliminary_mm([1.0, 1.0], s)
     assert mm_closed_form(model, ts, s) != mm_one_step(model, ts, s).theta_hat
-
-
-# --- asymptotic variance ---
-
-def test_asymptotic_variance_sqrt_example():
-    model = sqrt_model([1.0, 3.0])
-    # sum a^2 / (4 (1 + a)) = 1/8 + 9/16 = 11/16, variance = 16/11
-    assert asymptotic_variance(model, 1.0) == pytest.approx(
-        1.4545454545454546, rel=1e-15
-    )
-
-
-def test_asymptotic_variance_prefix():
-    model = sqrt_model([1.0, 3.0])
-    first_only = asymptotic_variance(model, 1.0, n=1)
-    assert first_only == pytest.approx(8.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        asymptotic_variance(model, 1.0, n=3)
-
-
-def test_asymptotic_variance_scales_with_sigma():
-    base = asymptotic_variance(sqrt_model([1.0, 3.0], sigma=1.0), 1.0)
-    quad = asymptotic_variance(sqrt_model([1.0, 3.0], sigma=2.0), 1.0)
-    assert quad == pytest.approx(4.0 * base, rel=1e-15)
 
 
 # --- noiseless exactness ---
