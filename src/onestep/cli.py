@@ -20,6 +20,8 @@ import importlib
 import os
 import sys
 from dataclasses import MISSING, asdict, fields
+from functools import partial
+from inspect import GEN_CREATED, getgeneratorstate
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, get_type_hints
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import Sample
+from .core import Sample, run_forked, usable_cpus
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -71,6 +73,12 @@ _QUOTE_LIMIT = 32
 # file, so that one chunk's text and line strings weigh less than the table
 # being built, whose converted parts and their join then set the peak.
 _CHUNK_BYTES = 1 << 18
+
+# estimate converts a seekable file in shares of at least this many bytes,
+# one per usable CPU.  On x86-64 with numpy 2.4, a fork, its pipe and its
+# reaping took about 4 ms, and converting a plain file took about 19 ns a
+# byte: a share converts in about 20 ms, five times what forking it costs.
+_MIN_SHARE_BYTES = 1 << 20
 
 # glibc's malloc thresholds, pinned by main: the values its own dynamic rule
 # reaches after a first free of 32 MiB.  Below them every block temporary
@@ -217,22 +225,32 @@ def _parse_float(text: str, where: str) -> float:
         raise ValueError(f"{where}: cannot parse {_quote(text)} as a number") from None
 
 
-def _line_chunks(fh):
+def _line_chunks(fh, start: int = 0, stop: int | None = None):
     """The lines of text file fh as str.splitlines gives them, in lists of about _CHUNK_BYTES bytes.
 
-    fh.buffer is read _CHUNK_BYTES at a time, a pipe as a file, and decoded
-    with fh.encoding by an incremental decoder.  Every list but the last
-    ends after a "\n", or after a "\r" that was not the last character
+    fh's bytes are read _CHUNK_BYTES at a time, a pipe as a file, and
+    decoded with fh.encoding by an incremental decoder.  Every list but the
+    last ends after a "\n", or after a "\r" that was not the last character
     decoded, so no line, nor a "\r\n", is split between two lists: together
     they are the lines of the whole text.  An undecodable byte raises the
     UnicodeDecodeError a whole read would, its position counted from the
     start of the input.
+
+    Given a start or a stop, fh is a seekable file and only its bytes from
+    start up to stop (its end when None) are read, by os.pread, so fh's
+    offset, which forked processes share, stays where it is.  Otherwise
+    fh.buffer is read from where it stands.
     """
     decoder = codecs.getincrementaldecoder(fh.encoding)(fh.errors)
     carry = ""
-    done = 0  # bytes read before this block
+    done = start  # bytes of the input before this block
+    if start or stop is not None:
+        fd = fh.fileno()
+        read = lambda size: os.pread(fd, size, done)  # at done as it stands at the call
+    else:
+        read = fh.buffer.read
     while True:
-        block = fh.buffer.read(_CHUNK_BYTES)
+        block = read(_CHUNK_BYTES if stop is None else min(_CHUNK_BYTES, stop - done))
         last = not block
         try:
             text = decoder.decode(block, final=last)
@@ -256,27 +274,110 @@ def _line_chunks(fh):
         yield carry.splitlines()
 
 
+def _share_starts(fh) -> list[int]:
+    """The byte offsets at which the shares of fh after the first start, in order.
+
+    One share per usable CPU, none under _MIN_SHARE_BYTES: each but the
+    first starts just after the first "\n" byte at or past its equal part of
+    the file, which in UTF-8 ends a character and is a str.splitlines
+    boundary.  Empty, for one share, on a host without os.fork and for an
+    input that is not a seekable UTF-8 file, such as a pipe.  Where no
+    "\n" follows a part's start (as in a file of lone "\r" line ends), no
+    share starts there or after.
+    """
+    if not (hasattr(os, "fork") and fh.seekable()) or codecs.lookup(fh.encoding).name != "utf-8":
+        return []
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    starts: list[int] = []
+    shares = min(usable_cpus(), size // _MIN_SHARE_BYTES)
+    for k in range(1, shares):
+        at = max([k * size // shares, *starts])
+        while (block := os.pread(fd, _CHUNK_BYTES, at)) and b"\n" not in block:
+            at += len(block)
+        cut = at + block.index(b"\n") + 1 if block else size
+        if cut == size:
+            break
+        starts.append(cut)
+    return starts
+
+
+class _Refused(Exception):
+    """_plain_table refused a chunk of a share: its lines, when the share is read here."""
+
+
+def _plain_tables(chunks: Iterator[list[str]], width: int, parts: list[np.ndarray]) -> list[str]:
+    """Append _plain_table of each chunk to parts, up to the first it refuses: that chunk, or []."""
+    while lines := next(chunks, []):
+        table = _plain_table(lines, width)
+        if table is None:
+            return lines
+        parts.append(table)
+        lines = []  # this chunk's strings go before the next chunk is read
+    return []
+
+
+def _share_table(fh, width: int, start: int, stop: int | None) -> np.ndarray:
+    """The table of fh's lines from byte start to stop, or _Refused when _plain_table refuses one."""
+    parts: list[np.ndarray] = []
+    if _plain_tables(_line_chunks(fh, start, stop), width, parts):
+        raise _Refused
+    return np.concatenate(parts)
+
+
 def _read_table(
     path: Path, fh
 ) -> tuple[list[str], list[np.ndarray], dict[str, list[str]], list[int]]:
     """(header, the tables _plain_table converts, then _split_rows of the rest of fh).
 
-    The chunks of lines after the header go to _plain_table until it refuses
-    one; that chunk and the rest of the input go to csv.reader.
+    The chunks of lines after the header go to _plain_table until it
+    refuses one; that chunk and the rest of the input go to csv.reader.  The
+    input is cut in shares (_share_starts).  This process converts the
+    first, which holds the header, and a forked child each later one
+    (core.run_forked).  From the first share that refuses a chunk or fails
+    in any way, the rest of the input is read here in one process: from the
+    refused chunk in the first share, from the share's start in a later
+    one, whose tables and those after it are dropped.  So tables, rows,
+    line numbers and errors are those of a read in one process.
     """
-    chunks = _line_chunks(fh)
-    _, header, lines, start = _split_head(path, chunks)
-    parts = []
-    # the header's chunk may hold no line after it; no later chunk is empty
-    while lines or (lines := next(chunks, [])):
-        table = _plain_table(lines, len(header))
-        if table is None:
-            done = sum(map(len, parts))
-            rest = chain(lines, chain.from_iterable(chunks))
-            return header, parts, *_split_rows(path, header, rest, start + done, done)
-        parts.append(table)
-        lines = []  # this chunk's strings go before the next chunk is read
-    return header, parts, {}, []
+    starts = _share_starts(fh)
+    first = _line_chunks(fh, 0, starts[0]) if starts else _line_chunks(fh)
+    later = _line_chunks(fh, starts[0]) if starts else iter(())
+    _, header, lines, start = _split_head(path, chain(first, later))
+    first = chain([lines] if lines else [], first)  # the first share's chunks after the header
+    del lines
+    chunks = chain(first, later)  # the whole input's, read in one process
+    width = len(header)
+    parts: list[np.ndarray] = []
+    refused: list[str] = []
+
+    def convert_first() -> None:
+        if refused := _plain_tables(first, width, parts):
+            raise _Refused(refused)  # before every child has sent: they are killed
+
+    # a header with a quote, or a head past the first share, took lines of
+    # the later shares: the input is then read here as one share
+    if starts and getgeneratorstate(later) == GEN_CREATED:
+        bounds = zip(starts, [*starts[1:], None])
+        calls = [partial(_share_table, fh, width, *share) for share in bounds]
+        try:
+            _, *sent = run_forked([convert_first, *calls])
+        except _Refused as exc:
+            [refused] = exc.args
+        else:
+            for share_start, table in zip(starts, sent):
+                if isinstance(table, Exception):
+                    chunks = _line_chunks(fh, share_start)
+                    break
+                parts.append(table.reshape(-1, width))
+            else:
+                return header, parts, {}, []
+            del sent  # drops the tables of the shares after the failed one
+    if not (refused or (refused := _plain_tables(chunks, width, parts))):
+        return header, parts, {}, []
+    done = sum(map(len, parts))
+    rest = chain(refused, chain.from_iterable(chunks))
+    return header, parts, *_split_rows(path, header, rest, start + done, done)
 
 
 def _load_data_csv(path: Path) -> Sample:
@@ -284,8 +385,9 @@ def _load_data_csv(path: Path) -> Sample:
 
     The input, a file or a pipe, is read once, by _read_table: in bounded
     memory while its lines are plain, through csv.reader from the first
-    chunk that is not.  The columns are the rows of one frozen array, which
-    Sample and the model factories take without a copy.
+    chunk that is not, and a large seekable UTF-8 file on every usable CPU.
+    The columns are the rows of one frozen array, which Sample and the model
+    factories take without a copy.
     """
     with open(path) as fh:
         header, parts, columns, row_lines = _read_table(path, fh)

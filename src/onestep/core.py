@@ -20,13 +20,20 @@ one design, one per row.  The estimators that accept one take a (B,)
 parameter vector, evaluate the families at it as a (B, 1) column, and sum
 row by row, so each row's result is bitwise what the same call gives on the
 Sample of that row alone.
+
+run_forked is the one way work is spread over processes, for `onestep
+simulate`'s campaign and `onestep estimate`'s CSV reader alike: it calls
+the first of its calls itself and each other one in a child made with
+os.fork, which sends back a float64 array through a pipe.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -544,3 +551,98 @@ def _moment_sums(h: np.ndarray, e2: np.ndarray, ed: np.ndarray) -> tuple[float, 
         h * ed, "centering terms", "centering sum J is numerically zero", DegenerateError
     )
     return i_nh, j_nh
+
+
+# --- forked workers ---
+
+def usable_cpus() -> int:
+    """The processors this process may run on: its CPU affinity, where the platform reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(call: Callable[[], object], write_fd: int, inherited: list[int]):
+    """In a forked child: send call()'s result as float64 bytes, or the exception it raised, and exit.
+
+    inherited are the read ends of the parent's pipes, which the child has
+    no use for, closed first.  The exception carries the child's traceback
+    as a note, since pickling drops it.  Exits with status 0 once the array
+    is sent, 1 once the pickled exception is, and 2 when neither is.  Never
+    returns, so the child runs none of its parent's code.
+    """
+    status = 2
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload, sent = np.ascontiguousarray(call(), dtype=np.float64), 0
+        except Exception as exc:
+            from traceback import format_tb
+
+            trace = "".join(format_tb(exc.__traceback__))
+            exc.add_note(f"raised in worker process {os.getpid()}:\n{trace.rstrip()}")
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:  # an exception that does not pickle still names itself
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            sent = 1
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = sent
+    finally:
+        os._exit(status)
+
+
+def _received(pid: int, status: int, payload: bytes) -> np.ndarray | Exception:
+    """The flat float64 array a child sent, or the exception it sent, or a ChildProcessError."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return np.frombuffer(payload)
+    if code == 1:
+        return pickle.loads(payload)  # written by the child forked from this process
+    how = f"signal {-code}" if code < 0 else f"status {code}"
+    return ChildProcessError(f"worker process {pid} ended with {how} and sent no result")
+
+
+def run_forked(calls: Sequence[Callable[[], object]]) -> list:
+    """calls[0]() made here, then what each other call sent from a forked child, in order.
+
+    Each other call runs in a child made with os.fork before calls[0] runs
+    here.  What a child sends is np.asarray(call(), np.float64), received
+    as a flat, read-only array over the bytes read from its pipe; or, when
+    the call raised, the exception itself (not raised here), with the
+    child's traceback as a note; or a ChildProcessError when the child
+    ended without sending either.  If anything raises here, calls[0]
+    included, before every child has sent, the children are killed.  Every
+    child is reaped before this returns or raises.  A fork copies only the
+    calling thread, so no other thread may hold a lock the calls need.
+    """
+    pids: list[int] = []
+    unread: list[int] = []  # read ends of the children's pipes, still open
+    payloads: list[bytes] = []
+    try:
+        for call in calls[1:]:
+            read_fd, write_fd = os.pipe()
+            unread.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(call, write_fd, inherited=unread)
+            finally:
+                os.close(write_fd)  # in this process only: the child has exited
+            pids.append(pid)
+        first = calls[0]()
+        while unread:
+            with open(unread.pop(0), "rb") as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for fd in unread:
+            os.close(fd)
+        if len(payloads) < len(pids):
+            from signal import SIGKILL
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return [first, *map(_received, pids, statuses, payloads)]

@@ -20,8 +20,8 @@ SimulationRecords once all rows are in.
 
 With more than one worker, the blocks are split into contiguous shares.
 The calling process evaluates the first; each other share goes to a child
-made with os.fork after the scenario is built, which sends its rows back
-through a pipe as one float64 array and exits.
+made with os.fork (core.run_forked) after the scenario is built, which
+sends its rows back through a pipe as one float64 array and exits.
 
 Fixed design grids (documented here, used by every scenario):
 
@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 from dataclasses import Field, dataclass, field, fields
+from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -54,6 +54,8 @@ from .core import (
     WeightFamily,
     _wide_sum,
     asymptotic_moments,
+    run_forked,
+    usable_cpus,
 )
 from .errors import ConfigError, DegenerateError, EmptyInputError, EstimationError, NonFiniteError
 from .normal import normal_cdf, normal_quantile
@@ -415,107 +417,18 @@ def worker_count(cfg: SimConfig, threads: int) -> int:
 
     As many as threads asks for, but no more than there are blocks of
     rows_per_block(n) replications or processors this process may run on
-    (its CPU affinity, where the platform reports one), and one where
-    os.fork does not exist.
+    (core.usable_cpus), and one where os.fork does not exist.
     """
     if threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     if not hasattr(os, "fork"):
         return 1
     blocks = -(-cfg.replications // rows_per_block(cfg.n))
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(threads, blocks, cpus)
+    return min(threads, blocks, usable_cpus())
 
 
 def _evaluate(cfg: SimConfig, scn: Scenario, blocks: Sequence[range]) -> list:
     return [row for reps in blocks for row in _replicate_block(cfg, scn, reps)]
-
-
-def _serve_share(
-    cfg: SimConfig, scn: Scenario, share: Sequence[range], write_fd: int, inherited: list[int]
-):
-    """In a forked child: send share's records, or the exception evaluating it raised, and exit.
-
-    inherited are the read ends of the parent's pipes, which the child has
-    no use for, closed first.  The exception carries the child's traceback as a note, since
-    pickling drops it.  Exits with status 0 after sending records and 1
-    after sending a pickled exception.  Never returns, so the child runs
-    none of its parent's code.
-    """
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            payload = np.array(_evaluate(cfg, scn, share), dtype=np.float64).tobytes()
-            status = 0
-        except Exception as exc:
-            from traceback import format_tb
-
-            trace = "".join(format_tb(exc.__traceback__))
-            exc.add_note(f"raised in worker process {os.getpid()}:\n{trace.rstrip()}")
-            try:
-                payload = pickle.dumps(exc)
-            except Exception:  # an exception that does not pickle still names itself
-                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(status)
-
-
-def _received(pid: int, status: int, payload: bytes) -> list:
-    """The record rows a child sent, or the exception it sent raised here."""
-    code = os.waitstatus_to_exitcode(status)
-    if code == 0:
-        return np.frombuffer(payload).reshape(-1, len(fields(SimulationRecord))).tolist()
-    if code == 1 and payload:
-        raise pickle.loads(payload)  # written by the child forked from this process
-    how = f"signal {-code}" if code < 0 else f"status {code}"
-    raise ChildProcessError(f"worker process {pid} ended with {how} and sent no records")
-
-
-def _evaluate_shares(
-    cfg: SimConfig, scn: Scenario, shares: Sequence[Sequence[range]]
-) -> list:
-    """Record rows of every share, in order: the first evaluated here, each other one in a child.
-
-    Every child is reaped before this returns or raises; if anything fails
-    before all of them have sent their records, the rest are killed first.
-    """
-    pids: list[int] = []
-    unread: list[int] = []  # read ends of the children's pipes, still open
-    payloads: list[bytes] = []
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            unread.append(read_fd)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve_share(cfg, scn, share, write_fd, inherited=unread)
-            finally:
-                os.close(write_fd)  # in this process only: the child has exited
-            pids.append(pid)
-        rows = _evaluate(cfg, scn, shares[0])
-        while unread:
-            with open(unread.pop(0), "rb") as pipe:
-                payloads.append(pipe.read())
-    finally:
-        for fd in unread:
-            os.close(fd)
-        if len(payloads) < len(pids):
-            from signal import SIGKILL
-
-            for pid in pids:
-                os.kill(pid, SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status, payload in zip(pids, statuses, payloads):
-        rows += _received(pid, status, payload)
-    return rows
 
 
 def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSummary]:
@@ -536,5 +449,10 @@ def run(cfg: SimConfig, threads: int = 1) -> tuple[list[SimulationRecord], SimSu
     blocks = [reps[start : start + size] for start in range(0, len(reps), size)]
     cuts = [k * len(blocks) // workers for k in range(workers + 1)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    records = _records(_evaluate_shares(cfg, scn, shares))
+    rows, *sent = run_forked([partial(_evaluate, cfg, scn, share) for share in shares])
+    for share_rows in sent:
+        if isinstance(share_rows, Exception):
+            raise share_rows
+        rows += share_rows.reshape(-1, len(fields(SimulationRecord))).tolist()
+    records = _records(rows)
     return records, summarize(cfg, scn, records)

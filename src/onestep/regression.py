@@ -163,6 +163,19 @@ class Contrasts:
         """Whether c sums to zero, to 1e-12 of sum |c|; c is read-only, so one test serves."""
         return _sums_to_zero(self.c)
 
+    def orthogonal_to(self, b: np.ndarray) -> bool:
+        """Whether c b sums to zero, to 1e-12 of sum |c b|, with b scaled by _unit_scaled.
+
+        b is scaled as default_contrasts projects on it.  b is a Sample's
+        read-only covariate, so the verdict is kept for the last b tested:
+        a campaign, whose b is one array, tests it once.
+        """
+        kept = self.__dict__.get("_orthogonal_to")
+        if kept is None or kept[0] is not b:
+            verdict = _sums_to_zero(self.c * _unit_scaled(b)[0])
+            kept = self.__dict__["_orthogonal_to"] = (b, verdict)
+        return kept[1]
+
 
 def _constant_weights(weights, n: int) -> dict:
     """w_values and w_prime_values of variance weights constant in t (a 0-d one by default)."""
@@ -451,12 +464,6 @@ def _sums_to_zero(terms: np.ndarray) -> bool:
     return abs(exact_sum(scaled)) <= 1e-12 * exact_sum(np.abs(scaled))
 
 
-def _validate_b_orthogonal(c: np.ndarray, b: np.ndarray | None) -> None:
-    # against b scaled by _unit_scaled, as default_contrasts projects on it
-    if b is not None and not _sums_to_zero(c * _unit_scaled(b)[0]):
-        raise ConstraintError("contrast coefficients must be orthogonal to b")
-
-
 def default_contrasts(s: Sample, kind: ContrastKind) -> Contrasts:
     """Deterministic contrast choice from the design.
 
@@ -526,7 +533,8 @@ def preliminary_plinear(c: Contrasts, s: Sample) -> float | np.ndarray:
     if cv.size != s.n:
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
-        _validate_b_orthogonal(cv, s.b)
+        if s.b is not None and not c.orthogonal_to(s.b):
+            raise ConstraintError("contrast coefficients must be orthogonal to b")
         num_terms, den_terms = cv * s.x, cv * s.a
     theta, _ = _ratio(num_terms, den_terms, "contrast denominator is numerically zero")
     return _finite(theta, "preliminary estimate is not finite")

@@ -20,6 +20,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from onestep import cli, montecarlo, normal
+from onestep.core import usable_cpus
 from onestep.errors import ConfigError, DomainError
 from onestep.montecarlo import PIPELINES, SimConfig, rows_per_block
 from onestep import (
@@ -279,8 +280,7 @@ def test_simulate_reruns_identically(tmp_path):
 def test_simulate_outputs_do_not_depend_on_worker_processes(tmp_path):
     cfgfile = tmp_path / "sim.cfg"
     write_config(cfgfile, n=2**13, replications=10)  # blocks of 4, 4 and 2
-    # the processors this process may run on cap the workers
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = usable_cpus()  # the processors this process may run on cap the workers
     outputs = {}
     for threads in (1, 2, 3):
         out = tmp_path / f"t{threads}"
@@ -705,6 +705,21 @@ def test_overflowing_contrasts_give_one_error_line(tmp_path):
     cp = run_cli("estimate", data, "--model", "mm", "--contrasts", cfile, "--out", tmp_path / "r.csv")
     assert cp.returncode == 1
     assert cp.stderr == "error: non-finite value in numerator terms\n"
+
+
+def test_plinear_contrasts_not_orthogonal_to_b_give_one_error_line(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x,a,b\n1.5,1.0,1.0\n2.0,2.0,1.0\n2.5,3.0,2.0\n")
+    cfile = tmp_path / "contrasts.txt"
+    out = tmp_path / "r.csv"
+    cfile.write_text("1\n1\n")
+    cp = run_cli("estimate", data, "--model", "plinear", "--contrasts", cfile, "--out", out)
+    assert (cp.returncode, cp.stderr) == (1, f"error: {cfile}: 2 coefficients for 3 observations\n")
+    cfile.write_text("1\n-1\n1\n")
+    cp = run_cli("estimate", data, "--model", "plinear", "--contrasts", cfile, "--out", out)
+    assert cp.returncode == 1
+    assert cp.stderr == "error: contrast coefficients must be orthogonal to b\n"
+    assert not out.exists()
 
 
 def test_huge_sum_zero_contrasts_give_one_error_line(tmp_path):

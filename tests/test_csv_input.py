@@ -14,6 +14,8 @@ chunks are cut.
 import csv
 import io
 import os
+import signal
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -469,3 +471,218 @@ def test_plain_file_is_read_in_at_most_two_and_a_half_tables(
         tracemalloc.stop()
     assert got["w_known"].tolist() == values[:, 3].tolist()
     assert peak <= 2.5 * values.nbytes, f"peak {peak / values.nbytes:.2f} tables"
+
+
+
+# --- a seekable file read in shares, one per usable CPU (cli._share_starts) ---
+
+
+def set_cpus(monkeypatch, count: int) -> None:
+    """Make core.usable_cpus see count processors, through the affinity as under taskset."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def outcome(path: Path):
+    """The bits of each column _load_data_csv reads, or the type and text of what it raises."""
+    try:
+        got = cli._load_data_csv(path)
+    except ValueError as exc:  # UnicodeDecodeError included
+        return type(exc).__name__, str(exc)
+    return {key: None if v is None else v.view(np.uint64).tolist() for key, v in got.items()}
+
+
+def read_both_ways(monkeypatch, path: Path, cpus: int):
+    """(outcome on cpus processors, outcome in one share, the later shares' starts, forks made).
+
+    The smallest share is patched to one byte, so that a short file is cut.
+    """
+    forks = []
+    if hasattr(os, "fork"):
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "Sample", dict)
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 1)
+    with open(path) as fh:
+        starts = cli._share_starts(fh)
+    shared = outcome(path)
+    fork_count = len(forks)
+    monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 2**62)
+    whole = outcome(path)
+    assert len(forks) == fork_count  # one share: no child
+    _assert_no_child_left()
+    return shared, whole, starts, fork_count
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def plain_rows(count: int, seed: int = 3) -> list[str]:
+    """count rows of x,a,b,w: doubles of every exponent, spelt as repr, %.17g or %.3e."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, size=(count, 4), dtype=np.uint64).view(np.float64)
+    values[::2] = rng.standard_normal((count - count // 2, 4))
+    spell = [repr, "{:.17g}".format, "{:.3e}".format]
+    return [
+        ",".join(spell[(i + j) % 3](float(v)) for j, v in enumerate(row))
+        for i, row in enumerate(values)
+    ]
+
+
+@pytest.mark.parametrize("chunk", [CHUNK_BYTES, 64])
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_plain_file_reads_alike_in_shares(tmp_path, monkeypatch, cpus, chunk):
+    path = write(tmp_path, "# c\nx,a,b,w\n" + "".join(row + "\n" for row in plain_rows(300)))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, cpus)
+    assert len(starts) == forks == cpus - 1
+    assert reader_path(path) == "chunks"  # every share converted where it was read
+    assert isinstance(whole, dict) and shared == whole
+
+
+# rows joined by each line end; "\u3000" pads every cell, as float() and
+# np.loadtxt allow, so that a three-byte character sits on either side of
+# every "\n" and may hold a share's equal part
+LINE_ENDS = {
+    "crlf": ["\r\n"],
+    "lone_cr": ["\r"],
+    "mixed": ["\n", "\r\n", "\r", "\u2028", "\x85", "\r\n", "\n"],
+    "multibyte_cells": ["\n"],
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_ENDS))
+def test_line_ends_and_multibyte_cells_read_alike_in_shares(tmp_path, monkeypatch, name):
+    ends = LINE_ENDS[name]
+    rows = plain_rows(202)
+    if name == "multibyte_cells":
+        rows = ["\u3000" + row.replace(",", "\u3000,\u3000") + "\u3000" for row in rows]
+    text = "x,a,b,w" + ends[0] + "".join(row + ends[i % len(ends)] for i, row in enumerate(rows))
+    path = write(tmp_path, text)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 100)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 4)
+    assert isinstance(whole, dict) and shared == whole
+    if name == "lone_cr":
+        assert starts == [] and forks == 0  # no "\n" to cut after
+        return
+    assert len(starts) == forks == 3
+    data = path.read_bytes()
+    assert all(data[k - 1 : k] == b"\n" for k in starts)
+    if name == "multibyte_cells":
+        # a share's equal part starts inside a character's bytes (at 202
+        # rows); its cut moves on past the character, to the next line
+        targets = [k * len(data) // 4 for k in (1, 2, 3)]
+        assert any(0x80 <= data[t] < 0xC0 for t in targets)
+        assert all(data[k : k + 3] == "\u3000".encode() for k in starts)
+
+
+# Each defect replaces one row of 300 plain ones, in the second of three
+# shares or the last; rows, lines and the byte offset are named as one
+# process names them.  (defect row, an outcome that is an error)
+LATER_SHARE_DEFECTS = {
+    "quoted_cell_across_lines": ('"1.5\n",2,3,4', False),
+    "blank_line": ("", True),
+    "ragged_row": ("1,2,3", True),
+    "bad_cell": ("1,2,oops,4", True),
+    "undecodable_byte": ("1,2,\udcff3,4", True),
+}
+
+
+@pytest.mark.parametrize("where", [0.5, 0.9], ids=["middle_share", "last_share"])
+@pytest.mark.parametrize("name", list(LATER_SHARE_DEFECTS))
+def test_a_later_share_that_refuses_or_fails_reads_alike(tmp_path, monkeypatch, name, where):
+    row, fails = LATER_SHARE_DEFECTS[name]
+    rows = plain_rows(300)
+    rows[int(where * 300)] = row
+    data = ("x,a,b,w\n" + "".join(r + "\n" for r in rows)).encode(errors="surrogateescape")
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
+    assert len(starts) == forks == 2
+    at = len(("x,a,b,w\n" + "".join(r + "\n" for r in rows[: int(where * 300)])).encode())
+    assert starts[where > 0.5] <= at < ([*starts, len(data)])[1 + (where > 0.5)]
+    assert isinstance(whole, tuple) is fails
+    assert shared == whole
+    if name == "undecodable_byte":
+        assert whole[1].endswith(f"position {data.index(bytes([0xFF]))}: invalid start byte")
+    elif fails:
+        assert f"row {int(where * 300) + 1} (line {int(where * 300) + 2})" in whole[1]
+
+
+def test_a_cut_inside_a_quoted_cell_from_the_share_before_reads_alike(tmp_path, monkeypatch):
+    # the one line break in the middle of the file is inside a quoted cell
+    # that opens 400 bytes before it, so the second share starts in the cell
+    rows = ["1.5,2.5,0.5,1"] * 60
+    quoted = '"' + " " * 400 + '\n1.25",2,3,4'
+    path = write(tmp_path, "x,a,b,w\n" + "".join(r + "\n" for r in [*rows, quoted, *rows]))
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 2)
+    data = path.read_bytes()
+    assert data.index(b'"') < starts[0] < data.rindex(b'"') and forks == 1
+    assert isinstance(whole, dict) and shared == whole
+    assert whole["x"][60] == np.float64(1.25).view(np.uint64)
+
+
+def test_a_pipe_is_never_cut(tmp_path, monkeypatch):
+    text = "x,a\n" + "".join(f"{i},{i / 8}\n" for i in range(300))
+    read_fd, write_fd = os.pipe()
+    with open(write_fd, "wb") as pipe:
+        pipe.write(text.encode())  # less than a pipe holds, so nothing waits for the reader
+    set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pipe was read in shares"))
+    with open(read_fd) as fh:
+        assert cli._share_starts(fh) == []
+        header, parts, _, row_lines = cli._read_table(Path("pipe"), fh)
+    assert header == ["x", "a"] and row_lines == []
+    assert np.concatenate(parts)[:, 1].tolist() == [i / 8 for i in range(300)]
+
+
+def test_without_fork_a_file_is_one_share(tmp_path, monkeypatch):
+    path = write(tmp_path, "x,a,b,w\n" + "".join(row + "\n" for row in plain_rows(300)))
+    monkeypatch.delattr(os, "fork")
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 4)
+    assert (starts, forks) == ([], 0)
+    assert isinstance(whole, dict) and shared == whole
+
+
+@pytest.mark.parametrize("death", ["exit", "signal"])
+def test_a_child_that_dies_without_sending_leaves_its_share_to_this_process(
+    tmp_path, monkeypatch, death
+):
+    path = write(tmp_path, "x,a,b,w\n" + "".join(row + "\n" for row in plain_rows(300)))
+    parent = os.getpid()
+    share_table = cli._share_table
+
+    def dying_share_table(fh, width, start, stop):
+        if os.getpid() != parent and stop is None:  # the child of the last share
+            if death == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return share_table(fh, width, start, stop)
+
+    monkeypatch.setattr(cli, "_share_table", dying_share_table)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
+    assert len(starts) == forks == 2
+    assert isinstance(whole, dict) and shared == whole
+
+
+def test_a_refusal_in_the_first_share_kills_the_children(tmp_path, monkeypatch):
+    # the first share refuses its quoted row at once, while each child
+    # sleeps: the children are killed, not waited for
+    rows = plain_rows(300)
+    rows[2] = '"1",2,3,4'
+    path = write(tmp_path, "x,a,b,w\n" + "".join(row + "\n" for row in rows))
+    monkeypatch.setattr(cli, "_share_table", lambda *args: time.sleep(60))
+    start = time.monotonic()
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
+    assert time.monotonic() - start < 30
+    assert len(starts) == forks == 2
+    assert isinstance(whole, dict) and shared == whole

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from onestep import SimConfig, SimSummary, SimulationRecord, montecarlo, run
-from onestep.core import Sample
+from onestep.core import Sample, usable_cpus
 from onestep.errors import ConfigError, DegenerateError, DomainError
 from onestep.estimators import one_step_weighted, studentize
 from onestep.montecarlo import (
@@ -112,13 +112,6 @@ def test_thread_count_does_not_change_results_on_long_vectors():
     rec1, sum1 = run(cfg, threads=1)
     rec2, sum2 = run(cfg, threads=2)
     assert repr(rec1) + repr(sum1) == repr(rec2) + repr(sum2)
-
-
-def usable_cpus() -> int:
-    """The processors this process may run on, which cap the worker pool."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def set_cpus(monkeypatch, count: int) -> None:

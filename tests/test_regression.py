@@ -330,6 +330,31 @@ def test_sum_zero_is_tested_once_per_contrast_vector(monkeypatch):
     assert len(calls) == 2
 
 
+def test_b_orthogonality_is_tested_once_per_contrast_vector_and_b(monkeypatch):
+    calls = []
+    sums_to_zero = regression._sums_to_zero
+    monkeypatch.setattr(
+        regression, "_sums_to_zero", lambda terms: calls.append(None) or sums_to_zero(terms)
+    )
+    s = Sample(x=[1.0, 2.0, 4.0], a=[1.0, 3.0, 2.0], b=[1.0, 1.0, 1.0])
+    good = Contrasts(c=[-1.0, 1.0, 0.0])
+    bad = Contrasts(c=[1.0, 1.0, 0.0])
+    block = Sample(x=[[1.0, 2.0, 4.0], [2.0, 1.0, 3.0]], a=s.a, b=s.b)
+    assert block.b is s.b  # frozen arrays pass as they are: one b for the campaign
+    assert preliminary_plinear(good, s) == preliminary_plinear(good, block)[0]
+    for _ in range(2):
+        with pytest.raises(ConstraintError, match="orthogonal to b"):
+            preliminary_plinear(bad, block)
+    assert len(calls) == 2
+    # another b, even with the same values, is tested again
+    preliminary_plinear(good, Sample(x=s.x, a=s.a, b=[1.0, 1.0, 1.0]))
+    assert len(calls) == 3
+    # a contrast of the wrong length is named before its orthogonality
+    with pytest.raises(ValueError, match="contrast length 2 does not match sample size 3"):
+        preliminary_plinear(Contrasts(c=[1.0, 1.0]), s)
+    assert len(calls) == 3
+
+
 def test_contrast_constraints_are_tested_at_any_scale():
     # sum |c| overflows a double in each case below
     assert Contrasts(c=[1e308, -1e308, 0.0]).sums_to_zero
@@ -343,7 +368,7 @@ def test_contrast_constraints_are_tested_at_any_scale():
     overflowing = Contrasts(c=[1e308, 1e308, -1.6e308])
     with pytest.raises(ConstraintError):
         preliminary_plinear(overflowing, s)
-    regression._validate_b_orthogonal(np.array([1e308, 1e308, -1e308 / 0.75]), s.b)
+    assert Contrasts(c=[1e308, 1e308, -1e308 / 0.75]).orthogonal_to(s.b)
     # a power-of-two scale changes no decision
     for c in ([-1.0, 1.0, 0.0], [1.0, 1.0, -2.0 + 2.0**-40], [3.0, -1.0, -2.0]):
         decisions = {
