@@ -318,9 +318,19 @@ def _plain_tables(chunks: Iterator[list[str]], width: int, parts: list[np.ndarra
 
 
 def _share_table(fh, width: int, start: int, stop: int | None) -> np.ndarray:
-    """The table of fh's lines from byte start to stop, or _Refused when _plain_table refuses one."""
+    """The table of fh's lines from byte start to stop.
+
+    Raises _Refused when _plain_table refuses a chunk, or a byte does not
+    decode: the share is then read again by the process that names it, and
+    the UnicodeDecodeError, which holds as many bytes as precede the byte,
+    is not sent to it.
+    """
     parts: list[np.ndarray] = []
-    if _plain_tables(_line_chunks(fh, start, stop), width, parts):
+    try:
+        refused = _plain_tables(_line_chunks(fh, start, stop), width, parts)
+    except UnicodeDecodeError:
+        refused = True
+    if refused:
         raise _Refused
     return np.concatenate(parts)
 

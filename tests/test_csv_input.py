@@ -14,6 +14,7 @@ chunks are cut.
 import csv
 import io
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -617,6 +618,16 @@ def test_a_later_share_that_refuses_or_fails_reads_alike(tmp_path, monkeypatch, 
         assert f"row {int(where * 300) + 1} (line {int(where * 300) + 2})" in whole[1]
 
 
+def test_a_later_share_with_an_undecodable_byte_sends_a_bare_refusal(tmp_path):
+    # the UnicodeDecodeError holds as many bytes as precede the byte; the
+    # share is read again here, where the byte is named
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"x,a\n" + b"1.5,2.5\n" * 2000 + b"3,\xff4\n")
+    with open(path) as fh, pytest.raises(cli._Refused) as exc:
+        cli._share_table(fh, 2, 8000, None)
+    assert len(pickle.dumps(exc.value)) < 100
+
+
 def test_a_cut_inside_a_quoted_cell_from_the_share_before_reads_alike(tmp_path, monkeypatch):
     # the one line break in the middle of the file is inside a quoted cell
     # that opens 400 bytes before it, so the second share starts in the cell
@@ -630,6 +641,28 @@ def test_a_cut_inside_a_quoted_cell_from_the_share_before_reads_alike(tmp_path, 
     assert whole["x"][60] == np.float64(1.25).view(np.uint64)
 
 
+# (head, rows): the head takes lines of the later shares, so the whole
+# file is read as one share
+HEADS_PAST_THE_FIRST_SHARE = {
+    "quoted_header": ('x,a,"b",w\n', plain_rows(300)),
+    "quoted_header_cell_across_lines": ('x,a,b,"\nw"\n', plain_rows(300)),
+    "comments_past_the_first_share": ("# a comment line\n" * 2000 + "x,a,b,w\n", plain_rows(300)),
+}
+
+
+@pytest.mark.parametrize("name", list(HEADS_PAST_THE_FIRST_SHARE))
+def test_a_head_that_takes_lines_of_later_shares_is_read_as_one_share(
+    tmp_path, monkeypatch, name
+):
+    head, rows = HEADS_PAST_THE_FIRST_SHARE[name]
+    path = write(tmp_path, head + "".join(row + "\n" for row in rows))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 4096)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
+    assert len(starts) == 2 and forks == 0
+    assert isinstance(whole, dict) and shared == whole
+    assert len(whole["x"]) == 300
+
+
 def test_a_pipe_is_never_cut(tmp_path, monkeypatch):
     text = "x,a\n" + "".join(f"{i},{i / 8}\n" for i in range(300))
     read_fd, write_fd = os.pipe()
@@ -638,6 +671,9 @@ def test_a_pipe_is_never_cut(tmp_path, monkeypatch):
     set_cpus(monkeypatch, 4)
     monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pipe was read in shares"))
+    # whatever size the platform gives a pipe (macOS: the bytes it holds)
+    size = os.fstat(read_fd).st_size
+    monkeypatch.setattr(os, "fstat", lambda fd: pytest.fail(f"a pipe's size ({size}) was read"))
     with open(read_fd) as fh:
         assert cli._share_starts(fh) == []
         header, parts, _, row_lines = cli._read_table(Path("pipe"), fh)
