@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import MISSING, asdict, fields
 from functools import partial
-from inspect import GEN_CREATED, getgeneratorstate
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, get_type_hints
@@ -225,7 +224,7 @@ def _parse_float(text: str, where: str) -> float:
         raise ValueError(f"{where}: cannot parse {_quote(text)} as a number") from None
 
 
-def _line_chunks(fh, start: int = 0, stop: int | None = None):
+def _line_chunks(fh, start: int | None = None, stop: int | None = None):
     """The lines of text file fh as str.splitlines gives them, in lists of about _CHUNK_BYTES bytes.
 
     fh's bytes are read _CHUNK_BYTES at a time, a pipe as a file, and
@@ -236,19 +235,19 @@ def _line_chunks(fh, start: int = 0, stop: int | None = None):
     UnicodeDecodeError a whole read would, its position counted from the
     start of the input.
 
-    Given a start or a stop, fh is a seekable file and only its bytes from
-    start up to stop (its end when None) are read, by os.pread, so fh's
-    offset, which forked processes share, stays where it is.  Otherwise
-    fh.buffer is read from where it stands.
+    Given a start, fh is a seekable file and only its bytes from start up
+    to stop (its end when None) are read, by os.pread, so fh's offset,
+    which forked processes share, stays where it is.  Otherwise fh.buffer
+    is read from where it stands.
     """
     decoder = codecs.getincrementaldecoder(fh.encoding)(fh.errors)
     carry = ""
-    done = start  # bytes of the input before this block
-    if start or stop is not None:
+    done = start or 0  # bytes of the input before this block
+    if start is None:
+        read = fh.buffer.read
+    else:
         fd = fh.fileno()
         read = lambda size: os.pread(fd, size, done)  # at done as it stands at the call
-    else:
-        read = fh.buffer.read
     while True:
         block = read(_CHUNK_BYTES if stop is None else min(_CHUNK_BYTES, stop - done))
         last = not block
@@ -279,59 +278,55 @@ def _share_starts(fh) -> list[int]:
 
     One share per usable CPU, none under _MIN_SHARE_BYTES: each but the
     first starts just after the first "\n" byte at or past its equal part of
-    the file, which in UTF-8 ends a character and is a str.splitlines
-    boundary.  Empty, for one share, on a host without os.fork and for an
-    input that is not a seekable UTF-8 file, such as a pipe.  Where no
-    "\n" follows a part's start (as in a file of lone "\r" line ends), no
-    share starts there or after.
+    the file and past fh.buffer.tell(), the bytes the head was read from,
+    so the first share holds the head whatever its length.  A "\n" in UTF-8
+    ends a character and is a str.splitlines boundary.  Empty, for one
+    share, on a host without os.fork and for an input that is not a
+    seekable UTF-8 file, such as a pipe.  Where no "\n" follows a part's
+    start (as in a file of lone "\r" line ends), no share starts there or
+    after.
     """
     if not (hasattr(os, "fork") and fh.seekable()) or codecs.lookup(fh.encoding).name != "utf-8":
         return []
     fd = fh.fileno()
     size = os.fstat(fd).st_size
-    starts: list[int] = []
+    starts = [fh.buffer.tell()]
     shares = min(usable_cpus(), size // _MIN_SHARE_BYTES)
     for k in range(1, shares):
-        at = max([k * size // shares, *starts])
+        at = max(k * size // shares, starts[-1])
         while (block := os.pread(fd, _CHUNK_BYTES, at)) and b"\n" not in block:
             at += len(block)
         cut = at + block.index(b"\n") + 1 if block else size
         if cut == size:
             break
         starts.append(cut)
-    return starts
+    return starts[1:]
 
 
 class _Refused(Exception):
-    """_plain_table refused a chunk of a share: its lines, when the share is read here."""
+    """A share holds a chunk _plain_table refuses or that does not decode: the table before it."""
 
 
-def _plain_tables(chunks: Iterator[list[str]], width: int, parts: list[np.ndarray]) -> list[str]:
-    """Append _plain_table of each chunk to parts, up to the first it refuses: that chunk, or []."""
-    while lines := next(chunks, []):
-        table = _plain_table(lines, width)
-        if table is None:
-            return lines
-        parts.append(table)
-        lines = []  # this chunk's strings go before the next chunk is read
-    return []
+def _share_table(fh, width: int, start: int, stop: int | None, skip: int) -> np.ndarray:
+    """The table of fh's lines from byte start to stop, after their first skip lines.
 
-
-def _share_table(fh, width: int, start: int, stop: int | None) -> np.ndarray:
-    """The table of fh's lines from byte start to stop.
-
-    Raises _Refused when _plain_table refuses a chunk, or a byte does not
-    decode: the share is then read again by the process that names it, and
-    the UnicodeDecodeError, which holds as many bytes as precede the byte,
-    is not sent to it.
+    Raises _Refused at the first chunk that _plain_table refuses or that
+    does not decode.  It holds the table of the lines converted before that
+    chunk and no byte of the input: the UnicodeDecodeError, which holds as
+    many bytes as precede the byte, is raised again where the input is read
+    on from there.
     """
-    parts: list[np.ndarray] = []
+    parts = [np.empty((0, width))]
     try:
-        refused = _plain_tables(_line_chunks(fh, start, stop), width, parts)
+        for lines in _line_chunks(fh, start, stop):
+            lines, skip = lines[skip:], max(skip - len(lines), 0)
+            if lines:
+                if (table := _plain_table(lines, width)) is None:
+                    raise _Refused(np.concatenate(parts))
+                parts.append(table)
+            del lines  # this chunk's strings go before the next chunk is read
     except UnicodeDecodeError:
-        refused = True
-    if refused:
-        raise _Refused
+        raise _Refused(np.concatenate(parts)) from None
     return np.concatenate(parts)
 
 
@@ -340,53 +335,52 @@ def _read_table(
 ) -> tuple[list[str], list[np.ndarray], dict[str, list[str]], list[int]]:
     """(header, the tables _plain_table converts, then _split_rows of the rest of fh).
 
-    The chunks of lines after the header go to _plain_table until it
-    refuses one; that chunk and the rest of the input go to csv.reader.  The
-    input is cut in shares (_share_starts).  This process converts the
-    first, which holds the header, and a forked child each later one
-    (core.run_forked).  From the first share that refuses a chunk or fails
-    in any way, the rest of the input is read here in one process: from the
-    refused chunk in the first share, from the share's start in a later
-    one, whose tables and those after it are dropped.  So tables, rows,
-    line numbers and errors are those of a read in one process.
+    The head, comments and header, is read first, in one process.  Then
+    the chunks of lines after it go to _plain_table until it refuses one;
+    that chunk and the rest of the input go to csv.reader.  A file cut in
+    shares (_share_starts) has each converted by _share_table: the first,
+    which skips the head, in this process, and each later one in a forked
+    child (core.run_forked).  A refusal in the first share kills the
+    children.  From the first share that does not send a whole table, the
+    tables it converted are kept and its lines past them and the rest of
+    the input go to csv.reader, in this process; the tables of the shares
+    after it are dropped.  So tables, rows, line numbers and errors are
+    those of a read in one process.
     """
-    starts = _share_starts(fh)
-    first = _line_chunks(fh, 0, starts[0]) if starts else _line_chunks(fh)
-    later = _line_chunks(fh, starts[0]) if starts else iter(())
-    _, header, lines, start = _split_head(path, chain(first, later))
-    first = chain([lines] if lines else [], first)  # the first share's chunks after the header
-    del lines
-    chunks = chain(first, later)  # the whole input's, read in one process
+    chunks = _line_chunks(fh)
+    _, header, lines, start = _split_head(path, chunks)
     width = len(header)
     parts: list[np.ndarray] = []
-    refused: list[str] = []
-
-    def convert_first() -> None:
-        if refused := _plain_tables(first, width, parts):
-            raise _Refused(refused)  # before every child has sent: they are killed
-
-    # a header with a quote, or a head past the first share, took lines of
-    # the later shares: the input is then read here as one share
-    if starts and getgeneratorstate(later) == GEN_CREATED:
-        bounds = zip(starts, [*starts[1:], None])
-        calls = [partial(_share_table, fh, width, *share) for share in bounds]
+    if starts := _share_starts(fh):
+        del lines, chunks  # the head chunk's strings go: each share reads its own bytes
+        shares = list(zip([0, *starts], [*starts, None], [start] + [0] * len(starts)))
         try:
-            _, *sent = run_forked([convert_first, *calls])
+            sent = run_forked([partial(_share_table, fh, width, *share) for share in shares])
         except _Refused as exc:
-            [refused] = exc.args
+            sent = [exc]
+        for (share_start, _, skip), table in zip(shares, sent):
+            if isinstance(table, Exception):
+                break
+            parts.append(table.reshape(-1, width))
         else:
-            for share_start, table in zip(starts, sent):
-                if isinstance(table, Exception):
-                    chunks = _line_chunks(fh, share_start)
-                    break
-                parts.append(table.reshape(-1, width))
-            else:
-                return header, parts, {}, []
-            del sent  # drops the tables of the shares after the failed one
-    if not (refused or (refused := _plain_tables(chunks, width, parts))):
-        return header, parts, {}, []
+            return header, parts, {}, []
+        if isinstance(table, _Refused):
+            [table] = table.args
+            parts.append(table)
+            skip += len(table)
+        del sent, table  # the tables of the shares after this one go
+        rest = islice(chain.from_iterable(_line_chunks(fh, share_start)), skip, None)
+    else:
+        # the header's chunk may hold no line after it; no later chunk is empty
+        while lines or (lines := next(chunks, [])):
+            if (table := _plain_table(lines, width)) is None:
+                break
+            parts.append(table)
+            lines = []  # this chunk's strings go before the next chunk is read
+        else:
+            return header, parts, {}, []
+        rest = chain(lines, chain.from_iterable(chunks))
     done = sum(map(len, parts))
-    rest = chain(refused, chain.from_iterable(chunks))
     return header, parts, *_split_rows(path, header, rest, start + done, done)
 
 

@@ -9,9 +9,13 @@ converted.  These tests pin that it reads every file exactly as parsing
 each cell of `csv.reader`'s rows with `float()` would, bit for bit, and
 names the same first bad cell when one does not parse, wherever the
 chunks are cut.  A large seekable file is also cut into shares, one per
-usable CPU, each after the first converted in a forked child; the tests
-at the end pin that a read in shares gives what a read in one process
-gives, bit for bit or error line for error line.
+usable CPU, after its head (comments and header) is read: every cut falls
+past the head's bytes, the first share skips the head's lines, and each
+share after the first is converted in a forked child.  From the first
+share that does not send a whole table, the rows it converted are kept
+and the rest is read by csv.reader in the estimate process.  The tests at
+the end pin that a read in shares gives what a read in one process gives,
+bit for bit or error line for error line, and converts no line twice.
 """
 
 import csv
@@ -446,18 +450,28 @@ def test_header_past_the_first_chunk_or_cut_in_its_quotes(tmp_path, monkeypatch,
     assert {key: None if got[key] is None else got[key].tolist() for key in expected} == expected
 
 
+# (line end, a last row with quoted cells)
+MEMORY_CASES = {
+    "lf": ("\n", False),
+    "crlf": ("\r\n", False),
+    "cr": ("\r", False),
+    "quoted_last_row": ("\n", True),
+}
+
+
 @pytest.mark.parametrize(
-    "newline, quoted_last_row",
-    [("\n", False), ("\r\n", False), ("\r", False), ("\n", True)],
-    ids=["lf", "crlf", "cr", "quoted_last_row"],
+    "name, cpus",
+    [(name, cpus) for cpus in (2, 1) for name in MEMORY_CASES],
+    ids=[name + suffix for suffix in ("", "-one_cpu") for name in MEMORY_CASES],
 )
-def test_plain_file_is_read_in_at_most_two_and_a_half_tables(
-    tmp_path, monkeypatch, newline, quoted_last_row
-):
+def test_plain_file_is_read_in_at_most_two_and_a_half_tables(tmp_path, monkeypatch, name, cpus):
     # tracemalloc sees numpy's buffers: the converted chunks and the table
     # they are joined into are two tables, and the text and line strings of
     # the chunk being converted stay small beside them; a last row with a
-    # quoted cell leaves only its chunk to csv.reader
+    # quoted cell leaves only its chunk to csv.reader.  On two CPUs the
+    # 3.9 MB file is read in two shares, on one in one.
+    newline, quoted_last_row = MEMORY_CASES[name]
+    set_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(11)
     values = rng.standard_normal((50_000, 4))
     rows = [f"{x!r},{a!r},{b!r},{w!r}" for x, a, b, w in values.tolist()]
@@ -498,9 +512,18 @@ def outcome(path: Path):
 def read_both_ways(monkeypatch, path: Path, cpus: int):
     """(outcome on cpus processors, outcome in one share, the later shares' starts, forks made).
 
-    The smallest share is patched to one byte, so that a short file is cut.
+    The smallest share is patched to one byte, so that a short file is cut;
+    the starts are those the read on cpus processors cut at.
     """
     forks = []
+    cuts = []
+    share_starts = cli._share_starts
+
+    def recording_share_starts(fh):
+        cuts.append(share_starts(fh))
+        return cuts[-1]
+
+    monkeypatch.setattr(cli, "_share_starts", recording_share_starts)
     if hasattr(os, "fork"):
         real_fork = os.fork
 
@@ -512,9 +535,8 @@ def read_both_ways(monkeypatch, path: Path, cpus: int):
     monkeypatch.setattr(cli, "Sample", dict)
     set_cpus(monkeypatch, cpus)
     monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 1)
-    with open(path) as fh:
-        starts = cli._share_starts(fh)
     shared = outcome(path)
+    [starts] = cuts
     fork_count = len(forks)
     monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 2**62)
     whole = outcome(path)
@@ -543,7 +565,10 @@ def plain_rows(count: int, seed: int = 3) -> list[str]:
 @pytest.mark.parametrize("chunk", [CHUNK_BYTES, 64])
 @pytest.mark.parametrize("cpus", [2, 3, 4])
 def test_plain_file_reads_alike_in_shares(tmp_path, monkeypatch, cpus, chunk):
-    path = write(tmp_path, "# c\nx,a,b,w\n" + "".join(row + "\n" for row in plain_rows(300)))
+    # the head is read a chunk at a time and every cut falls past it, so
+    # at 256 KiB a chunk the file holds more than four such chunks
+    rows = plain_rows(300 if chunk == 64 else 20_000)
+    path = write(tmp_path, "# c\nx,a,b,w\n" + "".join(row + "\n" for row in rows))
     monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
     shared, whole, starts, forks = read_both_ways(monkeypatch, path, cpus)
     assert len(starts) == forks == cpus - 1
@@ -621,14 +646,63 @@ def test_a_later_share_that_refuses_or_fails_reads_alike(tmp_path, monkeypatch, 
         assert f"row {int(where * 300) + 1} (line {int(where * 300) + 2})" in whole[1]
 
 
-def test_a_later_share_with_an_undecodable_byte_sends_a_bare_refusal(tmp_path):
+@pytest.mark.parametrize(
+    "where", [0.1, 0.5, 0.9], ids=["first_share", "middle_share", "last_share"]
+)
+def test_a_refused_share_is_read_on_from_its_refused_chunk(tmp_path, monkeypatch, where):
+    # the estimate process converts each plain line of the first share at
+    # most once, and csv.reader takes the input from the refused chunk on,
+    # wherever the share that holds it starts
+    rows = plain_rows(600)
+    shortest = min(map(len, rows))
+    quoted = int(where * 600)
+    rows[quoted] = '"1.5",2,3,4'
+    path = write(tmp_path, "x,a,b,w\n" + "".join(row + "\n" for row in rows))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)
+    parent = os.getpid()
+    converted = []  # rows of each table _plain_table converts in this process
+    taken_on = []  # rows converted before csv.reader takes the input on
+    plain_table, split_rows = cli._plain_table, cli._split_rows
+
+    def counting_plain_table(lines, width):
+        table = plain_table(lines, width)
+        if os.getpid() == parent and table is not None:
+            converted.append(len(table))
+        return table
+
+    def counting_split_rows(path, header, lines, start, done):
+        taken_on.append(done)
+        return split_rows(path, header, lines, start, done)
+
+    monkeypatch.setattr(cli, "_plain_table", counting_plain_table)
+    monkeypatch.setattr(cli, "_split_rows", counting_split_rows)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
+    assert len(starts) == forks == 2
+    assert isinstance(whole, dict) and shared == whole
+    # the read in one process came second; read in shares again alone
+    converted.clear()
+    taken_on.clear()
+    monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 1)
+    assert outcome(path) == whole
+    first_share_rows = path.read_bytes()[: starts[0]].count(b"\n") - 1
+    [done] = taken_on
+    assert quoted - 256 // shortest <= done <= quoted  # from the refused chunk on
+    assert sum(converted) == min(done, first_share_rows)
+
+
+def test_a_later_share_with_an_undecodable_byte_sends_a_bare_refusal(tmp_path, monkeypatch):
     # the UnicodeDecodeError holds as many bytes as precede the byte; the
-    # share is read again here, where the byte is named
+    # refusal holds only the table of the chunks before the byte's, and the
+    # share is read on from there here, where the byte is named
     path = tmp_path / "data.csv"
     path.write_bytes(b"x,a\n" + b"1.5,2.5\n" * 2000 + b"3,\xff4\n")
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 4096)
     with open(path) as fh, pytest.raises(cli._Refused) as exc:
-        cli._share_table(fh, 2, 8000, None)
-    assert len(pickle.dumps(exc.value)) < 100
+        cli._share_table(fh, 2, 4 + 8 * 1000, None, 0)
+    sent = pickle.dumps(exc.value)
+    [table] = pickle.loads(sent).args
+    assert table.tolist() == [[1.5, 2.5]] * 512  # the first 4096 bytes' rows
+    assert b"1.5,2.5" not in sent and len(sent) < table.nbytes + 200
 
 
 def test_a_cut_inside_a_quoted_cell_from_the_share_before_reads_alike(tmp_path, monkeypatch):
@@ -637,6 +711,7 @@ def test_a_cut_inside_a_quoted_cell_from_the_share_before_reads_alike(tmp_path, 
     rows = ["1.5,2.5,0.5,1"] * 60
     quoted = '"' + " " * 400 + '\n1.25",2,3,4'
     path = write(tmp_path, "x,a,b,w\n" + "".join(r + "\n" for r in [*rows, quoted, *rows]))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 64)  # the head's chunk ends before the cut
     shared, whole, starts, forks = read_both_ways(monkeypatch, path, 2)
     data = path.read_bytes()
     assert data.index(b'"') < starts[0] < data.rindex(b'"') and forks == 1
@@ -644,12 +719,11 @@ def test_a_cut_inside_a_quoted_cell_from_the_share_before_reads_alike(tmp_path, 
     assert whole["x"][60] == np.float64(1.25).view(np.uint64)
 
 
-# (head, rows): the head takes lines of the later shares, so the whole
-# file is read as one share
+# (head, rows): a header with a quote may hold a line break in a cell, so
+# the head's read takes every line of the file, and no cut falls past it
 HEADS_PAST_THE_FIRST_SHARE = {
     "quoted_header": ('x,a,"b",w\n', plain_rows(300)),
     "quoted_header_cell_across_lines": ('x,a,b,"\nw"\n', plain_rows(300)),
-    "comments_past_the_first_share": ("# a comment line\n" * 2000 + "x,a,b,w\n", plain_rows(300)),
 }
 
 
@@ -661,7 +735,21 @@ def test_a_head_that_takes_lines_of_later_shares_is_read_as_one_share(
     path = write(tmp_path, head + "".join(row + "\n" for row in rows))
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 4096)
     shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
-    assert len(starts) == 2 and forks == 0
+    assert starts == [] and forks == 0
+    assert isinstance(whole, dict) and shared == whole
+    assert len(whole["x"]) == 300
+
+
+def test_comments_past_an_equal_share_are_read_before_the_cuts(tmp_path, monkeypatch):
+    # 34,000 bytes of comments, more than a third of the file: the head is
+    # read first and the first cut falls past it, so the first share holds
+    # every comment and each later share is still converted in a child
+    head = "# a comment line\n" * 2000 + "x,a,b,w\n"
+    path = write(tmp_path, head + "".join(row + "\n" for row in plain_rows(300)))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 4096)
+    shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
+    assert len(starts) == forks == 2
+    assert len(head) < starts[0] and path.stat().st_size < 3 * len(head)
     assert isinstance(whole, dict) and shared == whole
     assert len(whole["x"]) == 300
 
@@ -697,15 +785,16 @@ def test_a_child_that_dies_without_sending_leaves_its_share_to_this_process(
     tmp_path, monkeypatch, death
 ):
     path = write(tmp_path, "x,a,b,w\n" + "".join(row + "\n" for row in plain_rows(300)))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)  # the head's chunk ends before the cuts
     parent = os.getpid()
     share_table = cli._share_table
 
-    def dying_share_table(fh, width, start, stop):
+    def dying_share_table(fh, width, start, stop, skip):
         if os.getpid() != parent and stop is None:  # the child of the last share
             if death == "exit":
                 os._exit(3)
             os.kill(os.getpid(), signal.SIGKILL)
-        return share_table(fh, width, start, stop)
+        return share_table(fh, width, start, stop, skip)
 
     monkeypatch.setattr(cli, "_share_table", dying_share_table)
     shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
@@ -719,7 +808,16 @@ def test_a_refusal_in_the_first_share_kills_the_children(tmp_path, monkeypatch):
     rows = plain_rows(300)
     rows[2] = '"1",2,3,4'
     path = write(tmp_path, "x,a,b,w\n" + "".join(row + "\n" for row in rows))
-    monkeypatch.setattr(cli, "_share_table", lambda *args: time.sleep(60))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)  # the head's chunk ends before the cuts
+    parent = os.getpid()
+    share_table = cli._share_table
+
+    def sleeping_share_table(fh, width, start, stop, skip):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return share_table(fh, width, start, stop, skip)
+
+    monkeypatch.setattr(cli, "_share_table", sleeping_share_table)
     start = time.monotonic()
     shared, whole, starts, forks = read_both_ways(monkeypatch, path, 3)
     assert time.monotonic() - start < 30
