@@ -224,6 +224,13 @@ def _parse_float(text: str, where: str) -> float:
         raise ValueError(f"{where}: cannot parse {_quote(text)} as a number") from None
 
 
+class _DecodeError(UnicodeDecodeError):
+    """A UnicodeDecodeError whose str() is message, the one a read of the whole input gives."""
+
+    def __str__(self) -> str:
+        return self.message
+
+
 def _line_chunks(fh, start: int | None = None, stop: int | None = None):
     """The lines of text file fh as str.splitlines gives them, in lists of about _CHUNK_BYTES bytes.
 
@@ -231,9 +238,9 @@ def _line_chunks(fh, start: int | None = None, stop: int | None = None):
     decoded with fh.encoding by an incremental decoder.  Every list but the
     last ends after a "\n", or after a "\r" that was not the last character
     decoded, so no line, nor a "\r\n", is split between two lists: together
-    they are the lines of the whole text.  An undecodable byte raises the
-    UnicodeDecodeError a whole read would, its position counted from the
-    start of the input.
+    they are the lines of the whole text.  An undecodable byte raises a
+    _DecodeError, which holds only the bytes it names, and names them as a
+    whole read would, by their position from the start of the input.
 
     Given a start, fh is a seekable file and only its bytes from start up
     to stop (its end when None) are read, by os.pread, so fh's offset,
@@ -254,11 +261,14 @@ def _line_chunks(fh, start: int | None = None, stop: int | None = None):
         try:
             text = decoder.decode(block, final=last)
         except UnicodeDecodeError as exc:
-            # the decoder failed on the bytes it held and block, which start this far in
-            at = done - len(decoder.getstate()[0])
-            raise UnicodeDecodeError(
-                exc.encoding, bytes(at) + exc.object, at + exc.start, at + exc.end, exc.reason
-            ) from None
+            # the decoder failed on the bytes it held and block: the bad ones start this far in
+            at = done - len(decoder.getstate()[0]) + exc.start
+            bad = exc.object[exc.start : exc.end]
+            error = _DecodeError(exc.encoding, bad, 0, len(bad), exc.reason)
+            what = f"byte 0x{bad[0]:02x}" if len(bad) == 1 else "bytes"
+            where = f"position {at}" if len(bad) == 1 else f"position {at}-{at + len(bad) - 1}"
+            error.message = f"'{exc.encoding}' codec can't decode {what} in {where}: {exc.reason}"
+            raise error from None
         done += len(block)
         del block  # only the text is held while its lines are used
         cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
@@ -311,10 +321,9 @@ def _share_table(fh, width: int, start: int, stop: int | None, skip: int) -> np.
     """The table of fh's lines from byte start to stop, after their first skip lines.
 
     Raises _Refused at the first chunk that _plain_table refuses or that
-    does not decode.  It holds the table of the lines converted before that
-    chunk and no byte of the input: the UnicodeDecodeError, which holds as
-    many bytes as precede the byte, is raised again where the input is read
-    on from there.
+    does not decode, holding the table of the lines converted before it:
+    the input is read on from there in one process, which meets its faults
+    in their order in the input, as a read in one process does.
     """
     parts = [np.empty((0, width))]
     try:
@@ -335,20 +344,25 @@ def _read_table(
 ) -> tuple[list[str], list[np.ndarray], dict[str, list[str]], list[int]]:
     """(header, the tables _plain_table converts, then _split_rows of the rest of fh).
 
-    The head, comments and header, is read first, in one process.  Then
-    the chunks of lines after it go to _plain_table until it refuses one;
-    that chunk and the rest of the input go to csv.reader.  A file cut in
-    shares (_share_starts) has each converted by _share_table: the first,
-    which skips the head, in this process, and each later one in a forked
-    child (core.run_forked).  A refusal in the first share kills the
-    children.  From the first share that does not send a whole table, the
-    tables it converted are kept and its lines past them and the rest of
-    the input go to csv.reader, in this process; the tables of the shares
-    after it are dropped.  So tables, rows, line numbers and errors are
-    those of a read in one process.
+    The head, comments and header, is read first, in one process, and a header
+    other than x, a and optional b, w raises ValueError.  Then the chunks of
+    lines after it go to _plain_table until it refuses one; that chunk and the
+    rest of the input go to csv.reader.  A file cut in shares (_share_starts)
+    has each converted by _share_table: the first, which skips the head, in
+    this process, and each later one in a forked child (core.run_forked).  A
+    refusal in the first share kills the children.  From the first share that
+    does not send a whole table, the tables it converted are kept and its
+    lines past them and the rest of the input go to csv.reader, in this
+    process; the tables of the shares after it are dropped.  So tables, rows,
+    line numbers and errors are those of a read in one process.
     """
     chunks = _line_chunks(fh)
     _, header, lines, start = _split_head(path, chunks)
+    if unknown := [col for col in header if col not in ("x", "a", "b", "w")]:
+        raise ValueError(f"{path}: unknown column {unknown[0]!r} (expected x, a, b, w)")
+    for required in ("x", "a"):
+        if required not in header:
+            raise ValueError(f"{path}: missing required column {required!r}")
     width = len(header)
     parts: list[np.ndarray] = []
     if starts := _share_starts(fh):
@@ -395,13 +409,6 @@ def _load_data_csv(path: Path) -> Sample:
     """
     with open(path) as fh:
         header, parts, columns, row_lines = _read_table(path, fh)
-    allowed = {"x", "a", "b", "w"}
-    unknown = [col for col in header if col not in allowed]
-    if unknown:
-        raise ValueError(f"{path}: unknown column {unknown[0]!r} (expected x, a, b, w)")
-    for required in ("x", "a"):
-        if required not in header:
-            raise ValueError(f"{path}: missing required column {required!r}")
     if row_lines:
         # numpy converts str with float()'s syntax and rounding; only when it
         # fails are the cells scanned in row order to name the first bad one.

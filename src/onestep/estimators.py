@@ -98,12 +98,12 @@ def unit_weights(domain: Interval = FULL_LINE) -> WeightFamily:
 
 
 def _newton_update(
-    theta_star: float, num_terms: np.ndarray, den_terms: np.ndarray
+    theta_star: float, num_terms: np.ndarray, den_terms: np.ndarray,
+    degenerate: str = "one-step denominator {!r} is numerically zero",
+    names: tuple[str, str] = ("score terms", "score derivative terms"),
 ) -> EstimateResult:
-    ratio, den = _ratio(
-        num_terms, den_terms, "one-step denominator {!r} is numerically zero",
-        ("score terms", "score derivative terms"),
-    )
+    """theta_star - sum num_terms / sum den_terms, checked: the end of every one-step update."""
+    ratio, den = _ratio(num_terms, den_terms, degenerate, names)
     theta_hat = _finite(
         theta_star - ratio, "one-step update is not finite", DegenerateDenominatorError
     )

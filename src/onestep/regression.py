@@ -11,7 +11,8 @@ quasi-likelihood estimating equation is
 which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
 M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 (square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
-explicit preliminary estimators, the adapters to the core families, and
+explicit preliminary estimators, termwise one-step updates that each end
+in estimators._newton_update, the adapters to the core families, and
 what the command line and the simulation harness share:
 resolve_preliminary, each model kind's preliminary estimator;
 check_pipeline, which names the updates they accept; and
@@ -62,6 +63,7 @@ from .errors import (
 )
 from .estimators import (
     EstimateResult,
+    _newton_update,
     newton_solve,
     one_step_factorized,
     one_step_weighted,
@@ -97,7 +99,6 @@ ContrastKind = Literal["sum_zero", "b_orthogonal"]
 
 # The names the term checks of the termwise one-step updates give.
 _UPDATE_TERMS = ("update terms", "denominator terms")
-_UPDATE_NOT_FINITE = "one-step update is not finite"
 
 
 @dataclass(frozen=True)
@@ -419,12 +420,10 @@ def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> E
     _check_sample(model, s)
     fp = model.values("f_prime", theta_star)
     wfp = model.values("w", theta_star) * fp
-    ratio, den = _ratio(
-        wfp * (s.x - model.values("f", theta_star)), wfp * fp,
+    return _newton_update(
+        theta_star, wfp * (model.values("f", theta_star) - s.x), wfp * fp,
         "weighted design sum is numerically zero", _UPDATE_TERMS,
     )
-    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
-    return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
 def lse_one_step(
@@ -440,13 +439,11 @@ def lse_one_step(
         raise MissingDerivativeError("least-squares step needs f''")
     t = _column(theta_star, s)
     fp = model.values("f_prime", t)
-    resid = s.x - model.values("f", t)
-    ratio, den = _ratio(
-        resid * fp, fp * fp - resid * model.values("f_second", t),
+    misfit = model.values("f", t) - s.x
+    return _newton_update(
+        theta_star, misfit * fp, fp * fp + misfit * model.values("f_second", t),
         "curvature sum is numerically zero", _UPDATE_TERMS,
     )
-    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
-    return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
 # --- contrasts and explicit preliminary estimators ---
@@ -555,13 +552,11 @@ def plinear_one_step(
     wv = 1.0 if w is None else _as_array("weights", w, n=s.n, positive=True)
     gv = float(g(theta_star))
     slope = s.a + b * float(g_prime(theta_star))
-    resid = s.x - (s.a * theta_star + b * gv)
-    ratio, den = _ratio(
-        wv * slope * resid, wv * slope * slope,
+    misfit = s.a * theta_star + b * gv - s.x
+    return _newton_update(
+        theta_star, wv * slope * misfit, wv * slope * slope,
         "weighted design sum is numerically zero", _UPDATE_TERMS,
     )
-    theta_hat = _finite(theta_star + ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
-    return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
 def preliminary_mm(c, s: Sample) -> float | np.ndarray:
@@ -597,11 +592,9 @@ def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> Estimat
     # with the quasi-likelihood step through the generic adapter
     p = (a * b) / np.square(q)
     wp = wv * p
-    ratio, den = _ratio(
-        wp * (s.x - a / q), wp * p, "design sum is numerically zero", _UPDATE_TERMS
+    return _newton_update(
+        theta_star, wp * (s.x - a / q), wp * p, "design sum is numerically zero", _UPDATE_TERMS
     )
-    theta_hat = _finite(theta_star - ratio, _UPDATE_NOT_FINITE, DegenerateDenominatorError)
-    return EstimateResult(theta_star=theta_star, theta_hat=theta_hat, denominator=den)
 
 
 def mm_closed_form(

@@ -673,7 +673,7 @@ def test_oversized_cells_are_read_or_named(tmp_path, capsys):
     [
         # a blank line is a data row with no fields
         ("x,a,b\n1.1,2.0,1.0\n\n0.9,3.0,2.0\n", "row 2 (line 3) has 0 fields, expected 3"),
-        ("x\n1.1\n\n0.9\n", "row 2 (line 3) has 0 fields, expected 1"),
+        ("x,a\n1.1,2.0\n\n0.9,3.0\n", "row 2 (line 3) has 0 fields, expected 2"),
         ("x,a,b\n1.1,2.0,1.0\n0.9,3.0\n", "row 2 (line 3) has 2 fields, expected 3"),
         # comment lines count as file lines but not as rows
         ("# note\n#\nx,a,b\n1.1,2.0,1.0\n0.9,3.0\n", "row 2 (line 5) has 2 fields, expected 3"),

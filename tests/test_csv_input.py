@@ -491,6 +491,35 @@ def test_plain_file_is_read_in_at_most_two_and_a_half_tables(tmp_path, monkeypat
     assert peak <= 2.5 * values.nbytes, f"peak {peak / values.nbytes:.2f} tables"
 
 
+@pytest.mark.parametrize("cpus", [2, 1], ids=["two_cpus", "one_cpu"])
+def test_a_late_undecodable_byte_raises_an_error_of_its_own_bytes(tmp_path, monkeypatch, cpus):
+    # the error names the byte by its offset in the file, as a whole read
+    # does, but holds no byte before it; the read stays within the bound
+    # of a plain file's
+    set_cpus(monkeypatch, cpus)
+    values = np.random.default_rng(13).standard_normal((50_000, 4))
+    data = "x,a,b,w\n" + "".join(f"{x!r},{a!r},{b!r},{w!r}\n" for x, a, b, w in values.tolist())
+    at = data.index("\n", int(0.95 * len(data))) + 3
+    payload = data[:at].encode() + b"\xff" + data[at:].encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(payload)
+    del data
+    with pytest.raises(UnicodeDecodeError) as whole:
+        payload.decode()
+    del payload
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnicodeDecodeError) as exc:
+            cli._load_data_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == str(whole.value) and f"position {at}:" in str(exc.value)
+    assert exc.value.object[exc.value.start : exc.value.end] == exc.value.object == b"\xff"
+    assert len(pickle.dumps(exc.value)) < 300
+    assert peak <= 2.5 * values.nbytes, f"peak {peak / values.nbytes:.2f} tables"
+
+
 
 # --- a seekable file read in shares, one per usable CPU (cli._share_starts) ---
 
@@ -823,3 +852,37 @@ def test_a_refusal_in_the_first_share_kills_the_children(tmp_path, monkeypatch):
     assert time.monotonic() - start < 30
     assert len(starts) == forks == 2
     assert isinstance(whole, dict) and shared == whole
+
+
+# (header, a defect in a row or none, the error)
+BAD_HEADERS = {
+    "unknown_column": ("x,a,y", None, "unknown column 'y' (expected x, a, b, w)"),
+    "missing_column": ("x,b,w", None, "missing required column 'a'"),
+    "unknown_column_and_ragged_row": ("x,a,y", "1,2", "unknown column 'y' (expected x, a, b, w)"),
+    "missing_column_and_undecodable_byte": (
+        "a,b,w", "1,\udcff2,3", "missing required column 'x'"
+    ),
+    "one_column_and_blank_line": ("x", "", "missing required column 'a'"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_HEADERS))
+def test_a_bad_header_ends_the_read_before_any_row(tmp_path, monkeypatch, name):
+    # the header is checked once read, before the file is cut in shares: no
+    # row is converted and no child forked, and a defect in a later row is
+    # not reached
+    header, defect, message = BAD_HEADERS[name]
+    rows = [",".join(row.split(",")[:3]) for row in plain_rows(300)]
+    if defect is not None:
+        rows[150] = defect
+    text = header + "\n" + "".join(row + "\n" for row in rows)
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode(errors="surrogateescape"))
+    set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_MIN_SHARE_BYTES", 1)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 256)
+    monkeypatch.setattr(cli, "_plain_table", lambda *args: pytest.fail("a row was converted"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a child was forked"))
+    with pytest.raises(ValueError) as exc:
+        cli._load_data_csv(path)
+    assert str(exc.value) == f"{path}: {message}"

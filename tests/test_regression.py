@@ -577,3 +577,73 @@ def test_estimation_sequence_checks_the_pipeline_before_any_step(pipeline, messa
         )
     assert str(excinfo.value) == message
     assert out == {}
+
+
+# --- the failures of the termwise updates ---
+
+def _plinear_failing(a, b, w=None):
+    # f = a t and f' = a - b: b sets the slope, and no term involves g or f''
+    return plinear_model(
+        a, b, g=lambda t: 0.0, g_prime=lambda t: -1.0, weights=w, g_second=lambda t: 0.0
+    )
+
+
+# update: (its call on theta_star, a, b, x, weights, its vanishing-denominator message)
+TERMWISE_UPDATES = {
+    "weighted_one_step": (
+        lambda t, a, b, x, w: weighted_one_step(
+            _plinear_failing(a, b, w), t, Sample(x=x, a=a, b=b)
+        ),
+        "weighted design sum is numerically zero",
+    ),
+    "lse_one_step": (
+        lambda t, a, b, x, w: lse_one_step(_plinear_failing(a, b, w), t, Sample(x=x, a=a, b=b)),
+        "curvature sum is numerically zero",
+    ),
+    "plinear_one_step": (
+        lambda t, a, b, x, w: plinear_one_step(
+            lambda t: 0.0, lambda t: -1.0, t, Sample(x=x, a=a, b=b), w
+        ),
+        "weighted design sum is numerically zero",
+    ),
+    "mm_one_step": (
+        lambda t, a, b, x, w: mm_one_step(mm_model(a, b, weights=w), t, Sample(x=x, a=a, b=b)),
+        "design sum is numerically zero",
+    ),
+}
+# case: (theta_star, a, b, x, weights) for the partially linear mean above, then for mm
+TERMWISE_FAILURES = {
+    "vanishing_denominator": (
+        (0.5, [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], None),
+        (1e10, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], None),
+    ),
+    "non_finite_update_term": (
+        (0.0, [1e10, 1e10], [0.0, 0.0], [1e300, -1e300], None),
+        (0.0, [1.0, 1.0], [1.0, 1.0], [1e10, 1e10], [1e300, 1e300]),
+    ),
+    "non_finite_denominator_term": (
+        (0.0, [1e200, 1e200], [0.0, 0.0], [0.0, 0.0], None),
+        (0.0, [1e100, 1e100], [1e100, 1e100], [1e100, 1e100], None),
+    ),
+    "non_finite_update": (
+        (1.0, [1e-3, 1e-3], [0.0, 0.0], [1e306, 1e306], None),
+        (1.0, [1.0, 1.0], [1.0, 1.0], [1.7e308, 1.7e308], None),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TERMWISE_FAILURES))
+@pytest.mark.parametrize("update", list(TERMWISE_UPDATES))
+def test_termwise_update_failures_keep_their_class_and_text(update, case):
+    # numpy's overflow warnings are silenced, as the command line silences them
+    call, degenerate = TERMWISE_UPDATES[update]
+    plinear_args, mm_args = TERMWISE_FAILURES[case]
+    error, message = {
+        "vanishing_denominator": (DegenerateDenominatorError, degenerate),
+        "non_finite_update_term": (NonFiniteError, "non-finite value in update terms"),
+        "non_finite_denominator_term": (NonFiniteError, "non-finite value in denominator terms"),
+        "non_finite_update": (DegenerateDenominatorError, "one-step update is not finite"),
+    }[case]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Exception) as exc:
+        call(*(mm_args if update == "mm_one_step" else plinear_args))
+    assert (type(exc.value), str(exc.value)) == (error, message)
