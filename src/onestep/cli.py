@@ -5,7 +5,7 @@ CSV conventions: every file this tool writes starts with one comment line
 floating-point values are written with repr, the shortest decimal string
 that parses back to the identical double, so outputs round-trip exactly.
 
-Exit codes: 0 success, 1 input or configuration error, 2 degenerate
+Exit codes: 0 success, 1 usage, input or configuration error, 2 degenerate
 estimation (the data admits no stable estimate).
 """
 
@@ -574,8 +574,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     cfg = _sim_config_from_file(Path(args.config))
     threads = _resolve_threads(args.threads)
+    workers = worker_count(cfg, threads)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = _config_digest(cfg)
     records, summary = run(cfg, threads=threads)
     valid_z = sorted(rec.z for rec in records if not rec.degenerate)
@@ -598,7 +598,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "numpy_version": np.__version__,
         "libc": _libc_version(),
         "threads": threads,
-        "workers": worker_count(cfg, threads),
+        "workers": workers,
         "rows_per_block": rows_per_block(cfg.n),
         "heap": args.heap,
     }
@@ -623,9 +623,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ),
     }
     # A path is listed as soon as open makes it: a failure, mid-write included,
-    # removes every file this run opened and none that it could not open
+    # removes every file this run opened and none that it could not open, then
+    # every directory of --out that this run made, and none that existed before
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     written: list[Path] = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, (header, lines) in tables.items():
             path = out_dir / f"{name}.csv"
             with open(path, "w", newline="") as fh:
@@ -638,9 +641,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     except BaseException:
-        for path in written:
+        for remove in [path.unlink for path in written] + [path.rmdir for path in made]:
             try:
-                path.unlink()
+                remove()
             except OSError:
                 pass
         raise
@@ -682,8 +685,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, whose usage errors raise ConfigError."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="onestep",
         description="One-step weighted estimation for nonlinear regression models.",
     )
@@ -745,16 +755,16 @@ def main(argv: list[str] | None = None) -> int:
     # np.loadtxt takes any length; lifted, a long cell np.loadtxt refuses is
     # read or named as a short one would be.  2**31 - 1 fits every C long.
     csv.field_size_limit(2**31 - 1)
-    args = build_parser().parse_args(argv)
-    args.heap = heap
-    for name in args.modules:
-        importlib.import_module(name)
-    # What is alive now (the subcommand's modules, numpy's tables) lives until
-    # exit: moved to the permanent generation, no collection walks it again,
-    # the one at interpreter exit included
-    gc.freeze()
-    # Subcommands raise; a failure of any of them, reading or writing, is reported here alone
+    # Parsing and subcommands raise; any failure, reading or writing, is reported here alone
     try:
+        args = build_parser().parse_args(argv)
+        args.heap = heap
+        for name in args.modules:
+            importlib.import_module(name)
+        # What is alive now (the subcommand's modules, numpy's tables) lives until
+        # exit: moved to the permanent generation, no collection walks it again,
+        # the one at interpreter exit included
+        gc.freeze()
         # Every step raises a named error on non-finite terms, so numpy's overflow
         # warnings would only print ahead of the one error line (forked workers inherit this)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -11,9 +11,10 @@ quasi-likelihood estimating equation is
 which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
 M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
 (square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
-explicit preliminary estimators, termwise one-step updates that each end
-in estimators._newton_update, the adapters to the core families, and
-what the command line and the simulation harness share:
+explicit preliminary estimators; the adapters to the core families, on
+which one_step_weighted takes every model's quasi-likelihood step; the
+least-squares step lse_one_step; and what the command line and the
+simulation harness share:
 resolve_preliminary, each model kind's preliminary estimator;
 check_pipeline, which names the updates they accept; and
 estimation_sequence, the one function both run the estimator through
@@ -81,14 +82,11 @@ __all__ = [
     "to_families",
     "generalized_families",
     "moment_provider",
-    "weighted_one_step",
     "lse_one_step",
     "default_contrasts",
     "preliminary_sqrt",
     "preliminary_plinear",
-    "plinear_one_step",
     "preliminary_mm",
-    "mm_one_step",
     "mm_closed_form",
     "check_pipeline",
     "resolve_preliminary",
@@ -97,7 +95,7 @@ __all__ = [
 
 ContrastKind = Literal["sum_zero", "b_orthogonal"]
 
-# The names the term checks of the termwise one-step updates give.
+# The names lse_one_step's term checks give its two sums.
 _UPDATE_TERMS = ("update terms", "denominator terms")
 
 
@@ -410,21 +408,7 @@ def moment_provider(model: RegressionModel) -> MomentProvider:
     )
 
 
-# --- generic one-step updates ---
-
-def weighted_one_step(model: RegressionModel, theta_star: float, s: Sample) -> EstimateResult:
-    """Quasi-likelihood one-step:
-
-    theta_hat = theta_star + sum w f' (x - f) / sum w f'^2, all at theta_star.
-    """
-    _check_sample(model, s)
-    fp = model.values("f_prime", theta_star)
-    wfp = model.values("w", theta_star) * fp
-    return _newton_update(
-        theta_star, wfp * (model.values("f", theta_star) - s.x), wfp * fp,
-        "weighted design sum is numerically zero", _UPDATE_TERMS,
-    )
-
+# --- the least-squares step ---
 
 def lse_one_step(
     model: RegressionModel, theta_star: float | np.ndarray, s: Sample
@@ -537,28 +521,6 @@ def preliminary_plinear(c: Contrasts, s: Sample) -> float | np.ndarray:
     return _finite(theta, "preliminary estimate is not finite")
 
 
-def plinear_one_step(
-    g: Callable[[float], float],
-    g_prime: Callable[[float], float],
-    theta_star: float,
-    s: Sample,
-    w=None,
-) -> EstimateResult:
-    """Weighted one-step for f_i(t) = a_i t + b_i g(t).
-
-    w is a vector of constant variance weights, unit weights when None.
-    """
-    b = s.b if s.b is not None else 0.0
-    wv = 1.0 if w is None else _as_array("weights", w, n=s.n, positive=True)
-    gv = float(g(theta_star))
-    slope = s.a + b * float(g_prime(theta_star))
-    misfit = s.a * theta_star + b * gv - s.x
-    return _newton_update(
-        theta_star, wv * slope * misfit, wv * slope * slope,
-        "weighted design sum is numerically zero", _UPDATE_TERMS,
-    )
-
-
 def preliminary_mm(c, s: Sample) -> float | np.ndarray:
     """Explicit start for the saturation curve:
 
@@ -574,27 +536,6 @@ def preliminary_mm(c, s: Sample) -> float | np.ndarray:
         num_terms, den_terms = cv * (s.a - s.x), cv * s.b * s.x
     theta, _ = _ratio(num_terms, den_terms, "coefficient denominator is numerically zero")
     return _finite(theta, "preliminary estimate is not finite")
-
-
-def mm_one_step(model: RegressionModel, theta_star: float, s: Sample) -> EstimateResult:
-    """Termwise one-step for the saturation curve:
-
-    theta_hat = theta_star
-        - sum (x - a/(1+b t)) w a b / (1+b t)^2 / sum w a^2 b^2 / (1+b t)^4.
-    """
-    _check_sample(model, s)
-    if model.a is None or model.b is None:
-        raise ValueError("model does not carry the a, b covariates this update needs")
-    a, b = model.a, model.b
-    wv = model.values("w", theta_star)
-    q = 1.0 + b * theta_star
-    # p = a b / q^2 is shared by both sums so that the update agrees bitwise
-    # with the quasi-likelihood step through the generic adapter
-    p = (a * b) / np.square(q)
-    wp = wv * p
-    return _newton_update(
-        theta_star, wp * (s.x - a / q), wp * p, "design sum is numerically zero", _UPDATE_TERMS
-    )
 
 
 def mm_closed_form(

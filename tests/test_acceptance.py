@@ -25,11 +25,9 @@ from onestep import (
     lse_one_step,
     mm_closed_form,
     mm_model,
-    mm_one_step,
     one_step_weighted,
     optimal_weights,
     plinear_model,
-    plinear_one_step,
     preliminary_mm,
     preliminary_plinear,
     preliminary_sqrt,
@@ -37,9 +35,9 @@ from onestep import (
     sqrt_model,
     studentize,
     to_families,
-    weighted_one_step,
 )
 from onestep.montecarlo import default_grid
+from termwise import mm_one_step, plinear_one_step
 
 MAIN_SEED = 20250819
 MONOTONE_SEEDS = (3, 4, 7)
@@ -82,7 +80,7 @@ def test_criterion_01_noiseless_exactness():
         ts = preliminary_sqrt(default_contrasts(s, "sum_zero"), s)
         values = [
             ts,
-            weighted_one_step(sq, ts, s).theta_hat,
+            one_step_weighted(*to_families(sq), ts, s).theta_hat,
             lse_one_step(sq, ts, s).theta_hat,
         ]
 
@@ -93,8 +91,7 @@ def test_criterion_01_noiseless_exactness():
         ts = preliminary_plinear(default_contrasts(s, "b_orthogonal"), s)
         values += [
             ts,
-            plinear_one_step(lambda t: t * t, lambda t: 2.0 * t, ts, s).theta_hat,
-            weighted_one_step(pl, ts, s).theta_hat,
+            one_step_weighted(*to_families(pl), ts, s).theta_hat,
             lse_one_step(pl, ts, s).theta_hat,
         ]
 
@@ -103,9 +100,8 @@ def test_criterion_01_noiseless_exactness():
         ts = preliminary_mm(np.ones(n), s)
         values += [
             ts,
-            mm_one_step(mm, ts, s).theta_hat,
+            one_step_weighted(*to_families(mm), ts, s).theta_hat,
             mm_closed_form(mm, ts, s),
-            weighted_one_step(mm, ts, s).theta_hat,
             lse_one_step(mm, ts, s).theta_hat,
         ]
         worst = max(worst, max(abs(v - theta) for v in values))
@@ -188,7 +184,7 @@ def test_criterion_04_adapter_coherence():
         model = mm_model(a, b, weights=w)
         s = Sample(x=rng.uniform(0.1, 3.0, n), a=a, b=b)
         fam, wf = to_families(model)
-        direct = mm_one_step(model, ts, s).theta_hat
+        direct = mm_one_step(model, ts, s)
         via = one_step_weighted(fam, wf, ts, s).theta_hat
         worst["mm"] = max(worst["mm"], abs(direct - via) / abs(via))
 
@@ -198,9 +194,7 @@ def test_criterion_04_adapter_coherence():
         )
         s = Sample(x=rng.normal(0.0, 1.0, n), a=a, b=b)
         fam, wf = to_families(model)
-        direct = plinear_one_step(
-            lambda t: t * t, lambda t: 2.0 * t, ts, s, w=w
-        ).theta_hat
+        direct = plinear_one_step(lambda t: t * t, lambda t: 2.0 * t, ts, s, w=w)
         via = one_step_weighted(fam, wf, ts, s).theta_hat
         worst["plinear"] = max(worst["plinear"], abs(direct - via) / abs(via))
 

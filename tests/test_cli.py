@@ -829,6 +829,34 @@ def test_a_non_finite_update_exits_2_under_every_newton_pipeline(tmp_path, capsy
     }
 
 
+@pytest.mark.parametrize(
+    "pipeline, theta_hat",
+    [
+        ("one_step_weighted", "0.0"),
+        ("one_step_factorized", "0.0"),
+        ("lse_one_step", "-0.0"),
+        ("newton_oracle", "-0.0"),
+    ],
+)
+def test_the_sign_of_a_zero_step_from_minus_zero(tmp_path, capsys, pipeline, theta_hat):
+    # x = f(-0.0) = 1 at every row, so each step is an exact zero: -0.0 minus
+    # the ratio 0 / den is +0.0 where den < 0 (the adapter's h M') and -0.0
+    # where den > 0; newton_oracle returns its start.  The studentizer's
+    # variance sum is zero, so every pipeline exits 2.
+    data = tmp_path / "data.csv"
+    data.write_text("x,a\n1.0,0.5\n1.0,1.5\n1.0,2.5\n")
+    out = tmp_path / "report.csv"
+    code, err = run_in_process(
+        capsys, "estimate", data, "--model", "sqrt", "--theta-start=-0.0",
+        "--pipeline", pipeline, "--out", out,
+    )
+    assert (code, err) == (2, "")
+    row = read_report(out)
+    assert (row["theta_star"], row["theta_hat"], row["warnings"]) == (
+        "-0.0", theta_hat, "studentizer variance sum is zero"
+    )
+
+
 def test_a_summary_sum_past_the_largest_double_is_named(tmp_path, capsys):
     # sigma 1e153 puts squared errors near 1e306, and 20000 of them past the
     # largest double: the summary's sum is named in one line, no CSV written
@@ -839,7 +867,7 @@ def test_a_summary_sum_past_the_largest_double_is_named(tmp_path, capsys):
     assert (code, err) == (
         1, "error: the exact sum of squared theta_hat deviations lies beyond the largest double\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["sqrt", "plinear"])
@@ -1082,7 +1110,61 @@ def test_simulate_failures_end_in_one_error_line(tmp_path, config, message):
     out = tmp_path / "out"
     cp = run_cli("simulate", cfgfile, "--out", out)
     assert (cp.returncode, cp.stderr) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--threads", "0"], {}, "threads must be a positive integer, got 0"),
+        (["--threads", "-2"], {}, "threads must be a positive integer, got -2"),
+        ([], {"model": "sqrt", "theta_true": -10.0}, "parameter -10.0 outside domain (-0.4, inf)"),
+        ([], {"model": "plinear", "sigma": 1e76, "n": 20, "replications": 40, "seed": 1},
+         "every replication degenerated; nothing to summarize"),
+    ],
+    ids=["threads_zero", "threads_negative", "theta_outside_domain", "all_degenerate"],
+)
+def test_a_failed_simulate_leaves_no_directory_it_made(tmp_path, capsys, flags, config, message):
+    cfgfile = tmp_path / "sim.cfg"
+    write_config(cfgfile, **config)
+    out = tmp_path / "made" / "out"
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out, *flags)
+    assert (code, err) == (1, f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [cfgfile]
+    # a directory that existed before the run is kept
+    out.mkdir(parents=True)
+    code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out, *flags)
+    assert (code, err) == (1, f"error: {message}\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["estimate", "data.csv"], "the following arguments are required: --model"),
+        (
+            ["estimate", "data.csv", "--model", "mm", "--alpha", "abc"],
+            "argument --alpha: invalid float value: 'abc'",
+        ),
+        (
+            ["frobnicate"],
+            "argument command: invalid choice: 'frobnicate' "
+            "(choose from 'estimate', 'simulate', 'report')",
+        ),
+        (["estimate", "data.csv", "--model", "mm", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["missing_model", "bad_alpha", "unknown_command", "unknown_flag"],
+)
+def test_usage_errors_end_in_one_error_line_and_exit_1(tmp_path, args, message):
+    write_mm_data(tmp_path / "data.csv")
+    cp = run_cli(*(tmp_path / a if a == "data.csv" else a for a in args))
+    assert (cp.returncode, cp.stdout, cp.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_help_still_exits_0():
+    cp = run_cli("estimate", "--help")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert cp.stdout.startswith("usage: onestep estimate")
 
 
 # --out below tmp_path: in a missing directory, tmp_path itself, or for
@@ -1273,7 +1355,7 @@ def test_a_write_that_fails_midway_leaves_no_file(tmp_path, capsys, monkeypatch)
     code, err = run_in_process(capsys, "simulate", cfgfile, "--out", out)
     assert (code, err) == (1, "error: injected\n")
     assert calls == 101  # qq.csv was part written when the write failed
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_a_failed_open_removes_the_files_before_it_and_keeps_its_path(tmp_path, capsys):

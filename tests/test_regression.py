@@ -16,18 +16,15 @@ from onestep import (
     lse_one_step,
     mm_closed_form,
     mm_model,
-    mm_one_step,
     moment_provider,
     one_step_factorized,
     one_step_weighted,
     plinear_model,
-    plinear_one_step,
     preliminary_mm,
     preliminary_plinear,
     preliminary_sqrt,
     sqrt_model,
     to_families,
-    weighted_one_step,
 )
 from onestep.core import (
     m_prime_values,
@@ -47,6 +44,7 @@ from onestep.errors import (
 )
 from onestep import regression
 from onestep.montecarlo import default_grid
+from termwise import mm_one_step, plinear_one_step, weighted_one_step
 
 
 def mm_example():
@@ -151,8 +149,6 @@ def test_model_evaluators_take_the_families_width_rule(width):
     message = f"an evaluator returned {width} values per row, expected 3"
     with pytest.raises(ValueError, match=message):
         one_step_weighted(*to_families(model), 0.5, s)
-    with pytest.raises(ValueError, match=message):
-        weighted_one_step(model, 0.5, s)
 
 
 def test_heteroscedastic_mm_weights():
@@ -225,7 +221,7 @@ def test_weighted_one_step_matches_core_adapter_bitwise():
         fam, wf = to_families(model)
         direct = weighted_one_step(model, ts, s)
         via_core = one_step_weighted(fam, wf, ts, s)
-        assert direct.theta_hat == via_core.theta_hat
+        assert direct == via_core.theta_hat
 
 
 def test_generalized_families_zero_factor():
@@ -387,8 +383,7 @@ def test_sqrt_one_step_example():
     c = Contrasts(c=[-1.0, 1.0])
     ts = preliminary_sqrt(c, s)
     model = sqrt_model([1.0, 3.0], weights=[1.0, 2.0])
-    res = weighted_one_step(model, ts, s)
-    assert res.theta_hat == pytest.approx(0.9509793104958609, rel=1e-14)
+    assert weighted_one_step(model, ts, s) == pytest.approx(0.9509793104958609, rel=1e-14)
 
 
 def test_lse_one_step_example():
@@ -414,7 +409,7 @@ def test_lse_matches_weighted_when_f_is_linear():
     model = linear_model(a)
     s = Sample(x=[1.1, 1.9, 3.2], a=a)
     lse = lse_one_step(model, 0.4, s)
-    wos = weighted_one_step(model, 0.4, s)
+    wos = one_step_weighted(*to_families(model), 0.4, s)
     assert lse.theta_hat == wos.theta_hat
 
 
@@ -436,7 +431,7 @@ def test_plinear_one_step_example():
     c = Contrasts(c=[-1.0, 1.0, 0.0])
     ts = preliminary_plinear(c, s)
     res = plinear_one_step(lambda t: t * t, lambda t: 2.0 * t, ts, s)
-    assert res.theta_hat == pytest.approx(1.0042805960233474, rel=1e-14)
+    assert res == pytest.approx(1.0042805960233474, rel=1e-14)
 
 
 def test_plinear_one_step_matches_adapter():
@@ -444,7 +439,7 @@ def test_plinear_one_step_matches_adapter():
     fam, wf = to_families(model)
     direct = plinear_one_step(lambda t: t * t, lambda t: 2.0 * t, 0.92, s)
     via_core = one_step_weighted(fam, wf, 0.92, s)
-    assert direct.theta_hat == via_core.theta_hat
+    assert direct == via_core.theta_hat
 
 
 def test_preliminary_mm_example():
@@ -469,8 +464,7 @@ def test_preliminary_overflow_is_not_finite_rather_than_degenerate():
 def test_mm_one_step_example():
     model, s = mm_example()
     ts = preliminary_mm([1.0, 1.0], s)
-    res = mm_one_step(model, ts, s)
-    assert res.theta_hat == pytest.approx(1.023344553403785, rel=1e-14)
+    assert mm_one_step(model, ts, s) == pytest.approx(1.023344553403785, rel=1e-14)
 
 
 def test_mm_one_step_matches_adapter():
@@ -484,9 +478,9 @@ def test_mm_one_step_matches_adapter():
         model = mm_model(a, b)
         s = Sample(x=x, a=a, b=b)
         direct = mm_one_step(model, ts, s)
-        via = weighted_one_step(model, ts, s)
-        # shared term arrangement makes the agreement exact, not merely close
-        assert direct.theta_hat == via.theta_hat
+        via = one_step_weighted(*to_families(model), ts, s)
+        # the reference negates the adapter's terms exactly, so they agree bit for bit
+        assert direct == via.theta_hat
 
 
 def test_mm_closed_form_example():
@@ -512,7 +506,7 @@ def test_mm_closed_form_equals_transformed_one_step():
 def test_mm_closed_form_differs_from_plain_one_step():
     model, s = mm_example()
     ts = preliminary_mm([1.0, 1.0], s)
-    assert mm_closed_form(model, ts, s) != mm_one_step(model, ts, s).theta_hat
+    assert mm_closed_form(model, ts, s) != one_step_weighted(*to_families(model), ts, s).theta_hat
 
 
 # --- noiseless exactness ---
@@ -529,7 +523,8 @@ def test_noiseless_recovery_all_models():
         c = default_contrasts(s, "sum_zero")
         ts = preliminary_sqrt(c, s)
         assert ts == pytest.approx(theta, abs=1e-10)
-        assert weighted_one_step(sq, ts, s).theta_hat == pytest.approx(theta, abs=1e-10)
+        hat = one_step_weighted(*to_families(sq), ts, s).theta_hat
+        assert hat == pytest.approx(theta, abs=1e-10)
         assert lse_one_step(sq, ts, s).theta_hat == pytest.approx(theta, abs=1e-10)
 
         pl = plinear_model(
@@ -539,14 +534,15 @@ def test_noiseless_recovery_all_models():
         c = default_contrasts(s, "b_orthogonal")
         ts = preliminary_plinear(c, s)
         assert ts == pytest.approx(theta, abs=1e-10)
-        hat = plinear_one_step(lambda t: t * t, lambda t: 2.0 * t, ts, s).theta_hat
+        hat = one_step_weighted(*to_families(pl), ts, s).theta_hat
         assert hat == pytest.approx(theta, abs=1e-10)
 
         mm = mm_model(a, b)
         s = Sample(x=mm.f_values(theta), a=a, b=b)
         ts = preliminary_mm(np.ones(n), s)
         assert ts == pytest.approx(theta, abs=1e-10)
-        assert mm_one_step(mm, ts, s).theta_hat == pytest.approx(theta, abs=1e-10)
+        hat = one_step_weighted(*to_families(mm), ts, s).theta_hat
+        assert hat == pytest.approx(theta, abs=1e-10)
         assert mm_closed_form(mm, ts, s) == pytest.approx(theta, abs=1e-10)
 
 
@@ -579,7 +575,7 @@ def test_estimation_sequence_checks_the_pipeline_before_any_step(pipeline, messa
     assert out == {}
 
 
-# --- the failures of the termwise updates ---
+# --- the failures of the least-squares step ---
 
 def _plinear_failing(a, b, w=None):
     # f = a t and f' = a - b: b sets the slope, and no term involves g or f''
@@ -590,45 +586,17 @@ def _plinear_failing(a, b, w=None):
 
 # update: (its call on theta_star, a, b, x, weights, its vanishing-denominator message)
 TERMWISE_UPDATES = {
-    "weighted_one_step": (
-        lambda t, a, b, x, w: weighted_one_step(
-            _plinear_failing(a, b, w), t, Sample(x=x, a=a, b=b)
-        ),
-        "weighted design sum is numerically zero",
-    ),
     "lse_one_step": (
         lambda t, a, b, x, w: lse_one_step(_plinear_failing(a, b, w), t, Sample(x=x, a=a, b=b)),
         "curvature sum is numerically zero",
     ),
-    "plinear_one_step": (
-        lambda t, a, b, x, w: plinear_one_step(
-            lambda t: 0.0, lambda t: -1.0, t, Sample(x=x, a=a, b=b), w
-        ),
-        "weighted design sum is numerically zero",
-    ),
-    "mm_one_step": (
-        lambda t, a, b, x, w: mm_one_step(mm_model(a, b, weights=w), t, Sample(x=x, a=a, b=b)),
-        "design sum is numerically zero",
-    ),
 }
-# case: (theta_star, a, b, x, weights) for the partially linear mean above, then for mm
+# case: (theta_star, a, b, x, weights) for the partially linear mean above
 TERMWISE_FAILURES = {
-    "vanishing_denominator": (
-        (0.5, [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], None),
-        (1e10, [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], None),
-    ),
-    "non_finite_update_term": (
-        (0.0, [1e10, 1e10], [0.0, 0.0], [1e300, -1e300], None),
-        (0.0, [1.0, 1.0], [1.0, 1.0], [1e10, 1e10], [1e300, 1e300]),
-    ),
-    "non_finite_denominator_term": (
-        (0.0, [1e200, 1e200], [0.0, 0.0], [0.0, 0.0], None),
-        (0.0, [1e100, 1e100], [1e100, 1e100], [1e100, 1e100], None),
-    ),
-    "non_finite_update": (
-        (1.0, [1e-3, 1e-3], [0.0, 0.0], [1e306, 1e306], None),
-        (1.0, [1.0, 1.0], [1.0, 1.0], [1.7e308, 1.7e308], None),
-    ),
+    "vanishing_denominator": (0.5, [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], None),
+    "non_finite_update_term": (0.0, [1e10, 1e10], [0.0, 0.0], [1e300, -1e300], None),
+    "non_finite_denominator_term": (0.0, [1e200, 1e200], [0.0, 0.0], [0.0, 0.0], None),
+    "non_finite_update": (1.0, [1e-3, 1e-3], [0.0, 0.0], [1e306, 1e306], None),
 }
 
 
@@ -637,7 +605,6 @@ TERMWISE_FAILURES = {
 def test_termwise_update_failures_keep_their_class_and_text(update, case):
     # numpy's overflow warnings are silenced, as the command line silences them
     call, degenerate = TERMWISE_UPDATES[update]
-    plinear_args, mm_args = TERMWISE_FAILURES[case]
     error, message = {
         "vanishing_denominator": (DegenerateDenominatorError, degenerate),
         "non_finite_update_term": (NonFiniteError, "non-finite value in update terms"),
@@ -645,5 +612,5 @@ def test_termwise_update_failures_keep_their_class_and_text(update, case):
         "non_finite_update": (DegenerateDenominatorError, "one-step update is not finite"),
     }[case]
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Exception) as exc:
-        call(*(mm_args if update == "mm_one_step" else plinear_args))
+        call(*TERMWISE_FAILURES[case])
     assert (type(exc.value), str(exc.value)) == (error, message)
