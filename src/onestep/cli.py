@@ -15,6 +15,7 @@ import argparse
 import codecs
 import csv
 import ctypes
+import errno
 import gc
 import importlib
 import os
@@ -565,6 +566,18 @@ def _libc_version() -> str | None:
         return None
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Fail as making out_dir would, when the deepest existing path of it is no directory.
+
+    Makes nothing: simulate makes --out once its campaign has run, and this
+    names a taken --out before that.
+    """
+    existing = next((path for path in (out_dir, *out_dir.parents) if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        code = errno.EEXIST if existing == out_dir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     import json
     from datetime import datetime, timezone
@@ -576,6 +589,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     threads = _resolve_threads(args.threads)
     workers = worker_count(cfg, threads)
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     digest = _config_digest(cfg)
     records, summary = run(cfg, threads=threads)
     valid_z = sorted(rec.z for rec in records if not rec.degenerate)

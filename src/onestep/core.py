@@ -236,6 +236,26 @@ def _require_finite(name: str, terms: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite value in {name}")
 
 
+def _extremes(terms: np.ndarray) -> tuple[float, float]:
+    """(largest, smallest) of all terms: the one scan of a checked sum.
+
+    A checked sum takes from it its finite check, its first extraction
+    sigma (_extracted_sums) and its sign test (_tolerance).  NaN propagates
+    through both, so the terms are all finite exactly when these two are.
+    Taken over a whole block, not row by row: a row-wise max over a
+    (65, 500) block costs twice the block-wide one.
+    """
+    return float(terms.max()), float(terms.min())
+
+
+def _finite_extremes(terms: np.ndarray, name: str) -> tuple[float, float]:
+    """_extremes(terms), unless a term is not finite: then raises NonFiniteError naming name."""
+    top, bottom = _extremes(terms)
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise NonFiniteError(f"non-finite value in {name}")
+    return top, bottom
+
+
 def _evaluate(values, n: int, t, xs=None) -> np.ndarray:
     """values(t), or values(t, xs), as float64 with n values per row.
 
@@ -315,30 +335,47 @@ def exact_sum(values):
     magnitudes near overflow, rows still nonzero once the peak is deep in the
     subnormals, and rows whose sum is zero go to math.fsum as they are, so
     its exceptions, NaN/inf results and signed zeros hold.
+
+    The first sigma comes from one scan for the largest and smallest value
+    (_extremes); a checked sum (_checked_sum) hands in the scan it made for
+    its own checks.
     """
+    return _exact_sum(values)
+
+
+def _exact_sum(values, extremes=None):
+    """exact_sum(values), with extremes, when given, the _extremes of values."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2:
         v = v.ravel()
         if v.size < _VECTOR_SUM_MIN_TERMS:
             return math.fsum(v.tolist())
-        return float(_extracted_sums(v[None, :])[0])
+        return float(_extracted_sums(v[None, :], extremes)[0])
     if v.size < _VECTOR_SUM_MIN_TERMS:
         return np.array([math.fsum(row) for row in v.tolist()], dtype=np.float64)
-    return _extracted_sums(v)
+    return _extracted_sums(v, extremes)
 
 
-def _extracted_sums(v: np.ndarray) -> np.ndarray:
-    """exact_sum of each row of a nonempty (B, n) block, by extraction with one sigma per round."""
+def _extracted_sums(v: np.ndarray, extremes=None) -> np.ndarray:
+    """exact_sum of each row of a nonempty (B, n) block, by extraction with one sigma per round.
+
+    extremes, when given, are v's _extremes, which spare the first round
+    its pass for the peak.
+    """
     rows, n = v.shape
     lg = n.bit_length() + 1
     parts: list[np.ndarray] = []  # one exact partial sum per row and round
     slow = None  # rows left to math.fsum, once there are any
     p = v
     q = np.empty_like(v)
-    k = None  # the next sigma's exponent, when known without a pass over p
+    # the peak magnitude of p, when known without a pass over it, and the
+    # next sigma's exponent, when known without the peak
+    peak = None if extremes is None else max(extremes[0], -extremes[1])
+    k = None
     while True:
         if k is None:
-            peak = max(float(p.max()), -float(p.min()))
+            if peak is None:
+                peak = max(float(p.max()), -float(p.min()))
             if peak == 0.0:
                 break
             k = math.frexp(peak)[1] + lg
@@ -348,7 +385,7 @@ def _extracted_sums(v: np.ndarray) -> np.ndarray:
                 slow = ~np.isfinite(row_peak) | (np.frexp(row_peak)[1] + lg > 1022)
                 p = p.copy()  # the caller's values stay intact
                 p[slow] = 0.0
-                k = None
+                k = peak = None
                 continue
             if k < -1021:
                 tiny = (p != 0.0).any(axis=1)
@@ -363,6 +400,7 @@ def _extracted_sums(v: np.ndarray) -> np.ndarray:
         # the first residual lies within 2**-53 sigma, which bounds the
         # second round's sigma without a pass over it
         k = k - 53 + lg if len(parts) == 1 and k - 53 + lg >= -1021 else None
+        peak = None
     if len(parts) > 2:
         out = np.array([math.fsum(row) for row in np.stack(parts, axis=1).tolist()])
     elif parts:
@@ -388,9 +426,20 @@ def degeneracy_tolerance(terms: np.ndarray, total=None):
     terms = np.asarray(terms, dtype=np.float64)
     if total is None:
         return _magnitude_tolerance(terms)
-    mixed = (terms.min(axis=-1) < 0.0) & (terms.max(axis=-1) > 0.0)
+    return _tolerance(terms, total, _extremes(terms))
+
+
+def _tolerance(terms: np.ndarray, total, extremes):
+    """degeneracy_tolerance(terms, total), its sign test read off terms' _extremes.
+
+    Only a block whose terms take both signs is tested row by row.
+    """
+    top, bottom = extremes
+    if not bottom < 0.0 < top:
+        return DEGENERACY_SCALE * (1.0 + abs(total))
     if terms.ndim < 2:
-        return _magnitude_tolerance(terms) if mixed else DEGENERACY_SCALE * (1.0 + abs(total))
+        return _magnitude_tolerance(terms)
+    mixed = (terms.min(axis=-1) < 0.0) & (terms.max(axis=-1) > 0.0)
     tolerance = DEGENERACY_SCALE * (1.0 + np.abs(total))
     if mixed.any():
         tolerance[mixed] = _magnitude_tolerance(terms[mixed])
@@ -424,15 +473,16 @@ def _scaled_sum(values: np.ndarray, name: str, factor: float = 1.0) -> float:
         raise NonFiniteError(f"the exact sum of {name} lies beyond the largest double") from None
 
 
-def _wide_sum(values: np.ndarray, name: str):
+def _wide_sum(values: np.ndarray, name: str, extremes=None):
     """exact_sum(values), also where partial sums pass the largest double but the sum does not.
 
     Only a row for which math.fsum raises OverflowError is summed again,
     by _scaled_sum; the other rows keep exact_sum's bits.  name names the
-    values in the error for a sum past the largest double.
+    values in the error for a sum past the largest double; extremes, when
+    given, are their _extremes.
     """
     try:
-        return exact_sum(values)
+        return _exact_sum(values, extremes)
     except OverflowError:
         pass
     if values.ndim == 2:
@@ -467,10 +517,16 @@ def _checked_sum(terms: np.ndarray, name: str, degenerate: str | None = None,
     NonFiniteError.  When degenerate is given and the sum (any row's)
     vanishes against its terms (degeneracy_tolerance), raises error with the
     message degenerate, formatted with the sum.
+
+    The terms are scanned once for their largest and smallest value
+    (_extremes), and that scan serves all three: the finite check, the
+    first sigma of the extraction and the tolerance's sign test.  Only a
+    block whose terms take both signs is scanned again, row by row, for the
+    sign test of each row.
     """
-    _require_finite(name, terms)
-    total = _wide_sum(terms, name)
-    if degenerate is not None and np.any(abs(total) <= degeneracy_tolerance(terms, total)):
+    extremes = _finite_extremes(terms, name)
+    total = _wide_sum(terms, name, extremes)
+    if degenerate is not None and np.any(abs(total) <= _tolerance(terms, total, extremes)):
         raise error(degenerate.format(total))
     return total
 
@@ -482,10 +538,11 @@ def _ratio(num_terms, den_terms, degenerate: str,
     Every one-step update and explicit preliminary divides two such sums
     (one per row of a block), checked by _checked_sum: names name the two
     sets of terms, degenerate is the message for a vanishing denominator.
+    The numerator is scanned once too, its finite check first.
     """
-    _require_finite(names[0], num_terms)
+    extremes = _finite_extremes(num_terms, names[0])
     den = _checked_sum(den_terms, names[1], degenerate)
-    return _wide_sum(num_terms, names[0]) / den, den
+    return _wide_sum(num_terms, names[0], extremes) / den, den
 
 
 def _finite(value, message: str, error: type[Exception] = NonFiniteError):
@@ -516,9 +573,9 @@ def score_sums(
     NonFiniteError if any term fails to be finite.
     """
     num_terms, den_terms = _score_terms(fam, wf, t, s)
-    _require_finite("score terms", num_terms)
+    extremes = _finite_extremes(num_terms, "score terms")
     den = _checked_sum(den_terms, "score derivative terms")
-    return _wide_sum(num_terms, "score terms"), den
+    return _wide_sum(num_terms, "score terms", extremes), den
 
 
 def asymptotic_moments(

@@ -165,8 +165,9 @@ def studentize(
     standard normal, so the interval is theta_hat -+ z_{1-alpha/2} / |d_star|.
 
     centering, when given, is that numerator as one_step_weighted's
-    denominator from the same fam, wf, theta_star and s: the same exact sum
-    of the same terms, already checked to be finite and not to vanish.
+    denominator, or the first score derivative sum of newton_solve started
+    at theta_star, from the same fam, wf and s: the same exact sum of the
+    same terms, already checked to be finite and not to vanish.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -273,12 +274,28 @@ def newton_solve(
     Raises NoConvergenceError when the budget is exhausted and
     DegenerateDenominatorError when the score derivative is numerically zero.
     """
+    return _newton_root(fam, wf, theta_start, s, max_iter, tol)[0]
+
+
+def _newton_root(
+    fam: EstimatingFamily, wf: WeightFamily, theta_start, s: Sample, max_iter: int, tol: float,
+):
+    """(newton_solve's root, its first score derivative sum), one of each per row of a block.
+
+    That derivative sum is sum_i h_i(theta_start) M_i'(theta_start, x_i),
+    studentize's centering, checked as studentize checks it.  It is None
+    for a row whose score already vanishes at its start, where no
+    derivative is formed, and for a block that holds such a row.
+    """
     if s.x.ndim == 2:
         starts = _column(theta_start, s)[:, 0].tolist()
-        return np.array([
-            newton_solve(fam, wf, start, Sample(row, s.a, s.b, s.w_known), max_iter, tol)
+        solved = [
+            _newton_root(fam, wf, start, Sample(row, s.a, s.b, s.w_known), max_iter, tol)
             for row, start in zip(s.x, starts)
-        ])
+        ]
+        roots = np.array([root for root, _ in solved])
+        firsts = [first for _, first in solved]
+        return roots, None if None in firsts else np.array(firsts)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not tol > 0.0:
@@ -293,13 +310,16 @@ def newton_solve(
 
     t = float(theta_start)
     g = score(t)
+    first = None
     for _ in range(max_iter):
         if abs(g) <= tol:
-            return t
+            return t, first
         der = _checked_sum(
             h * m_prime_values(fam, t, s.x), "score derivative terms",
             "score derivative is numerically zero",
         )
+        if first is None:
+            first = der
         step = g / der
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
@@ -316,5 +336,5 @@ def newton_solve(
                 "damped step failed to decrease the score within 50 halvings"
             )
     if abs(g) <= tol:
-        return t
+        return t, first
     raise NoConvergenceError(f"no root located within {max_iter} iterations")

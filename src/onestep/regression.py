@@ -48,6 +48,7 @@ from .core import (
     _column,
     _evaluate,
     _finite,
+    _finite_extremes,
     _ratio,
     _require_in_domain,
     _unit_scaled,
@@ -64,8 +65,8 @@ from .errors import (
 )
 from .estimators import (
     EstimateResult,
+    _newton_root,
     _newton_update,
-    newton_solve,
     one_step_factorized,
     one_step_weighted,
     studentize,
@@ -174,6 +175,36 @@ class Contrasts:
             verdict = _sums_to_zero(self.c * _unit_scaled(b)[0])
             kept = self.__dict__["_orthogonal_to"] = (b, verdict)
         return kept[1]
+
+    def denominator(self, a: np.ndarray, w_known: np.ndarray | None) -> float:
+        """The checked sum of c w a, w = w_known or 1: a contrast preliminary's denominator.
+
+        The sum is kept for the last a and w_known, by identity, as
+        orthogonal_to keeps its verdict: a campaign, whose design is one
+        set of arrays, sums it once.  A sum that raises is not kept.
+        """
+        kept = self.__dict__.get("_denominator")
+        if kept is None or kept[0] is not a or kept[1] is not w_known:
+            cw = self.c if w_known is None else self.c * w_known
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                terms = cw * a
+            den = _checked_sum(
+                terms, "denominator terms", "contrast denominator is numerically zero"
+            )
+            kept = self.__dict__["_denominator"] = (a, w_known, den)
+        return kept[2]
+
+
+def _contrast_ratio(c: Contrasts, num_terms: np.ndarray, a: np.ndarray, w_known) -> float:
+    """sum num_terms / c.denominator(a, w_known), checked as _ratio checks a ratio.
+
+    The numerator terms are checked first, then the denominator, then the
+    numerator's sum, as _ratio orders them.
+    """
+    extremes = _finite_extremes(num_terms, "numerator terms")
+    den = c.denominator(a, w_known)
+    theta = _wide_sum(num_terms, "numerator terms", extremes) / den
+    return _finite(theta, "preliminary estimate is not finite")
 
 
 def _constant_weights(weights, n: int) -> dict:
@@ -498,10 +529,9 @@ def preliminary_sqrt(c: Contrasts, s: Sample) -> float | np.ndarray:
     if not c.sums_to_zero:
         raise ConstraintError("contrast coefficients must sum to zero")
     cw = cv if s.w_known is None else cv * s.w_known
-    with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
-        num_terms, den_terms = cw * (np.square(s.x) - 1.0), cw * s.a
-    theta, _ = _ratio(num_terms, den_terms, "contrast denominator is numerically zero")
-    return _finite(theta, "preliminary estimate is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # _contrast_ratio raises on non-finite terms
+        num_terms = cw * (np.square(s.x) - 1.0)
+    return _contrast_ratio(c, num_terms, s.a, s.w_known)
 
 
 def preliminary_plinear(c: Contrasts, s: Sample) -> float | np.ndarray:
@@ -513,12 +543,11 @@ def preliminary_plinear(c: Contrasts, s: Sample) -> float | np.ndarray:
     cv = c.c
     if cv.size != s.n:
         raise ValueError(f"contrast length {cv.size} does not match sample size {s.n}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _ratio raises on non-finite terms
+    with np.errstate(over="ignore", invalid="ignore"):  # _contrast_ratio raises on non-finite terms
         if s.b is not None and not c.orthogonal_to(s.b):
             raise ConstraintError("contrast coefficients must be orthogonal to b")
-        num_terms, den_terms = cv * s.x, cv * s.a
-    theta, _ = _ratio(num_terms, den_terms, "contrast denominator is numerically zero")
-    return _finite(theta, "preliminary estimate is not finite")
+        num_terms = cv * s.x
+    return _contrast_ratio(c, num_terms, s.a, None)
 
 
 def preliminary_mm(c, s: Sample) -> float | np.ndarray:
@@ -649,7 +678,9 @@ def estimation_sequence(
     elif pipeline == "mm_closed_form":
         res = EstimateResult(theta_star, mm_closed_form(model, theta_star, s), math.nan)
     else:  # newton_oracle
-        theta_hat = newton_solve(fam, wf, theta_star, s, max_iter=100, tol=newton_tol)
+        # its first derivative sum, when it forms one, is the studentizer's
+        # numerator too
+        theta_hat, centering = _newton_root(fam, wf, theta_star, s, 100, newton_tol)
         res = EstimateResult(theta_star, theta_hat, math.nan)
     out["theta_hat"], out["denominator"] = res.theta_hat, res.denominator
     out["d_star"], (out["ci_lo"], out["ci_hi"]) = studentize(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import SimConfig, core, montecarlo, regression, run
+from onestep import SimConfig, core, montecarlo, run
 from onestep.core import (
     _VECTOR_SUM_MIN_TERMS,
     EstimatingFamily,
@@ -25,6 +25,7 @@ from onestep.core import (
 )
 from onestep.errors import DegenerateDenominatorError, EstimationError
 from onestep.estimators import (
+    _newton_root,
     newton_solve,
     one_step_factorized,
     one_step_weighted,
@@ -265,22 +266,40 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
     scn = build_scenario(cfg)
     calls, row_sums = {}, [0]
     values = RegressionModel.values
+    summed = core._exact_sum
 
     def counted_values(self, name, t):
         calls[name] = calls.get(name, 0) + 1
         return values(self, name, t)
 
-    def counted_sum(v):
+    def counted_sum(v, extremes=None):
         row_sums[0] += np.ndim(v) == 2
-        return exact_sum(v)
+        return summed(v, extremes)
 
     monkeypatch.setattr(RegressionModel, "values", counted_values)
-    for module in (core, regression):  # montecarlo sums through core._wide_sum
-        monkeypatch.setattr(module, "exact_sum", counted_sum)
+    # every exact sum, exact_sum's and the checked sums' alike, goes through it
+    monkeypatch.setattr(core, "_exact_sum", counted_sum)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
     assert not any(row[-1] for row in records)
     assert calls == {"f": 2, "f_prime": 2, "w": 2}
     assert row_sums[0] == 5
+
+
+def test_studentize_takes_the_newton_first_derivative_bit_for_bit():
+    cfg = campaign("sqrt", "newton_oracle", "scaled-laplace", 1500, 1)
+    scn = build_scenario(cfg)
+    x = _draw(cfg, scn, range(3))
+    block = Sample(x=x, a=scn.model.a, b=scn.sample_b)
+    for s in (block, Sample(x=x[1], a=block.a, b=block.b)):
+        theta_star = scn.preliminary(s)
+        root, first = _newton_root(scn.fam, scn.wf, theta_star, s, 100, 1e-9)
+        assert first is not None
+        assert repr(root) == repr(newton_solve(scn.fam, scn.wf, theta_star, s, 100, 1e-9))
+        alone = studentize(scn.fam, scn.wf, theta_star, root, s, 0.1)
+        given = studentize(scn.fam, scn.wf, theta_star, root, s, 0.1, centering=first)
+        assert repr(given) == repr(alone)
+        # a start whose score is within tol forms no derivative
+        assert _newton_root(scn.fam, scn.wf, theta_star, s, 100, 1e300)[1] is None
 
 
 def test_studentize_takes_the_update_denominator_bit_for_bit():

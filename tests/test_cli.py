@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -1203,6 +1204,29 @@ def test_unwritable_out_paths_end_in_one_error_line(tmp_path, command, out_parts
     assert cp.returncode == 1
     assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1, cp.stderr
     assert cp.stderr.endswith("\n") and "Traceback" not in cp.stderr
+    assert taken.read_bytes() == b"the user's file\n"
+
+
+@pytest.mark.parametrize(
+    "out_parts, code", [(("taken",), errno.EEXIST), (("taken", "sub"), errno.ENOTDIR)],
+    ids=["simulate_file", "simulate_below_file"],
+)
+def test_a_taken_simulate_out_fails_before_the_campaign_runs(
+    tmp_path, capsys, monkeypatch, out_parts, code
+):
+    # the error making --out would raise, with no replication run and nothing made
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"the user's file\n")
+    write_config(tmp_path / "sim.cfg")
+
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(montecarlo, "run", no_campaign)
+    out = tmp_path.joinpath(*out_parts)
+    exit_code, err = run_in_process(capsys, "simulate", tmp_path / "sim.cfg", "--out", out)
+    assert (exit_code, err) == (1, f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sim.cfg", "taken"]
     assert taken.read_bytes() == b"the user's file\n"
 
 

@@ -16,7 +16,7 @@ from onestep.core import (
     degeneracy_tolerance,
     exact_sum,
 )
-from onestep.errors import NonFiniteError
+from onestep.errors import DegenerateDenominatorError, NonFiniteError
 
 CROSSOVER = _VECTOR_SUM_MIN_TERMS
 
@@ -253,3 +253,52 @@ def test_ratio_takes_sums_whose_partial_sums_overflow(n):
         _ratio(past, den, "{}")
     with pytest.raises(NonFiniteError):
         _ratio(np.stack([ordinary, past]), np.stack([ordinary_den, den]), "{}")
+
+
+# What _ratio raises when its terms are spoiled, for every shape below: the
+# numerator's finite check comes first, then the denominator's checks, then
+# the numerator's sum
+_NUM_NOT_FINITE = (NonFiniteError, "non-finite value in numerator terms")
+_DEN_NOT_FINITE = (NonFiniteError, "non-finite value in denominator terms")
+_RATIO_FAILURES = {
+    **{
+        f"{label}_{case}": want
+        for label in ("nan", "inf", "-inf")
+        for case, want in (
+            ("num", _NUM_NOT_FINITE),
+            ("den", _DEN_NOT_FINITE),
+            ("both", _NUM_NOT_FINITE),
+            ("num_vanishing_den", _NUM_NOT_FINITE),
+            ("den_vanishing", _DEN_NOT_FINITE),
+        )
+    },
+    "past_num_vanishing_den": (DegenerateDenominatorError, "the denominator vanishes"),
+    "past_num": (NonFiniteError, "the exact sum of numerator terms lies beyond the largest double"),
+}
+
+
+@pytest.mark.parametrize("case", list(_RATIO_FAILURES))
+@pytest.mark.parametrize("shape", [(65, 500), (20000,), (300,)], ids=["block", "long", "short"])
+def test_ratio_failures_keep_their_class_text_and_order(shape, case):
+    rng = np.random.default_rng(3)
+    num, den = rng.uniform(0.5, 1.5, shape), rng.uniform(0.5, 1.5, shape)
+    vanishing = np.ones(shape)
+    vanishing[..., 1::2] = -1.0
+    spoiled = (37, 211) if len(shape) == 2 else (shape[0] // 3,)
+    label, _, rest = case.partition("_")
+    if label == "past":
+        num = np.full(shape, 1e308)  # finite terms whose exact sum is not
+    else:
+        bad = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[label]
+        if rest in ("num", "both", "num_vanishing_den"):
+            num = num.copy()
+            num[spoiled] = bad
+        if rest in ("den", "both", "den_vanishing"):
+            den = (vanishing if rest == "den_vanishing" else den).copy()
+            den[spoiled] = bad
+    if rest.endswith("vanishing_den"):
+        den = vanishing
+    error, message = _RATIO_FAILURES[case]
+    with pytest.raises(error) as caught:
+        _ratio(num, den, "the denominator vanishes")
+    assert type(caught.value) is error and str(caught.value) == message

@@ -122,7 +122,33 @@ def _bisected_quantile(p):
 def test_quantile_is_the_bisection_through_the_cdf_bit_for_bit():
     levels = [(i + 0.5) / m for m in (1, 2, 7, 1999, 2000) for i in range(m)]
     levels += [1e-300, 0.5, 1.0 - 2.0**-53]
+    rng = np.random.Generator(np.random.Philox(key=np.array([32, 0], dtype=np.uint64)))
+    levels += rng.uniform(0.0, 1.0, 10_000).tolist()
+    # within 1e-300 ... 1e-16 of 0, and of 1 as far as doubles reach
+    levels += (10.0 ** -rng.uniform(16.0, 300.0, 300)).tolist()
+    levels += [10.0**-k for k in range(16, 301)]
+    levels += [1.0 - k * 2.0**-53 for k in range(1, 200)]
+    levels += [1.0 - 10.0**-k for k in range(10, 17)]
+    # a root on the bisection grid of [-1, 1]: the cdf there equals p, so the
+    # start's cell may have it as its lower end and fail its certification
+    levels += [normal_cdf(s * k * 2.0**-j) for s in (1, -1) for k in (1, 3, 5) for j in (3, 20, 40)]
     for p in levels:
         # float.hex tells the sign of zero apart as well
         assert normal_quantile(p).hex() == _bisected_quantile(p).hex(), p
     assert math.copysign(1.0, normal_quantile(0.5)) == math.copysign(1.0, _bisected_quantile(0.5))
+
+
+def test_quantile_takes_few_erfc_calls(monkeypatch):
+    # the qq levels of a 2,000-replication campaign: bisection from the
+    # expanded bracket takes about 56 calls per level
+    erfc, calls = math.erfc, [0]
+
+    def counted(x):
+        calls[0] += 1
+        return erfc(x)
+
+    monkeypatch.setattr(math, "erfc", counted)
+    m = 2000
+    for i in range(m):
+        normal_quantile((i + 0.5) / m)
+    assert calls[0] / m <= 20

@@ -326,6 +326,37 @@ def test_sum_zero_is_tested_once_per_contrast_vector(monkeypatch):
     assert len(calls) == 2
 
 
+def test_contrast_denominator_is_summed_once_per_design(monkeypatch):
+    calls = []
+    checked_sum = regression._checked_sum
+    monkeypatch.setattr(
+        regression, "_checked_sum", lambda *args: calls.append(None) or checked_sum(*args)
+    )
+    rng = np.random.default_rng(32)
+    n = 1500  # above the exact-sum crossover
+    a, w = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 1.5, n)
+    c = Contrasts(c=np.tile([-1.0, 1.0], n // 2))
+    s = Sample(x=rng.uniform(0.5, 2.0, n), a=a, w_known=w)
+    block = Sample(x=np.stack([s.x, s.x[::-1]]), a=s.a, w_known=s.w_known)
+    cw = c.c * s.w_known
+    for x, theta in zip(block.x, preliminary_sqrt(c, block)):
+        want = math.fsum((cw * (np.square(x) - 1.0)).tolist()) / math.fsum((cw * a).tolist())
+        assert theta.hex() == want.hex()
+    assert preliminary_sqrt(c, s) == preliminary_sqrt(c, block)[0]
+    assert len(calls) == 1
+    # another design, even with the same values, is summed again; plinear
+    # sums c a, without the known weights
+    preliminary_sqrt(c, Sample(x=s.x, a=a.copy(), w_known=s.w_known))
+    preliminary_plinear(c, Sample(x=s.x, a=s.a))
+    assert len(calls) == 3
+    # a denominator that raises is not kept
+    flat = Sample(x=s.x, a=np.ones(n))
+    for _ in range(2):
+        with pytest.raises(DegenerateDenominatorError, match="^contrast denominator is num"):
+            preliminary_plinear(c, flat)
+    assert len(calls) == 5
+
+
 def test_b_orthogonality_is_tested_once_per_contrast_vector_and_b(monkeypatch):
     calls = []
     sums_to_zero = regression._sums_to_zero
