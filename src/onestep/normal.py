@@ -21,6 +21,12 @@ __all__ = ["normal_cdf", "normal_quantile"]
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# normal_cdf at the ends the bracket expansion tries, -2**k and 2**k: the
+# same for every level, so each is computed once.  The cdf is 0.0 at -64 and
+# 1.0 at 16, so no level in (0, 1) expands past them.
+_CDF_AT_MINUS = [0.5 * math.erfc(2.0**k / _SQRT2) for k in range(7)]
+_CDF_AT_PLUS = [0.5 * math.erfc(-(2.0**k) / _SQRT2) for k in range(5)]
+
 # A bracket is certified only where Phi rises across it by at least this
 # many units in the last place of p, so that the cdf's rounding (a few
 # units) cannot order any point outside it differently from Phi.
@@ -61,15 +67,17 @@ def normal_quantile(p: float) -> float:
     p = float(p)
     if math.isnan(p) or not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
+    # the bracket [-2**a, 2**b]: -1 doubled while the cdf there exceeds p,
+    # and 1 doubled while it falls short of p
+    a = b = 0
+    while _CDF_AT_MINUS[a] > p:
+        a += 1
+    while _CDF_AT_PLUS[b] < p:
+        b += 1
+    lo, hi, level = _certified_bracket(p, -(2.0**a), 2.0**b, abs(a - b))
     # normal_cdf written out: every point probed here is finite, so its
     # check is spared and the value is the same expression's, bit for bit
     erfc = math.erfc
-    lo, hi = -1.0, 1.0
-    while 0.5 * erfc(-lo / _SQRT2) > p:
-        lo *= 2.0
-    while 0.5 * erfc(-hi / _SQRT2) < p:
-        hi *= 2.0
-    lo, hi, level = _certified_bracket(p, lo, hi)
     for _ in range(200 - level):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -81,19 +89,20 @@ def normal_quantile(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _certified_bracket(p: float, lo: float, hi: float) -> tuple[float, float, int]:
+def _certified_bracket(p: float, lo: float, hi: float, gap: int) -> tuple[float, float, int]:
     """(l, h, J): the level-J bisection bracket of [lo, hi] that holds p's quantile, certified.
 
-    (lo, hi, 0) when no level can be certified; see normal_quantile.
+    gap is the difference of the exponents of -lo and hi, both powers of
+    two.  (lo, hi, 0) when no level can be certified; see normal_quantile.
     """
     x, density = _start(p)
     if not (density > 0.0 and lo < x < hi):
         return lo, hi, 0
     width = hi - lo
-    # the level-J cells are exact multiples of 2**-J of the narrower half
-    # of [lo, hi], so J + the halves' exponent gap must stay within 53 bits
-    gap = abs(math.frexp(hi)[1] - math.frexp(lo)[1])
-    # frexp's exponent less one is the floor of log2
+    # the deepest level across whose cells Phi rises by the margin (frexp's
+    # exponent less one is the floor of log2); the level-J cells are exact
+    # multiples of 2**-J of the narrower half of [lo, hi], so J + gap must
+    # stay within 53 bits
     deepest = math.frexp(density * width / (_MARGIN_ULPS * math.ulp(p)))[1] - 1
     level = min(52 - gap, deepest)
     if level < 1:
