@@ -183,7 +183,9 @@ class EstimatingFamily:
 
     m_terms(t, xs) and m_prime_terms(t, xs) evaluate every index at once
     against the responses xs (a vector, or a (B, n) block with t a (B, 1)
-    column).
+    column).  domain is the open parameter set of the estimating equation,
+    the one domain its updates, studentizer and Newton solver check t
+    against; the weights carry none.
     """
 
     m_terms: Callable[[float, np.ndarray], np.ndarray]
@@ -197,12 +199,12 @@ class WeightFamily:
 
     h_values(t) and h_prime_values(t) give one value per index.
     h_prime_values is the analytic derivative of h, None when the family
-    carries none.
+    carries none.  The weights are evaluated only at parameter values the
+    estimating family's domain admits.
     """
 
     h_values: Callable[[float], np.ndarray]
     h_prime_values: Callable[[float], np.ndarray] | None = None
-    domain: Interval = FULL_LINE
 
 
 @dataclass(frozen=True)
@@ -553,9 +555,8 @@ def _finite(value, message: str, error: type[Exception] = NonFiniteError):
 
 
 def _score_terms(fam: EstimatingFamily, wf: WeightFamily, t, s: Sample):
-    """The terms h_i(t) M_i(t, x_i) and h_i(t) M_i'(t, x_i), t checked against both domains."""
+    """The terms h_i(t) M_i(t, x_i) and h_i(t) M_i'(t, x_i), t checked against fam's domain."""
     _require_in_domain(t, fam.domain)
-    _require_in_domain(t, wf.domain)
     h = weight_values(wf, t, s.n)
     return h * m_values(fam, t, s.x), h * m_prime_values(fam, t, s.x)
 
@@ -569,7 +570,7 @@ def score_sums(
     reductions are exact (correctly rounded), hence invariant bitwise under
     permutation of the observation indices.
 
-    Raises DomainError if t is outside either family's domain and
+    Raises DomainError if t is outside the estimating family's domain and
     NonFiniteError if any term fails to be finite.
     """
     num_terms, den_terms = _score_terms(fam, wf, t, s)
@@ -589,9 +590,11 @@ def asymptotic_moments(
     The ratio I / J^2 is the asymptotic variance of the normalized estimator
     and is invariant under rescaling every h_i by the same nonzero constant.
 
-    Raises DegenerateError when I vanishes or J is numerically zero.
+    Raises NonFiniteError when theta is not finite and DegenerateError when
+    I vanishes or J is numerically zero.  A model's evaluators check its
+    domain themselves.
     """
-    _require_in_domain(theta, wf.domain)
+    _require_in_domain(theta, FULL_LINE)
     if n < 1:
         raise ValueError("n must be at least 1")
     h = weight_values(wf, theta, n)

@@ -13,7 +13,6 @@ return one value per row, each bitwise what the call gives on that row alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ import numpy as np
 from .core import (
     FULL_LINE,
     EstimatingFamily,
-    Interval,
     MomentProvider,
     Sample,
     WeightFamily,
@@ -69,16 +67,6 @@ VARIANCE_FLOOR = 1e-300
 MAX_HALVINGS = 50
 
 
-@functools.lru_cache(maxsize=8)
-def _critical_value(alpha: float) -> float:
-    """Two-sided standard normal critical value z_{1-alpha/2}.
-
-    A campaign studentizes every replication at one alpha, so the quantile is
-    computed once per level rather than once per call.
-    """
-    return normal_quantile(1.0 - 0.5 * alpha)
-
-
 @dataclass(frozen=True)
 class EstimateResult:
     """A one-step estimate with the quantities needed to report it.
@@ -92,9 +80,9 @@ class EstimateResult:
     denominator: float
 
 
-def unit_weights(domain: Interval = FULL_LINE) -> WeightFamily:
+def unit_weights() -> WeightFamily:
     """The constant weight family h_i(t) = 1."""
-    return WeightFamily(h_values=lambda t: 1.0, h_prime_values=lambda t: 0.0, domain=domain)
+    return WeightFamily(h_values=lambda t: 1.0, h_prime_values=lambda t: 0.0)
 
 
 def _newton_update(
@@ -133,7 +121,6 @@ def one_step_factorized(
     """
     t = _column(theta_star, s)
     _require_in_domain(t, fam.domain)
-    _require_in_domain(t, wf.domain)
     hp = weight_prime_values(wf, t, s.n)
     h = weight_values(wf, t, s.n)
     m = m_values(fam, t, s.x)
@@ -174,7 +161,6 @@ def studentize(
     t_star, t_hat = _column(theta_star, s), _column(theta_hat, s)
     for t in (t_star, t_hat) if centering is None else (t_hat,):
         _require_in_domain(t, fam.domain)
-        _require_in_domain(t, wf.domain)
     if centering is None:
         centering = _checked_sum(
             weight_values(wf, t_star, s.n) * m_prime_values(fam, t_star, s.x),
@@ -188,7 +174,7 @@ def studentize(
         raise DegenerateDenominatorError("studentizer variance sum is zero")
     # math.sqrt keeps a single sample's d_star a float; both are correctly rounded
     d_star = centering / (np.sqrt(ssq) if isinstance(ssq, np.ndarray) else math.sqrt(ssq))
-    half = _critical_value(alpha) / abs(d_star)
+    half = normal_quantile(1.0 - 0.5 * alpha) / abs(d_star)
     return d_star, (theta_hat - half, theta_hat + half)
 
 
@@ -205,11 +191,7 @@ def optimal_weights(mp: MomentProvider, theta: float, n: int) -> WeightFamily:
         raise ZeroVarianceError("optimal weights undefined where E M^2 = 0")
     ho = ed / e2
     ho.flags.writeable = False
-    return WeightFamily(
-        domain=FULL_LINE,
-        h_values=lambda t: ho,
-        h_prime_values=lambda t: 0.0,
-    )
+    return WeightFamily(h_values=lambda t: ho, h_prime_values=lambda t: 0.0)
 
 
 def efficiency_ratio(
@@ -227,11 +209,12 @@ def efficiency_ratio(
 
     The ratio is invariant under a global sign flip of the weights, so a
     family whose ratios are all negative is flipped before the sign check;
-    mixed signs raise SignMismatchError.
+    mixed signs raise SignMismatchError.  theta that is not finite raises
+    NonFiniteError; a model's evaluators check its domain.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    _require_in_domain(theta, wf.domain)
+    _require_in_domain(theta, FULL_LINE)
     h = weight_values(wf, theta, n)
     _require_finite("weights", h)
     e2, ed = moment_values(mp, theta, n)
@@ -268,7 +251,7 @@ def newton_solve(
 
     Solves sum_i h_i(theta_start) M_i(t, x_i) = 0 for t, halving each Newton
     step (at most 50 times) until the absolute score decreases and the
-    iterate stays inside the family domain.  Returns t with |score(t)| <= tol.
+    iterate stays inside fam's domain.  Returns t with |score(t)| <= tol.
     A block is solved row by row, since rows take different numbers of steps.
 
     Raises NoConvergenceError when the budget is exhausted and
@@ -301,7 +284,6 @@ def _newton_root(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     _require_in_domain(theta_start, fam.domain)
-    _require_in_domain(theta_start, wf.domain)
     h = weight_values(wf, theta_start, s.n)
     _require_finite("weights", h)
 
@@ -324,7 +306,7 @@ def _newton_root(
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             candidate = t - step
-            if fam.domain.contains(candidate) and wf.domain.contains(candidate):
+            if fam.domain.contains(candidate):
                 g_cand = score(candidate)
                 if abs(g_cand) < abs(g):
                     t, g = candidate, g_cand

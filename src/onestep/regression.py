@@ -4,6 +4,8 @@ A model here is a fixed-design mean function f_i(t) with derivatives, a
 variance-weight function w_i(t) scaling Var X_i = sigma^2 / w_i(t), and an
 open parameter domain.  Vector evaluators that give every observation at
 once define it, and model.values reads them after a domain check.  The
+adapters read them through _reader instead, which checks the domain once
+per parameter value and evaluates each of them once there.  The
 quasi-likelihood estimating equation is
 
     sum_i w_i(t) f_i'(t) (x_i - f_i(t)) = 0,
@@ -356,28 +358,40 @@ def mm_model(
 
 # --- adapters to the core layer ---
 
-def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]:
-    """Quasi-likelihood families: M_i = x - f_i(t), h_i = w_i(t) f_i'(t).
-
-    The weight derivative h' = w' f' + w f'' is attached when the model
-    carries both f'' and w'; otherwise the family carries no h'.
+def _reader(model: RegressionModel) -> Callable[[str, object], np.ndarray]:
+    """at(name, t): model.values(name, t), evaluated once per parameter value in each thread.
 
     Each thread keeps the model's values at the last parameter value it
-    evaluated, keyed by the bytes of t, so the terms of one update or
-    studentizer evaluate f, f', w and their derivatives once each.
+    evaluated, keyed by the bytes of t.  The domain is checked once, when
+    that value changes, and a value that fails the check is not kept; each
+    evaluator then runs once there, through core._evaluate.  The adapters
+    read only the evaluators the model carries.
     """
     point = threading.local()
 
     def at(name: str, t) -> np.ndarray:
-        """model.values(name, t), evaluated once per parameter value in this thread."""
         arr = np.asarray(t)
         key = (arr.shape, arr.dtype.str, arr.tobytes())
         if getattr(point, "key", None) != key:
+            _require_in_domain(t, model.domain)
             point.key, point.values = key, {}
         if name not in point.values:
-            point.values[name] = model.values(name, t)
+            point.values[name] = _evaluate(getattr(model, f"{name}_values"), model.n, t)
         return point.values[name]
 
+    return at
+
+
+def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]:
+    """Quasi-likelihood families: M_i = x - f_i(t), h_i = w_i(t) f_i'(t).
+
+    The weight derivative h' = w' f' + w f'' is attached when the model
+    carries both f'' and w'; otherwise the family carries no h'.  The
+    families read the model through _reader, so the terms of one update or
+    studentizer check the domain once and evaluate f, f', w and their
+    derivatives once each.
+    """
+    at = _reader(model)
     fam = EstimatingFamily(
         domain=model.domain,
         m_terms=lambda t, xs: xs - at("f", t),
@@ -388,12 +402,7 @@ def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]
         h_prime_values = lambda t: (
             at("w_prime", t) * at("f_prime", t) + at("w", t) * at("f_second", t)
         )
-    wf = WeightFamily(
-        domain=model.domain,
-        h_values=lambda t: at("w", t) * at("f_prime", t),
-        h_prime_values=h_prime_values,
-    )
-    return fam, wf
+    return fam, WeightFamily(lambda t: at("w", t) * at("f_prime", t), h_prime_values)
 
 
 def generalized_families(
@@ -409,25 +418,24 @@ def generalized_families(
     but the one-step update differs because the frozen weights differ.
     g_values and g_prime_values evaluate g and g' at every index at once, or
     give one 0-d value for all.  Raises DivisionByZeroError wherever
-    g_i(t) = 0.
+    g_i(t) = 0.  The model is read through _reader, as to_families reads it.
     """
+    at = _reader(model)
     g_vec = lambda t: _evaluate(g_values, model.n, t)
     gp_vec = lambda t: _evaluate(g_prime_values, model.n, t)
     fam = EstimatingFamily(
         domain=model.domain,
-        m_terms=lambda t, xs: g_vec(t) * (xs - model.values("f", t)),
-        m_prime_terms=lambda t, xs: (
-            gp_vec(t) * (xs - model.values("f", t)) - g_vec(t) * model.values("f_prime", t)
-        ),
+        m_terms=lambda t, xs: g_vec(t) * (xs - at("f", t)),
+        m_prime_terms=lambda t, xs: gp_vec(t) * (xs - at("f", t)) - g_vec(t) * at("f_prime", t),
     )
 
     def h_values(t: float) -> np.ndarray:
         gv = g_vec(t)
         if np.any(gv == 0.0):
             raise DivisionByZeroError(f"transform factor vanishes at t={t!r}")
-        return model.values("w", t) * model.values("f_prime", t) / gv
+        return at("w", t) * at("f_prime", t) / gv
 
-    return fam, WeightFamily(domain=model.domain, h_values=h_values)
+    return fam, WeightFamily(h_values=h_values)
 
 
 def moment_provider(model: RegressionModel) -> MomentProvider:

@@ -8,6 +8,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onestep import SimConfig, core, montecarlo, run
+from onestep import SimConfig, core, estimators, montecarlo, regression, run
 from onestep.core import (
     _VECTOR_SUM_MIN_TERMS,
     EstimatingFamily,
@@ -44,10 +45,10 @@ from onestep.montecarlo import (
     rows_per_block,
 )
 from onestep.regression import (
-    RegressionModel,
     lse_one_step,
     mm_closed_form,
     preliminary_mm,
+    to_families,
 )
 
 # --- row-wise exact sums ---
@@ -265,24 +266,51 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
     cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 1)
     scn = build_scenario(cfg)
     calls, row_sums = {}, [0]
-    values = RegressionModel.values
     summed = core._exact_sum
 
-    def counted_values(self, name, t):
-        calls[name] = calls.get(name, 0) + 1
-        return values(self, name, t)
+    def counted(name):
+        evaluate = getattr(scn.model, f"{name}_values")
+
+        def values(t):
+            calls[name] = calls.get(name, 0) + 1
+            return evaluate(t)
+
+        return values
 
     def counted_sum(v, extremes=None):
         row_sums[0] += np.ndim(v) == 2
         return summed(v, extremes)
 
-    monkeypatch.setattr(RegressionModel, "values", counted_values)
+    names = ("f", "f_prime", "f_second", "w", "w_prime")
+    model = replace(scn.model, **{f"{name}_values": counted(name) for name in names})
+    fam, wf = to_families(model)
+    scn = replace(scn, model=model, fam=fam, wf=wf)
     # every exact sum, exact_sum's and the checked sums' alike, goes through it
     monkeypatch.setattr(core, "_exact_sum", counted_sum)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
     assert not any(row[-1] for row in records)
     assert calls == {"f": 2, "f_prime": 2, "w": 2}
     assert row_sums[0] == 5
+
+
+def test_mm_block_checks_the_domain_once_per_parameter_value(monkeypatch):
+    # a sim-small-n block: the update and the studentizer each check their
+    # parameter column against the domain once, and the families' reader
+    # once more when it first evaluates the model there
+    cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 1)
+    scn = build_scenario(cfg)
+    checks = [0]
+    require = core._require_in_domain
+
+    def counted(t, domain):
+        checks[0] += 1
+        return require(t, domain)
+
+    for module in (core, estimators, regression):
+        monkeypatch.setattr(module, "_require_in_domain", counted)
+    records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
+    assert len(records) == 65 and not any(row[-1] for row in records)
+    assert checks[0] == 4
 
 
 def test_studentize_takes_the_newton_first_derivative_bit_for_bit():

@@ -185,7 +185,7 @@ def test_score_sums_domain_errors():
         m_prime_terms=lambda t, xs: -1.0,
         domain=dom,
     )
-    wf = WeightFamily(h_values=lambda t: 1.0, domain=dom)
+    wf = WeightFamily(h_values=lambda t: 1.0)
     with pytest.raises(DomainError):
         score_sums(fam, wf, 2.0, s)
     with pytest.raises(NonFiniteError):

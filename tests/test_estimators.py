@@ -56,7 +56,6 @@ def mm_setup():
     wf = WeightFamily(
         h_values=lambda t: -a * b / (1.0 + b * t) ** 2,
         h_prime_values=lambda t: 2.0 * a * b**2 / (1.0 + b * t) ** 3,
-        domain=domain,
     )
     s = Sample(x=[1.1, 0.9], a=a, b=b)
     return fam, wf, s
@@ -115,23 +114,21 @@ def test_one_step_factorized_example():
 
 def test_one_step_factorized_needs_weight_derivative():
     fam, wf, s = mm_setup()
-    bare = WeightFamily(h_values=wf.h_values, domain=wf.domain)
+    bare = WeightFamily(h_values=wf.h_values)
     with pytest.raises(MissingDerivativeError):
         one_step_factorized(fam, bare, 1.0, s)
 
 
 def test_weight_prime_values_names_a_missing_derivative():
     _, wf, _ = mm_setup()
-    bare = WeightFamily(h_values=wf.h_values, domain=wf.domain)
+    bare = WeightFamily(h_values=wf.h_values)
     with pytest.raises(MissingDerivativeError, match="carries no derivative"):
         weight_prime_values(bare, 1.0, 2)
 
 
 def test_one_step_factorized_constant_weights_reduce_to_weighted():
     fam, wf, s = mm_setup()
-    const = WeightFamily(
-        h_values=lambda t: wf.h_values(1.0), h_prime_values=lambda t: 0.0, domain=wf.domain
-    )
+    const = WeightFamily(h_values=lambda t: wf.h_values(1.0), h_prime_values=lambda t: 0.0)
     a = one_step_weighted(fam, const, 1.0, s)
     b = one_step_factorized(fam, const, 1.0, s)
     assert a.theta_hat == b.theta_hat
@@ -285,9 +282,7 @@ def test_newton_solve_freezes_weights_at_start():
     fam, wf, s = mm_setup()
     start = 0.8
     root = newton_solve(fam, wf, start, s, tol=1e-12)
-    frozen = WeightFamily(
-        h_values=lambda t: wf.h_values(start), h_prime_values=lambda t: 0.0, domain=wf.domain
-    )
+    frozen = WeightFamily(h_values=lambda t: wf.h_values(start), h_prime_values=lambda t: 0.0)
     at_frozen, _ = score_sums(fam, frozen, root, s)
     at_live, _ = score_sums(fam, wf, root, s)
     assert abs(at_frozen) <= 1e-12

@@ -101,7 +101,8 @@ def test_mm_model_domain():
 
 def test_model_evaluators_refuse_the_domain_bound():
     # every evaluator of a model with a finite domain bound, and of its
-    # families and moment provider, raises DomainError at the bound itself
+    # families and moment provider, raises DomainError at the bound itself,
+    # each family evaluator twice, so a failed check is not remembered
     a, b = default_grid(2000)
     models = [
         mm_example()[0],
@@ -126,10 +127,17 @@ def test_model_evaluators_refuse_the_domain_bound():
             with pytest.raises(DomainError):
                 model.values(name, lo)
         fam, wf = to_families(model)
+        gfam, gwf = generalized_families(model, lambda t: 2.0, lambda t: 0.0)
         mp = moment_provider(model)
-        for evaluate in (lambda: m_values(fam, lo, xs), lambda: m_prime_values(fam, lo, xs),
-                         lambda: weight_values(wf, lo, n), lambda: weight_prime_values(wf, lo, n),
-                         lambda: mp.e_m2_values(lo), lambda: mp.e_mprime_values(lo)):
+        evaluators = (
+            lambda: m_values(fam, lo, xs), lambda: m_prime_values(fam, lo, xs),
+            lambda: weight_values(wf, lo, n), lambda: weight_prime_values(wf, lo, n),
+            lambda: m_values(gfam, lo, xs), lambda: m_prime_values(gfam, lo, xs),
+            lambda: weight_values(gwf, lo, n),
+        )
+        for evaluate in evaluators + evaluators + (
+            lambda: mp.e_m2_values(lo), lambda: mp.e_mprime_values(lo)
+        ):
             with pytest.raises(DomainError):
                 evaluate()
     assert bounded == 5
