@@ -323,20 +323,32 @@ def exact_sum(values):
     sigma a power of two at least 2(n+1) times max|p| over the whole block,
     each q = (sigma + p) - sigma is a multiple of 2**-53 sigma and p - q is
     exact, so numpy sums the q of a row exactly in any order.  One sigma
-    serves every row, since it bounds each row's peak.  Repeating on the
-    residual p - q until it vanishes leaves a few exact partial sums per
-    row: one is the sum, two are rounded by one IEEE add, more by math.fsum.
+    serves every row, since it bounds each row's peak.
 
-    Each round takes at least 53 - lg bits off sigma, lg = n.bit_length() + 1;
-    the first residual lies within 2**-53 sigma, so the second round takes
-    its sigma from that bound and only the other rounds measure the peak.
-    Rows of like scale need two rounds and a last look at the residual.
-    Rows whose magnitudes lie 2**e apart cost about e / (53 - lg) rounds
-    more, fewer where the peak skips a gap: the smaller rows wait, unchanged,
+    The first round usually settles the block.  Its residual lies within
+    2**-53 sigma, so its row sums in plain float64 miss their exact values by
+    less than E/2, E = n*n 2**-104 sigma (Higham's bound for any summation
+    order).  TwoSum splits each row's exact part plus that float sum into
+    hi + lo exactly; when every row has |lo| + E below half the gap under
+    |hi|, hi is each row's correctly rounded sum and the block is done
+    (_certified_sums gives the derivation).  A certified sum passes over its
+    terms five times after the scan for the extremes: add, subtract and sum
+    for the parts, subtract and sum for the residual.
+
+    Any other block goes on extracting: a row that cancels to near zero, a
+    sum on or near a tie, a zero sum, or rows set aside as below.  Repeating
+    on the residual p - q until it vanishes leaves a few exact partial sums
+    per row: one is the sum, two are rounded by one IEEE add, more by
+    math.fsum.  Each round takes at least 53 - lg bits off sigma,
+    lg = n.bit_length() + 1; the second round takes its sigma from the first
+    residual's bound and only the other rounds measure the peak.  Rows
+    whose magnitudes lie 2**e apart cost about e / (53 - lg) rounds more,
+    fewer where the peak skips a gap: the smaller rows wait, unchanged,
     until the peak comes down to them.  Rows with non-finite values or
     magnitudes near overflow, rows still nonzero once the peak is deep in the
     subnormals, and rows whose sum is zero go to math.fsum as they are, so
-    its exceptions, NaN/inf results and signed zeros hold.
+    its exceptions, NaN/inf results and signed zeros hold.  The caller's
+    values are never written.
 
     The first sigma comes from one scan for the largest and smallest value
     (_extremes); a checked sum (_checked_sum) hands in the scan it made for
@@ -369,7 +381,7 @@ def _extracted_sums(v: np.ndarray, extremes=None) -> np.ndarray:
     parts: list[np.ndarray] = []  # one exact partial sum per row and round
     slow = None  # rows left to math.fsum, once there are any
     p = v
-    q = np.empty_like(v)
+    q = np.empty_like(v)  # each round's parts, then the first residual
     # the peak magnitude of p, when known without a pass over it, and the
     # next sigma's exponent, when known without the peak
     peak = None if extremes is None else max(extremes[0], -extremes[1])
@@ -397,8 +409,16 @@ def _extracted_sums(v: np.ndarray, extremes=None) -> np.ndarray:
         np.add(p, sigma, out=q)
         np.subtract(q, sigma, out=q)
         parts.append(q.sum(axis=1))
-        # the first residual is a new array, so the caller's values stay intact
-        p = p - q if p is v else np.subtract(p, q, out=p)
+        if len(parts) > 1:
+            np.subtract(p, q, out=p)
+        else:
+            # the first residual takes q's buffer, so the caller's values stay intact
+            np.subtract(p, q, out=q)
+            if slow is None:
+                certified = _certified_sums(parts[0], q, k)
+                if certified is not None:
+                    return certified
+            p, q = q, (np.empty_like(v) if p is v else p)
         # the first residual lies within 2**-53 sigma, which bounds the
         # second round's sigma without a pass over it
         k = k - 53 + lg if len(parts) == 1 and k - 53 + lg >= -1021 else None
@@ -414,6 +434,36 @@ def _extracted_sums(v: np.ndarray, extremes=None) -> np.ndarray:
         for r in np.flatnonzero(redo).tolist():
             out[r] = math.fsum(v[r].tolist())
     return out
+
+
+def _certified_sums(exact: np.ndarray, residual: np.ndarray, k: int) -> np.ndarray | None:
+    """exact plus each row's sum of residual, rounded correctly, or None unless every row is certified.
+
+    exact holds each row's exact sum of the first round's parts, and
+    residual the (B, n) first residual, each term within 2**(k-53).  Summed
+    in plain float64, in whatever order numpy takes, a row of residual gives
+    R within gamma_{n-1} n 2**(k-53) of its exact sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 4.2; gamma_{n-1} =
+    (n-1) u / (1 - (n-1) u), u = 2**-53, and an addition that underflows is
+    exact), which is at most half of E = n*n 2**(k-104).  TwoSum splits
+    exact + R into hi + lo exactly, so the row's exact sum lies within
+    |lo| + E/2 of hi.  Where |lo| + E < g/2, g the gap just below |hi| (the
+    smaller of its two gaps), hi is that sum correctly rounded, math.fsum's
+    bits: no other double and no tie lies that close.  Rounding is monotone
+    and g/2 a double, so the test in float64 errs on no row's side.  A
+    zero hi (g = 0), a tie and a row cancelling to near zero fail it; an E
+    below the normal range, no longer exact, is not tried.
+    """
+    bound = math.ldexp(residual.shape[1] ** 2, k - 104)
+    if bound < 2.0**-1022:
+        return None
+    rest = residual.sum(axis=1)
+    hi = exact + rest
+    back = hi - exact
+    lo = (exact - (hi - back)) + (rest - back)
+    magnitude = np.abs(hi)
+    gap = magnitude - np.nextafter(magnitude, 0.0)
+    return hi if bool((np.abs(lo) + bound < 0.5 * gap).all()) else None
 
 
 def degeneracy_tolerance(terms: np.ndarray, total=None):

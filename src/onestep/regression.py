@@ -4,9 +4,9 @@ A model here is a fixed-design mean function f_i(t) with derivatives, a
 variance-weight function w_i(t) scaling Var X_i = sigma^2 / w_i(t), and an
 open parameter domain.  Vector evaluators that give every observation at
 once define it, and model.values reads them after a domain check.  The
-adapters read them through _reader instead, which checks the domain once
-per parameter value and evaluates each of them once there.  The
-quasi-likelihood estimating equation is
+adapters and lse_one_step read them through _reader instead, which checks
+the domain once per parameter value and evaluates each of them once there.
+The quasi-likelihood estimating equation is
 
     sum_i w_i(t) f_i'(t) (x_i - f_i(t)) = 0,
 
@@ -455,16 +455,18 @@ def lse_one_step(
     """One Newton step on the least-squares normal equation:
 
     theta_hat = theta_star + sum (x - f) f' / sum (f'^2 - (x - f) f'').
-    Requires the model's second derivative.
+    Requires the model's second derivative.  The model is read through
+    _reader, so theta_star is checked against the domain once.
     """
     _check_sample(model, s)
     if model.f_second_values is None:
         raise MissingDerivativeError("least-squares step needs f''")
+    at = _reader(model)
     t = _column(theta_star, s)
-    fp = model.values("f_prime", t)
-    misfit = model.values("f", t) - s.x
+    fp = at("f_prime", t)
+    misfit = at("f", t) - s.x
     return _newton_update(
-        theta_star, misfit * fp, fp * fp + misfit * model.values("f_second", t),
+        theta_star, misfit * fp, fp * fp + misfit * at("f_second", t),
         "curvature sum is numerically zero", _UPDATE_TERMS,
     )
 

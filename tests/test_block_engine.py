@@ -293,11 +293,9 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
     assert row_sums[0] == 5
 
 
-def test_mm_block_checks_the_domain_once_per_parameter_value(monkeypatch):
-    # a sim-small-n block: the update and the studentizer each check their
-    # parameter column against the domain once, and the families' reader
-    # once more when it first evaluates the model there
-    cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 1)
+def _domain_checks_per_block(monkeypatch, pipeline):
+    """Domain checks made by one 65-row mm block at n = 500 under pipeline."""
+    cfg = campaign("mm", pipeline, "gaussian", 500, 1)
     scn = build_scenario(cfg)
     checks = [0]
     require = core._require_in_domain
@@ -310,7 +308,21 @@ def test_mm_block_checks_the_domain_once_per_parameter_value(monkeypatch):
         monkeypatch.setattr(module, "_require_in_domain", counted)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
     assert len(records) == 65 and not any(row[-1] for row in records)
-    assert checks[0] == 4
+    return checks[0]
+
+
+def test_mm_block_checks_the_domain_once_per_parameter_value(monkeypatch):
+    # a sim-small-n block: the update and the studentizer each check their
+    # parameter column against the domain once, and the families' reader
+    # once more when it first evaluates the model there
+    assert _domain_checks_per_block(monkeypatch, "one_step_weighted") == 4
+
+
+def test_mm_lse_block_checks_the_domain_once_per_parameter_value(monkeypatch):
+    # lse_one_step reads f, f' and f'' at theta_star through its own reader,
+    # one check; the studentizer checks theta_star and theta_hat, and the
+    # families' reader each of them once more
+    assert _domain_checks_per_block(monkeypatch, "lse_one_step") == 5
 
 
 def test_studentize_takes_the_newton_first_derivative_bit_for_bit():

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onestep import SimConfig, core
 from onestep.core import (
     _VECTOR_SUM_MIN_TERMS,
     DEGENERACY_SCALE,
+    Sample,
     _ratio,
     degeneracy_tolerance,
     exact_sum,
 )
 from onestep.errors import DegenerateDenominatorError, NonFiniteError
+from onestep.montecarlo import _draw, build_scenario
 
 CROSSOVER = _VECTOR_SUM_MIN_TERMS
 
@@ -73,7 +76,26 @@ def same_sign(rng, n):
     return rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0, n)
 
 
-FAMILIES = [cancellation_pairs, subnormals, half_ulp_ties, wide_exponents, same_sign]
+def near_midpoint(rng, n):
+    # a head and half its gap, a tie, nudged by 2**-j of that half: a small j
+    # leaves the tie far behind, a large one within the first round's bound;
+    # pairs x, -x cancel exactly but put rounding into the residual's sum
+    v = np.zeros(max(n, 4))
+    e = int(rng.integers(-850, 850))
+    head = math.ldexp(1.0 + int(rng.integers(0, 2**52)) * 2.0**-52, e)
+    half = math.ldexp(1.0, e - 53)
+    if rng.random() < 0.25:  # the tie below a power of two, whose gap there is half as wide
+        head, half = math.ldexp(1.0, e), -math.ldexp(1.0, e - 54)
+    v[:2] = head, half
+    if rng.random() < 0.8:
+        v[2] = rng.choice([-1.0, 1.0]) * math.ldexp(abs(half), -int(rng.integers(0, 100)))
+    pairs = (v.size - 3) // 2
+    x = rng.uniform(-1.0, 1.0, pairs) * 2.0 ** (e - rng.integers(0, 40, pairs))
+    v[3 : 3 + 2 * pairs] = np.concatenate([x, -x])
+    return rng.choice([-1.0, 1.0]) * rng.permutation(v)
+
+
+FAMILIES = [cancellation_pairs, subnormals, half_ulp_ties, wide_exponents, same_sign, near_midpoint]
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,6 +164,59 @@ def test_input_is_left_untouched():
     before = v.copy()
     exact_sum(v)
     assert np.array_equal(v, before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6), n=lengths, seed=seeds)
+def test_blocks_of_near_midpoint_rows_match_fsum_bitwise(rows, n, seed):
+    rng = np.random.default_rng(seed)
+    block = np.stack([near_midpoint(rng, n) for _ in range(rows)])
+    want = [math.fsum(row).hex() for row in block.tolist()]
+    assert [total.hex() for total in exact_sum(block).tolist()] == want
+
+
+def certifications(monkeypatch):
+    """Whether each call of core._certified_sums from now on certified its block."""
+    verdicts = []
+    certify = core._certified_sums
+
+    def spied(*args):
+        out = certify(*args)
+        verdicts.append(out is not None)
+        return out
+
+    monkeypatch.setattr(core, "_certified_sums", spied)
+    return verdicts
+
+
+def update_terms(n, rows):
+    """The one-step terms (h M, h M') at theta* of a block of an mm campaign at n."""
+    cfg = SimConfig(model_id="mm", theta_true=1.0, sigma=0.05, n=n, replications=rows, seed=11)
+    scn = build_scenario(cfg)
+    block = Sample(x=_draw(cfg, scn, range(rows)), a=scn.model.a, b=scn.sample_b)
+    return core._score_terms(scn.fam, scn.wf, core._column(scn.preliminary(block), block), block)
+
+
+def test_the_first_round_certifies_campaign_sums_and_refuses_near_ties(monkeypatch):
+    # a sim-small-n block of numerators, and an estimate-csv-sized
+    # denominator: at n = 200,000 the bound E is about 2**-49 of the peak,
+    # so only a sum far above the peak, such as a same-sign one, certifies
+    block = update_terms(500, 65)[0]
+    long_row = update_terms(200_000, 1)[1][0]
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, 999)
+    tie = np.concatenate([[3.0, 2.0**-52], x, -x])  # 3 and half its gap above
+    cancelling = block.copy()
+    cancelling[7] -= cancelling[7].mean()  # a row whose sum is about 0
+    verdicts = certifications(monkeypatch)
+    for terms, certified in ((block, True), (long_row, True), (tie, False), (cancelling, False)):
+        terms.flags.writeable = False
+        before = terms.copy()
+        del verdicts[:]
+        total = np.atleast_1d(exact_sum(terms))
+        assert verdicts == [certified]
+        rows = np.atleast_2d(terms).tolist()
+        assert [t.hex() for t in total.tolist()] == [math.fsum(row).hex() for row in rows]
+        assert np.array_equal(terms, before)
 
 
 def signed_row(rng, n, kind):

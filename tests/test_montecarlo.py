@@ -173,16 +173,17 @@ def test_workers_are_capped_by_the_processors_the_process_may_run_on(monkeypatch
     "model_id, pipeline, vectors",
     [
         ("mm", "one_step_weighted", 13),
-        ("sqrt", "newton_oracle", 14),
-        ("plinear", "one_step_weighted", 14),
-        ("mm", "one_step_factorized", 22),
+        ("sqrt", "newton_oracle", 11),
+        ("plinear", "one_step_weighted", 12),
+        ("mm", "one_step_factorized", 20),
     ],
 )
 def test_a_campaign_holds_few_vectors_of_length_n(model_id, pipeline, vectors):
     # at large n the vectors of length n set the memory: frozen arrays are
-    # not copied and constants are not filled out, so the scenario and one
-    # replication at a time stay within this many of them (numpy's buffers
-    # are what tracemalloc sees)
+    # not copied, constants are not filled out and a sum whose first
+    # extraction round is certified holds one buffer of its length, so the
+    # scenario and one replication at a time stay within this many of them
+    # (numpy's buffers are what tracemalloc sees)
     n = 100_000
     cfg = small_cfg(model_id=model_id, pipeline=pipeline, n=n, replications=2, sigma=0.1)
     run(dataclasses.replace(cfg, n=50))  # what any first run allocates once
