@@ -105,7 +105,7 @@ def _as_array(
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim not in ndim:
-        allowed = " or ".join(f"{('one', 'two')[k - 1]}-dimensional" for k in ndim)
+        allowed = " or ".join(f"{('zero', 'one', 'two')[k]}-dimensional" for k in ndim)
         raise ValueError(f"{name} must be {allowed}, got {arr.ndim} dimensions")
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
@@ -333,7 +333,13 @@ def exact_sum(values):
     |hi|, hi is each row's correctly rounded sum and the block is done
     (_certified_sums gives the derivation).  A certified sum passes over its
     terms five times after the scan for the extremes: add, subtract and sum
-    for the parts, subtract and sum for the residual.
+    for the parts, subtract and sum for the residual.  E grows like n**3
+    against the peak, so at large n a sum near or below its peak, such as a
+    one-step numerator, fails that test; a block that would pass it with
+    E' = (L + m) n 2**-104 sigma, L = ceil(sqrt(n)) and m = n // L, sums
+    its residual once more, as m blocks of L terms and a tail, whose float
+    sum lies within E'/2 of the exact one in any order (Blanchard, Higham
+    and Mary, SIAM J. Sci. Comput. 2020), and is tested again with E'.
 
     Any other block goes on extracting: a row that cancels to near zero, a
     sum on or near a tie, a zero sum, or rows set aside as below.  Repeating
@@ -453,17 +459,58 @@ def _certified_sums(exact: np.ndarray, residual: np.ndarray, k: int) -> np.ndarr
     and g/2 a double, so the test in float64 errs on no row's side.  A
     zero hi (g = 0), a tie and a row cancelling to near zero fail it; an E
     below the normal range, no longer exact, is not tried.
+
+    E grows like n**3 against the peak, so at large n a sum near or below
+    its terms' peak fails that test.  The residual is then summed again in
+    blocks (_blocked_sums): m = n // L blocks of L = ceil(sqrt(n)) terms and
+    a tail, each summed in any order, then their sums.  Every term passes
+    through at most L - 1 + m additions, so that sum lies within
+    gamma_{L+m-1} sum |r| <= E'/2 of the exact one, E' = (L + m) n 2**(k-104)
+    (Blanchard, Higham and Mary, "A class of fast and accurate summation
+    algorithms", SIAM J. Sci. Comput. 2020), and the same test with E' for E
+    certifies it.  Only a block that passes the test with E', lo and g
+    still from the first attempt, pays that extra pass: a tie, a row
+    cancelling to near zero or an E' above g/2 fails it already.
     """
-    bound = math.ldexp(residual.shape[1] ** 2, k - 104)
+    n = residual.shape[1]
+    length = math.isqrt(n - 1) + 1
+    bound, blocked = (math.ldexp(terms * n, k - 104) for terms in (n, length + n // length))
     if bound < 2.0**-1022:
         return None
-    rest = residual.sum(axis=1)
+    hi, lo, gap = _two_sum(exact, residual.sum(axis=1))
+    if _certain(lo, gap, bound):
+        return hi
+    # a tie, or an E' too wide already: the blocked sum would fail as well
+    if blocked < 2.0**-1022 or not _certain(lo, gap, blocked):
+        return None
+    hi, lo, gap = _two_sum(exact, _blocked_sums(residual, length))
+    return hi if _certain(lo, gap, blocked) else None
+
+
+def _certain(lo: np.ndarray, gap: np.ndarray, bound: float) -> bool:
+    """Whether |lo| + bound < gap/2 in every row: the test of _certified_sums."""
+    return bool((np.abs(lo) + bound < 0.5 * gap).all())
+
+
+def _two_sum(exact: np.ndarray, rest: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, g): hi + lo = exact + rest exactly (TwoSum), g the gap just below |hi|."""
     hi = exact + rest
     back = hi - exact
     lo = (exact - (hi - back)) + (rest - back)
     magnitude = np.abs(hi)
-    gap = magnitude - np.nextafter(magnitude, 0.0)
-    return hi if bool((np.abs(lo) + bound < 0.5 * gap).all()) else None
+    return hi, lo, magnitude - np.nextafter(magnitude, 0.0)
+
+
+def _blocked_sums(residual: np.ndarray, length: int) -> np.ndarray:
+    """Each row's float64 sum of residual, taken as blocks of length terms and a tail.
+
+    The full blocks are a (B, n // length, length) view of the rows, summed
+    along the blocks, then across them; the tail's sum is added last.
+    """
+    rows, n = residual.shape
+    cut = n - n % length
+    head = residual[:, :cut].reshape(rows, cut // length, length).sum(axis=2).sum(axis=1)
+    return head + residual[:, cut:].sum(axis=1)
 
 
 def degeneracy_tolerance(terms: np.ndarray, total=None):

@@ -222,7 +222,7 @@ class Scenario:
     fam: EstimatingFamily
     wf: WeightFamily
     mean: np.ndarray
-    noise_sd: np.ndarray
+    noise_sd: np.ndarray | np.float64  # 0-d when it is one value for every index
     sample_b: np.ndarray | None
     preliminary: Callable[[Sample], float]
     z_scale: float
@@ -263,7 +263,10 @@ def build_scenario(cfg: SimConfig) -> Scenario:
     z_scale = j_nh / math.sqrt(i_nh)
     mean = model.values("f", theta)
     mean.flags.writeable = False
-    noise_sd = cfg.sigma / np.sqrt(model.values("w", theta))
+    w = model.values("w", theta)
+    # a w that is one value for every index (a view with stride 0) keeps
+    # noise_sd 0-d, computed on that value
+    noise_sd = cfg.sigma / np.sqrt(w[0] if w.strides == (0,) else w)
     preliminary = resolve_preliminary(model, Sample(x=mean, a=model.a, b=model.b))
     return Scenario(
         model=model,

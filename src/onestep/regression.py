@@ -358,23 +358,28 @@ def mm_model(
 
 # --- adapters to the core layer ---
 
-def _reader(model: RegressionModel) -> Callable[[str, object], np.ndarray]:
+def _reader(model: RegressionModel) -> Callable[..., np.ndarray]:
     """at(name, t): model.values(name, t), evaluated once per parameter value in each thread.
 
     Each thread keeps the model's values at the last parameter value it
     evaluated, keyed by the bytes of t.  The domain is checked once, when
     that value changes, and a value that fails the check is not kept; each
-    evaluator then runs once there, through core._evaluate.  The adapters
-    read only the evaluators the model carries.
+    evaluator then runs once there, through core._evaluate.  at(name, t,
+    keep=False) evaluates without keeping the values, for an evaluator read
+    once per parameter value: they would hold a vector of length n (a block
+    of them) until the next value.  The adapters read only the evaluators
+    the model carries.
     """
     point = threading.local()
 
-    def at(name: str, t) -> np.ndarray:
+    def at(name: str, t, keep: bool = True) -> np.ndarray:
         arr = np.asarray(t)
         key = (arr.shape, arr.dtype.str, arr.tobytes())
         if getattr(point, "key", None) != key:
             _require_in_domain(t, model.domain)
             point.key, point.values = key, {}
+        if not keep:
+            return _evaluate(getattr(model, f"{name}_values"), model.n, t)
         if name not in point.values:
             point.values[name] = _evaluate(getattr(model, f"{name}_values"), model.n, t)
         return point.values[name]
@@ -389,12 +394,13 @@ def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]
     carries both f'' and w'; otherwise the family carries no h'.  The
     families read the model through _reader, so the terms of one update or
     studentizer check the domain once and evaluate f, f', w and their
-    derivatives once each.
+    derivatives once each.  Only M reads f, once per parameter value, so f
+    is not kept.
     """
     at = _reader(model)
     fam = EstimatingFamily(
         domain=model.domain,
-        m_terms=lambda t, xs: xs - at("f", t),
+        m_terms=lambda t, xs: xs - at("f", t, keep=False),
         m_prime_terms=lambda t, xs: -at("f_prime", t),
     )
     h_prime_values = None
@@ -564,10 +570,10 @@ def preliminary_mm(c, s: Sample) -> float | np.ndarray:
     """Explicit start for the saturation curve:
 
     theta_star = sum c (a - x) / sum c b x.  Any fixed coefficient vector c
-    works; no linear constraint is required.
+    works; no linear constraint is required.  A 0-d c stands for every index.
     """
-    cv = _as_array("c", c)
-    if cv.size != s.n:
+    cv = _as_array("c", c, ndim=(0, 1))
+    if cv.ndim and cv.size != s.n:
         raise ValueError(f"coefficient length {cv.size} does not match sample size {s.n}")
     if s.b is None:
         raise ValueError("sample carries no b covariate")
@@ -619,10 +625,11 @@ def resolve_preliminary(
     Its coefficients are the given ones or else the default for the design:
     all ones for mm, default_contrasts (sum-zero for sqrt and linear,
     b-orthogonal for plinear) otherwise.  mm's are frozen here, once, so
-    that preliminary_mm takes them without a copy.
+    that preliminary_mm takes them without a copy; its all ones are one 0-d
+    1.0, whose products are exact, so they hold no vector of length n.
     """
     if model.kind == "mm":
-        c = _as_array("c", np.ones(design.n) if coefficients is None else coefficients)
+        c = _as_array("c", 1.0 if coefficients is None else coefficients, ndim=(0, 1))
         return lambda s: preliminary_mm(c, s)
     if model.kind not in _CONTRAST_PRELIMINARIES:
         raise ConfigError(f"no explicit preliminary for a {model.kind!r} model")

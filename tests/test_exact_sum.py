@@ -2,6 +2,7 @@
 and the degeneracy tolerance built on it keeps its value when given the sum."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from onestep.core import (
     exact_sum,
 )
 from onestep.errors import DegenerateDenominatorError, NonFiniteError
+from onestep.estimators import _newton_root
 from onestep.montecarlo import _draw, build_scenario
 
 CROSSOVER = _VECTOR_SUM_MIN_TERMS
@@ -176,16 +178,27 @@ def test_blocks_of_near_midpoint_rows_match_fsum_bitwise(rows, n, seed):
 
 
 def certifications(monkeypatch):
-    """Whether each call of core._certified_sums from now on certified its block."""
+    """(certified, blocked) for each call of core._certified_sums from now on.
+
+    certified says whether it certified its block, blocked whether it summed
+    the residual again in blocks (core._blocked_sums) to do so.
+    """
     verdicts = []
-    certify = core._certified_sums
+    certify, blocked_sums = core._certified_sums, core._blocked_sums
+    passes = []
 
     def spied(*args):
+        del passes[:]
         out = certify(*args)
-        verdicts.append(out is not None)
+        verdicts.append((out is not None, bool(passes)))
         return out
 
+    def counted(*args):
+        passes.append(1)
+        return blocked_sums(*args)
+
     monkeypatch.setattr(core, "_certified_sums", spied)
+    monkeypatch.setattr(core, "_blocked_sums", counted)
     return verdicts
 
 
@@ -197,26 +210,133 @@ def update_terms(n, rows):
     return core._score_terms(scn.fam, scn.wf, core._column(scn.preliminary(block), block), block)
 
 
+def near_root_score(n):
+    """Newton's score terms h M at its root, for a sample of a sqrt campaign at n."""
+    cfg = SimConfig(
+        model_id="sqrt", theta_true=1.0, sigma=0.05, n=n, replications=1, seed=11,
+        noise="scaled-laplace", pipeline="newton_oracle",
+    )
+    scn = build_scenario(cfg)
+    s = Sample(x=_draw(cfg, scn, range(1))[0], a=scn.model.a)
+    start = scn.preliminary(s)
+    root = _newton_root(scn.fam, scn.wf, start, s, 100, 1e-9)[0]
+    return core.weight_values(scn.wf, start, n) * core.m_values(scn.fam, root, s.x)
+
+
 def test_the_first_round_certifies_campaign_sums_and_refuses_near_ties(monkeypatch):
-    # a sim-small-n block of numerators, and an estimate-csv-sized
-    # denominator: at n = 200,000 the bound E is about 2**-49 of the peak,
-    # so only a sum far above the peak, such as a same-sign one, certifies
+    # a sim-small-n block of numerators, and estimate-csv-sized rows: at
+    # n = 200,000 the bound E is about 2**-49 of the peak, so only a sum far
+    # above the peak, such as the same-sign denominator, certifies with E;
+    # the numerator, near its peak, certifies once the residual is summed
+    # again in blocks, whose E' is about 2**-57 of the peak.  A score near
+    # Newton's root, cancelling to near zero, fails E' already with the first
+    # attempt's figures and is not summed again; so is a tie
+    num, den = update_terms(200_000, 1)
     block = update_terms(500, 65)[0]
-    long_row = update_terms(200_000, 1)[1][0]
     x = np.random.default_rng(1).uniform(-1.0, 1.0, 999)
     tie = np.concatenate([[3.0, 2.0**-52], x, -x])  # 3 and half its gap above
     cancelling = block.copy()
     cancelling[7] -= cancelling[7].mean()  # a row whose sum is about 0
     verdicts = certifications(monkeypatch)
-    for terms, certified in ((block, True), (long_row, True), (tie, False), (cancelling, False)):
+    for terms, verdict in (
+        (block, (True, False)),
+        (den[0], (True, False)),
+        (num[0], (True, True)),
+        (near_root_score(20_000), (False, False)),
+        (tie, (False, False)),
+        (cancelling, (False, False)),
+    ):
         terms.flags.writeable = False
         before = terms.copy()
         del verdicts[:]
         total = np.atleast_1d(exact_sum(terms))
-        assert verdicts == [certified]
+        assert verdicts == [verdict]
         rows = np.atleast_2d(terms).tolist()
         assert [t.hex() for t in total.tolist()] == [math.fsum(row).hex() for row in rows]
         assert np.array_equal(terms, before)
+
+
+def paired_block(rng, rows, n):
+    """(block, heads): rows of three head terms among pairs x, -x, and each row's head terms.
+
+    The pairs cancel exactly, so a row sums exactly to its head terms, which
+    math.fsum adds in a few steps, yet they put rounding into the residual's
+    float sum.  A head lies up to 2**12 below the block's peak (how far
+    drawn per block), near or below the peak as a one-step numerator lies;
+    in about one block in four one row holds a tie, nudged or not, or no
+    head at all.
+    """
+    e = int(rng.integers(-900, 900))
+    heads = np.zeros((rows, 3))
+    heads[:, 0] = rng.choice([-1.0, 1.0], rows) * rng.uniform(1.0, 2.0, rows)
+    heads[:, 0] *= 2.0 ** (e - rng.integers(0, rng.integers(1, 14), rows))
+    if rng.random() < 0.25:
+        r = int(rng.integers(rows))
+        head = heads[r, 0]
+        heads[r, 1] = math.ulp(head) / 2.0 * rng.choice([-1.0, 1.0])
+        heads[r, 2] = heads[r, 1] * rng.choice([0.0, 2.0 ** -int(rng.integers(1, 60))])
+        if rng.random() < 0.25:
+            heads[r] = 0.0
+    pairs = (n - 3) // 2
+    x = rng.uniform(-1.0, 1.0, (rows, pairs)) * 2.0 ** (e - rng.integers(0, 30, (rows, pairs)))
+    block = np.zeros((rows, n))
+    block[:, 3 : 3 + pairs] = x
+    block[:, 3 + 2 * pairs - 1 : 2 : -1][:, :pairs] = -x  # -x after them, in reverse
+    block[:, :3] = heads
+    for row in block:  # the heads at random places
+        places = 3 + rng.choice(n - 3, 3, replace=False)
+        row[:3], row[places] = row[places], row[:3].copy()
+    return block, heads
+
+
+def check_paired_blocks(monkeypatch, seed, blocks):
+    """(rows checked, a Counter of certifications' verdicts) over blocks of paired_block.
+
+    n is drawn log-uniformly from 4,096 to 200,000, with about 2**19 terms
+    per block.  Each block's exact_sum must give math.fsum's bits, its
+    residual summed in blocks must lie within E'/2 of the residual's exact
+    sum, rounded by math.fsum, and a certified block must have E' below
+    half the gap under each row's sum.
+    """
+    rng = np.random.default_rng(seed)
+    certify, blocked_sums = core._certified_sums, core._blocked_sums
+    current = {}
+
+    def spied(exact, residual, k):
+        rows, n = residual.shape
+        length = math.isqrt(n - 1) + 1
+        bound = math.ldexp((length + n // length) * n, k - 104)
+        blocked = blocked_sums(residual, length)
+        for row, head, part in zip(blocked.tolist(), current["heads"], exact.tolist()):
+            assert abs(row - math.fsum([*head, -part])) <= bound / 2
+        verdict = certify(exact, residual, k)
+        if verdict is not None:  # certified, so each row's E' lies below half its gap
+            for total in np.abs(verdict).tolist():
+                assert bound < (total - math.nextafter(total, 0.0)) / 2
+        return verdict
+
+    monkeypatch.setattr(core, "_certified_sums", spied)
+    verdicts = certifications(monkeypatch)
+    rows_checked, tally = 0, Counter()
+    for _ in range(blocks):
+        n = int(round(math.exp(rng.uniform(math.log(4096), math.log(200_000)))))
+        block, heads = paired_block(rng, max(1, 2**19 // n), n)
+        current["heads"] = heads.tolist()
+        del verdicts[:]
+        want = [math.fsum(head).hex() for head in current["heads"]]
+        assert [t.hex() for t in exact_sum(block).tolist()] == want
+        assert len(verdicts) == 1
+        rows_checked += len(want)
+        tally.update(verdicts)
+    return rows_checked, tally
+
+
+def test_blocked_residual_sums_stay_within_their_bound(monkeypatch):
+    # blocks certified in the first attempt, by the blocked sum alone, and
+    # refused, each checked
+    rows, tally = check_paired_blocks(monkeypatch, 35, 40)
+    assert rows >= 1000
+    assert min(tally[(True, False)], tally[(True, True)], tally[(False, False)]) >= 5
 
 
 def signed_row(rng, n, kind):

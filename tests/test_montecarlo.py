@@ -17,6 +17,7 @@ from onestep.core import Sample, usable_cpus
 from onestep.errors import ConfigError, DegenerateError, DomainError
 from onestep.estimators import one_step_weighted, studentize
 from onestep.montecarlo import (
+    MODEL_IDS,
     _unit_noise,
     build_model,
     build_scenario,
@@ -172,15 +173,16 @@ def test_workers_are_capped_by_the_processors_the_process_may_run_on(monkeypatch
 @pytest.mark.parametrize(
     "model_id, pipeline, vectors",
     [
-        ("mm", "one_step_weighted", 13),
-        ("sqrt", "newton_oracle", 11),
-        ("plinear", "one_step_weighted", 12),
-        ("mm", "one_step_factorized", 20),
+        ("mm", "one_step_weighted", 9),
+        ("sqrt", "newton_oracle", 10),
+        ("plinear", "one_step_weighted", 11),
+        ("mm", "one_step_factorized", 17),
     ],
 )
 def test_a_campaign_holds_few_vectors_of_length_n(model_id, pipeline, vectors):
     # at large n the vectors of length n set the memory: frozen arrays are
-    # not copied, constants are not filled out and a sum whose first
+    # not copied, constants (noise_sd, mm's all-ones coefficients) are not
+    # filled out, f is not kept once M has read it, and a sum whose first
     # extraction round is certified holds one buffer of its length, so the
     # scenario and one replication at a time stay within this many of them
     # (numpy's buffers are what tracemalloc sees)
@@ -194,6 +196,19 @@ def test_a_campaign_holds_few_vectors_of_length_n(model_id, pipeline, vectors):
     finally:
         tracemalloc.stop()
     assert peak <= vectors * 8 * n, f"peak {peak / (8 * n):.2f} vectors of length n"
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_a_constant_noise_sd_stays_one_value(model_id):
+    # every campaign model's w is one value for every index, so noise_sd is
+    # 0-d, and the responses it scales are those of the filled-out vector
+    scn = build_scenario(small_cfg(model_id=model_id, sigma=0.1))
+    assert np.ndim(scn.noise_sd) == 0
+    filled = 0.1 / np.sqrt(np.array(scn.model.values("w", 1.0)))
+    assert filled.shape == scn.mean.shape
+    noise = _unit_noise("scaled-laplace", np.random.default_rng(5), scn.mean.size)
+    x = scn.mean + scn.noise_sd * noise
+    assert x.tobytes() == (scn.mean + filled * noise).tobytes()
 
 
 def _assert_no_child_left():

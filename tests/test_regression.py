@@ -492,6 +492,20 @@ def test_preliminary_mm_needs_b():
         preliminary_mm([1.0, 1.0], s)
 
 
+def test_mm_default_preliminary_gives_the_bits_of_explicit_ones():
+    # the default coefficients are one 0-d 1.0, which holds no vector of
+    # length n; a product by 1.0 is exact, so they give np.ones(n)'s bits
+    n = 500
+    a, b = default_grid(n)
+    model = mm_model(a, b)
+    x = model.f_values(1.0) + 0.05 * np.random.default_rng(3).standard_normal((65, n))
+    design = Sample(x=x[0], a=a, b=b)
+    default = regression.resolve_preliminary(model, design)
+    explicit = regression.resolve_preliminary(model, design, np.ones(n))
+    for s in (design, Sample(x=x, a=a, b=b)):
+        assert np.asarray(default(s)).tobytes() == np.asarray(explicit(s)).tobytes()
+
+
 def test_preliminary_overflow_is_not_finite_rather_than_degenerate():
     # terms that overflow used to pass their inf to the degeneracy check,
     # which called the denominator numerically zero
