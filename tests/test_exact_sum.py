@@ -178,27 +178,16 @@ def test_blocks_of_near_midpoint_rows_match_fsum_bitwise(rows, n, seed):
 
 
 def certifications(monkeypatch):
-    """(certified, blocked) for each call of core._certified_sums from now on.
-
-    certified says whether it certified its block, blocked whether it summed
-    the residual again in blocks (core._blocked_sums) to do so.
-    """
+    """Whether each call of core._certified_sums from now on certified its block."""
     verdicts = []
-    certify, blocked_sums = core._certified_sums, core._blocked_sums
-    passes = []
+    certify = core._certified_sums
 
     def spied(*args):
-        del passes[:]
         out = certify(*args)
-        verdicts.append((out is not None, bool(passes)))
+        verdicts.append(out is not None)
         return out
 
-    def counted(*args):
-        passes.append(1)
-        return blocked_sums(*args)
-
     monkeypatch.setattr(core, "_certified_sums", spied)
-    monkeypatch.setattr(core, "_blocked_sums", counted)
     return verdicts
 
 
@@ -225,12 +214,10 @@ def near_root_score(n):
 
 def test_the_first_round_certifies_campaign_sums_and_refuses_near_ties(monkeypatch):
     # a sim-small-n block of numerators, and estimate-csv-sized rows: at
-    # n = 200,000 the bound E is about 2**-49 of the peak, so only a sum far
-    # above the peak, such as the same-sign denominator, certifies with E;
-    # the numerator, near its peak, certifies once the residual is summed
-    # again in blocks, whose E' is about 2**-57 of the peak.  A score near
-    # Newton's root, cancelling to near zero, fails E' already with the first
-    # attempt's figures and is not summed again; so is a tie
+    # n = 200,000 the blocked bound is about 2**-57 of the peak, so both the
+    # same-sign denominator, far above its peak, and the numerator, near it,
+    # certify; a score near Newton's root, cancelling to near zero, a tie
+    # and a block with a row cancelling to near zero do not
     num, den = update_terms(200_000, 1)
     block = update_terms(500, 65)[0]
     x = np.random.default_rng(1).uniform(-1.0, 1.0, 999)
@@ -239,12 +226,12 @@ def test_the_first_round_certifies_campaign_sums_and_refuses_near_ties(monkeypat
     cancelling[7] -= cancelling[7].mean()  # a row whose sum is about 0
     verdicts = certifications(monkeypatch)
     for terms, verdict in (
-        (block, (True, False)),
-        (den[0], (True, False)),
-        (num[0], (True, True)),
-        (near_root_score(20_000), (False, False)),
-        (tie, (False, False)),
-        (cancelling, (False, False)),
+        (block, True),
+        (den[0], True),
+        (num[0], True),
+        (near_root_score(20_000), False),
+        (tie, False),
+        (cancelling, False),
     ):
         terms.flags.writeable = False
         before = terms.copy()
@@ -290,13 +277,16 @@ def paired_block(rng, rows, n):
 
 
 def check_paired_blocks(monkeypatch, seed, blocks):
-    """(rows checked, a Counter of certifications' verdicts) over blocks of paired_block.
+    """(rows checked, a Counter of the blocks' verdicts) over blocks of paired_block.
 
     n is drawn log-uniformly from 4,096 to 200,000, with about 2**19 terms
     per block.  Each block's exact_sum must give math.fsum's bits, its
-    residual summed in blocks must lie within E'/2 of the residual's exact
-    sum, rounded by math.fsum, and a certified block must have E' below
-    half the gap under each row's sum.
+    residual summed in blocks must lie within E/2 of the residual's exact
+    sum, rounded by math.fsum, and a certified block must have E below half
+    the gap under each row's sum.  A block is "refused", "certified", or
+    "certified beyond n*n": certified though the plain-sum bound
+    n*n 2**(k-104) reaches half the gap under some row's sum, so that only
+    the blocked bound could certify it.
     """
     rng = np.random.default_rng(seed)
     certify, blocked_sums = core._certified_sums, core._blocked_sums
@@ -305,38 +295,39 @@ def check_paired_blocks(monkeypatch, seed, blocks):
     def spied(exact, residual, k):
         rows, n = residual.shape
         length = math.isqrt(n - 1) + 1
-        bound = math.ldexp((length + n // length) * n, k - 104)
+        bound = math.ldexp(min(length + n // length, n) * n, k - 104)
         blocked = blocked_sums(residual, length)
         for row, head, part in zip(blocked.tolist(), current["heads"], exact.tolist()):
             assert abs(row - math.fsum([*head, -part])) <= bound / 2
         verdict = certify(exact, residual, k)
-        if verdict is not None:  # certified, so each row's E' lies below half its gap
-            for total in np.abs(verdict).tolist():
-                assert bound < (total - math.nextafter(total, 0.0)) / 2
+        current["verdict"] = "refused"
+        if verdict is not None:  # certified, so each row's E lies below half its gap
+            halves = [(t - math.nextafter(t, 0.0)) / 2 for t in np.abs(verdict).tolist()]
+            assert all(bound < half for half in halves)
+            beyond = any(math.ldexp(n * n, k - 104) >= half for half in halves)
+            current["verdict"] = "certified beyond n*n" if beyond else "certified"
         return verdict
 
     monkeypatch.setattr(core, "_certified_sums", spied)
-    verdicts = certifications(monkeypatch)
     rows_checked, tally = 0, Counter()
     for _ in range(blocks):
         n = int(round(math.exp(rng.uniform(math.log(4096), math.log(200_000)))))
         block, heads = paired_block(rng, max(1, 2**19 // n), n)
         current["heads"] = heads.tolist()
-        del verdicts[:]
+        current.pop("verdict", None)
         want = [math.fsum(head).hex() for head in current["heads"]]
         assert [t.hex() for t in exact_sum(block).tolist()] == want
-        assert len(verdicts) == 1
         rows_checked += len(want)
-        tally.update(verdicts)
+        tally[current["verdict"]] += 1
     return rows_checked, tally
 
 
 def test_blocked_residual_sums_stay_within_their_bound(monkeypatch):
-    # blocks certified in the first attempt, by the blocked sum alone, and
-    # refused, each checked
+    # blocks certified within the plain-sum bound, beyond it, and refused,
+    # each checked
     rows, tally = check_paired_blocks(monkeypatch, 35, 40)
     assert rows >= 1000
-    assert min(tally[(True, False)], tally[(True, True)], tally[(False, False)]) >= 5
+    assert min(tally["certified"], tally["certified beyond n*n"], tally["refused"]) >= 5
 
 
 def signed_row(rng, n, kind):
