@@ -67,10 +67,11 @@ __all__ = [
 DEGENERACY_SCALE = 1e-12
 
 # Below this many terms (in all, for a block) math.fsum over Python lists
-# beats the vectorized extraction in exact_sum, whose fixed cost is eight
-# numpy calls per round.
-# Measured on x86-64 with numpy 2.4 over score-term vectors: the two paths cost
-# the same near 750 terms; at 1024 the vectorized one takes 0.68 of the time.
+# beats the vectorized extraction in exact_sum, whose fixed cost is some
+# twenty numpy calls.  Measured on x86-64 with numpy 2.4 over mm one-step
+# terms, a vector the first round certifies costs about 19 us flat up to
+# 1024 terms, against 15 us for math.fsum at 500 terms, 21 us at 650 and
+# 32 us at 1024; one it does not certify costs 30-35 us there.
 _VECTOR_SUM_MIN_TERMS = 1024
 
 
@@ -315,17 +316,21 @@ def exact_sum(values):
     """Correctly rounded sum of float64 values, bitwise equal to math.fsum.
 
     A 2-D array gives one such sum per row, as a float64 vector; any other
-    input is summed as one flat vector, the one-row case, and gives a float.
+    input is summed as one flat vector, a block of one row, and gives a
+    float.
 
-    Fewer than _VECTOR_SUM_MIN_TERMS values in all go to math.fsum as lists.
-    More are split by error-free extraction (Rump, Ogita and Oishi,
-    "Accurate floating-point summation", SIAM J. Sci. Comput. 2008): with
-    sigma a power of two at least 2(n+1) times max|p| over the whole block,
-    each q = (sigma + p) - sigma is a multiple of 2**-53 sigma and p - q is
-    exact, so numpy sums the q of a row exactly in any order.  One sigma
-    serves every row, since it bounds each row's peak.
+    Fewer than _VECTOR_SUM_MIN_TERMS values in all go to math.fsum as lists,
+    row by row.  So does a degenerate block, whose peak magnitude is zero,
+    not finite, near overflow or subnormal, so that math.fsum's exceptions,
+    NaN/inf results and signed zeros hold.  Any other block is summed in two
+    stages by error-free extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation", SIAM J. Sci. Comput. 2008): with sigma a
+    power of two at least 2(n+1) times max|p| over the whole block, each
+    q = (sigma + p) - sigma is a multiple of 2**-53 sigma and p - q is exact,
+    so numpy sums the q of a row exactly in any order.  One sigma serves
+    every row, since it bounds each row's peak.
 
-    The first round usually settles the block.  Its residual lies within
+    Stage 1, one round, usually settles the block.  Its residual lies within
     2**-53 sigma.  Summed as ceil(sqrt(n))-term blocks and then across them,
     each row misses its exact sum by less than E/2, E = min(L + m, n) n
     2**-104 sigma with L = ceil(sqrt(n)) and m = n // L, in any order inside
@@ -339,20 +344,17 @@ def exact_sum(values):
     against the peak, about 2**-57 of it at n = 200,000, so a sum near or
     below its peak, such as a one-step numerator, certifies there.
 
-    Any other block goes on extracting: a row that cancels to near zero, a
-    sum on or near a tie, a zero sum, or rows set aside as below.  Repeating
-    on the residual p - q until it vanishes leaves a few exact partial sums
-    per row: one is the sum, two are rounded by one IEEE add, more by
-    math.fsum.  Each round takes at least 53 - lg bits off sigma,
-    lg = n.bit_length() + 1; the second round takes its sigma from the first
-    residual's bound and only the other rounds measure the peak.  Rows
-    whose magnitudes lie 2**e apart cost about e / (53 - lg) rounds more,
-    fewer where the peak skips a gap: the smaller rows wait, unchanged,
-    until the peak comes down to them.  Rows with non-finite values or
-    magnitudes near overflow, rows still nonzero once the peak is deep in the
-    subnormals, and rows whose sum is zero go to math.fsum as they are, so
-    its exceptions, NaN/inf results and signed zeros hold.  The caller's
-    values are never written.
+    Stage 2 takes any other block: a row that cancels to near zero, a sum
+    on or near a tie, or a zero sum.  It repeats the round on the residual
+    p - q until that vanishes, and math.fsum adds each row's exact partial
+    sums.  Each round takes at least 53 - lg bits off sigma,
+    lg = n.bit_length() + 1; the first takes its sigma from the first
+    residual's bound, and each measures the peak it leaves.  Rows whose
+    magnitudes lie 2**e apart cost about e / (53 - lg) rounds more, fewer
+    where the peak skips a gap: the smaller rows wait, unchanged, until the
+    peak comes down to them.  Rows still nonzero once the peak is deep in
+    the subnormals, and rows whose sum is zero, are summed again by
+    math.fsum.  The caller's values are never written.
 
     The first sigma comes from one scan for the largest and smallest value
     (_extremes); a checked sum (_checked_sum) hands in the scan it made for
@@ -364,80 +366,56 @@ def exact_sum(values):
 def _exact_sum(values, extremes=None):
     """exact_sum(values), with extremes, when given, the _extremes of values."""
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 2:
-        v = v.ravel()
-        if v.size < _VECTOR_SUM_MIN_TERMS:
-            return math.fsum(v.tolist())
-        return float(_extracted_sums(v[None, :], extremes)[0])
-    if v.size < _VECTOR_SUM_MIN_TERMS:
-        return np.array([math.fsum(row) for row in v.tolist()], dtype=np.float64)
-    return _extracted_sums(v, extremes)
+    block = v if v.ndim == 2 else v.reshape(1, -1)
+    sums = _fsum_rows(block) if v.size < _VECTOR_SUM_MIN_TERMS else _extracted_sums(block, extremes)
+    return sums if v.ndim == 2 else float(sums[0])
+
+
+def _fsum_rows(v: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a (B, n) block, as a float64 vector."""
+    return np.array([math.fsum(row) for row in v.tolist()], dtype=np.float64)
 
 
 def _extracted_sums(v: np.ndarray, extremes=None) -> np.ndarray:
     """exact_sum of each row of a nonempty (B, n) block, by extraction with one sigma per round.
 
-    extremes, when given, are v's _extremes, which spare the first round
-    its pass for the peak.
+    A degenerate block goes to _fsum_rows whole.  extremes, when given, are
+    v's _extremes, which spare the first round its pass for the peak.
     """
-    rows, n = v.shape
-    lg = n.bit_length() + 1
-    parts: list[np.ndarray] = []  # one exact partial sum per row and round
-    slow = None  # rows left to math.fsum, once there are any
-    p = v
-    q = np.empty_like(v)  # each round's parts, then the first residual
-    # the peak magnitude of p, when known without a pass over it, and the
-    # next sigma's exponent, when known without the peak
-    peak = None if extremes is None else max(extremes[0], -extremes[1])
-    k = None
-    while True:
-        if k is None:
-            if peak is None:
-                peak = max(float(p.max()), -float(p.min()))
-            if peak == 0.0:
-                break
-            k = math.frexp(peak)[1] + lg
-            if not math.isfinite(peak) or k > 1022:
-                # only the first round can see these rows: set them aside as zeros
-                row_peak = np.maximum(p.max(axis=1), -p.min(axis=1))
-                slow = ~np.isfinite(row_peak) | (np.frexp(row_peak)[1] + lg > 1022)
-                p = p.copy()  # the caller's values stay intact
-                p[slow] = 0.0
-                k = peak = None
-                continue
-            if k < -1021:
-                tiny = (p != 0.0).any(axis=1)
-                slow = tiny if slow is None else slow | tiny
-                break
+    lg = v.shape[1].bit_length() + 1
+    top, bottom = _extremes(v) if extremes is None else extremes
+    peak = max(top, -bottom)
+    k = math.frexp(peak)[1] + lg
+    if not (0.0 < peak < math.inf and -1021 <= k <= 1022):
+        return _fsum_rows(v)
+    sigma = math.ldexp(1.0, k)
+    q = np.add(v, sigma)
+    np.subtract(q, sigma, out=q)
+    parts = [q.sum(axis=1)]  # one exact partial sum per row and round
+    np.subtract(v, q, out=q)  # the first residual takes q's buffer, so v stays intact
+    certified = _certified_sums(parts[0], q, k)
+    if certified is not None:
+        return certified
+    p, q = q, np.empty_like(v)
+    # the first residual lies within 2**-53 sigma, which bounds the second
+    # round's sigma without a pass over it
+    k += lg - 53
+    while k >= -1021:
         sigma = math.ldexp(1.0, k)
         np.add(p, sigma, out=q)
         np.subtract(q, sigma, out=q)
         parts.append(q.sum(axis=1))
-        if len(parts) > 1:
-            np.subtract(p, q, out=p)
-        else:
-            # the first residual takes q's buffer, so the caller's values stay intact
-            np.subtract(p, q, out=q)
-            if slow is None:
-                certified = _certified_sums(parts[0], q, k)
-                if certified is not None:
-                    return certified
-            p, q = q, (np.empty_like(v) if p is v else p)
-        # the first residual lies within 2**-53 sigma, which bounds the
-        # second round's sigma without a pass over it
-        k = k - 53 + lg if len(parts) == 1 and k - 53 + lg >= -1021 else None
-        peak = None
-    if len(parts) > 2:
-        out = np.array([math.fsum(row) for row in np.stack(parts, axis=1).tolist()])
-    elif parts:
-        out = parts[0] + parts[1] if len(parts) == 2 else parts[0]
-    else:
-        out = np.zeros(rows)
-    if slow is not None or np.count_nonzero(out) < rows:
-        redo = out == 0.0 if slow is None else slow | (out == 0.0)
-        for r in np.flatnonzero(redo).tolist():
-            out[r] = math.fsum(v[r].tolist())
-    return out
+        np.subtract(p, q, out=p)
+        peak = max(float(p.max()), -float(p.min()))
+        if peak == 0.0:
+            break
+        k = math.frexp(peak)[1] + lg
+    sums = _fsum_rows(np.stack(parts, axis=1))
+    redo = sums == 0.0
+    if k < -1021:  # rows still nonzero deep in the subnormals
+        redo |= (p != 0.0).any(axis=1)
+    sums[redo] = _fsum_rows(v[redo])
+    return sums
 
 
 def _certified_sums(exact: np.ndarray, residual: np.ndarray, k: int) -> np.ndarray | None:

@@ -68,8 +68,8 @@ def row_bits(v):
 def assert_rows_match_fsum(v):
     want = row_bits(v)
     raised = [bits for bits in want if bits.endswith("Error")]
-    if raised:
-        with pytest.raises((OverflowError, ValueError)):
+    if raised:  # the first row whose math.fsum raises raises the same
+        with pytest.raises({"OverflowError": OverflowError, "ValueError": ValueError}[raised[0]]):
             exact_sum(v)
     else:
         assert [total.hex() for total in exact_sum(v).tolist()] == want
@@ -117,6 +117,18 @@ def test_row_sums_shapes_and_nonfinite_rows():
     v = np.random.default_rng(2).standard_normal((4, 1200))
     v[1, 7], v[2, 9] = math.nan, -math.inf
     assert_rows_match_fsum(v)
+    # any other input is one flat vector and gives a float, on both sides of
+    # the switch to extraction: a list, a nested list, a 3-D array, a 0-d value
+    rng = np.random.default_rng(3)
+    for shape in ((3, 11, 31), (4, 16, 16), (2, 3, 1000)):
+        cube = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, shape)
+        want = math.fsum(cube.ravel().tolist()).hex()
+        for values in (cube.ravel().tolist(), cube.tolist(), cube):
+            total = exact_sum(values)
+            assert type(total) is float and total.hex() == want
+    for value in (2.5, np.float64(-0.0), np.array(-3.0)):
+        total = exact_sum(value)
+        assert type(total) is float and total.hex() == math.fsum([float(value)]).hex()
 
 
 # --- campaigns: blocks against a replay one replication at a time ---

@@ -149,6 +149,14 @@ def test_signed_zeros_and_empty_input():
     for n in (0, 1, CROSSOVER - 1, CROSSOVER, 3 * CROSSOVER):
         assert_matches_fsum(np.full(n, -0.0))
         assert_matches_fsum(np.zeros(n))
+    # blocks of zero rows, each all +0.0, all -0.0 or mixed, keep math.fsum's
+    # sign row by row on both sides of the switch to extraction
+    rng = np.random.default_rng(4)
+    for rows, n in ((3, CROSSOVER // 3), (3, CROSSOVER // 2), (CROSSOVER, 1), (5, CROSSOVER)):
+        block = np.where(rng.random((rows, 1)) < 0.5, 0.0, -0.0) * np.ones(n)
+        block[-1] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        want = [math.fsum(row).hex() for row in block.tolist()]
+        assert [total.hex() for total in exact_sum(block).tolist()] == want
 
 
 def test_permutation_gives_identical_bits():

@@ -1,4 +1,5 @@
-"""Tests for the package's lazy names: each module's ``__all__`` is the one list."""
+"""Tests for the package's structure: each module's ``__all__`` is the one list of lazy names,
+and only core reduces over observations."""
 
 import ast
 import importlib
@@ -63,3 +64,18 @@ def test_errors_all_lists_every_error_class_it_defines():
     }
     assert set(errors.__all__) == defined
     assert len(errors.__all__) == len(defined)
+
+
+def test_only_core_reduces_over_observations():
+    # every reduction over observations goes through core.exact_sum, so no
+    # other module calls (or imports) a numpy or math reduction; the builtin
+    # sum over integers stays allowed
+    reductions = {"fsum", "sum", "mean", "einsum", "dot"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr not in reductions, (path.name, node.lineno)
+            if isinstance(node, ast.ImportFrom):
+                assert not reductions & {alias.name for alias in node.names}, (path.name, node.lineno)
