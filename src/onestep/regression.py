@@ -3,20 +3,19 @@
 A model here is a fixed-design mean function f_i(t) with derivatives, a
 variance-weight function w_i(t) scaling Var X_i = sigma^2 / w_i(t), and an
 open parameter domain.  Vector evaluators that give every observation at
-once define it, and model.values reads them after a domain check.  The
-adapters and lse_one_step read them through _reader instead, which checks
-the domain once per parameter value and evaluates each of them once there.
-The quasi-likelihood estimating equation is
+once define it, and model.values is the one reader of them: in each
+thread it checks the domain once per parameter value and evaluates each
+of them once there.  The quasi-likelihood estimating equation is
 
     sum_i w_i(t) f_i'(t) (x_i - f_i(t)) = 0,
 
 which maps onto the core layer via h_i(t) = w_i(t) f_i'(t) and
-M_i(t, x) = x - f_i(t).  The module ships three concrete mean families
-(square-root, partially linear, saturation curve a_i / (1 + b_i t)) with
-explicit preliminary estimators; the adapters to the core families, on
-which one_step_weighted takes every model's quasi-likelihood step; the
-least-squares step lse_one_step; and what the command line and the
-simulation harness share:
+M_i(t, x) = x - f_i(t).  The module ships four concrete mean families
+(straight line through the origin, square-root, partially linear,
+saturation curve a_i / (1 + b_i t)) with explicit preliminary estimators;
+the adapters to the core families, on which one_step_weighted takes every
+model's quasi-likelihood step; the least-squares step lse_one_step; and
+what the command line and the simulation harness share:
 resolve_preliminary, each model kind's preliminary estimator;
 check_pipeline, which names the updates they accept; and
 estimation_sequence, the one function both run the estimator through
@@ -109,8 +108,8 @@ class RegressionModel:
     The vector evaluators f_values, f_prime_values, f_second_values,
     w_values and w_prime_values define the model: each maps t, or a (B, 1)
     column of parameter values, to one value per observation;
-    f_second_values and w_prime_values are optional.  values(name, t)
-    evaluates one of them after checking that t lies in the domain.  a and
+    f_second_values and w_prime_values are optional.  values(name, t) is
+    the one reader of them; what it keeps is no field of the model.  a and
     b hold the covariate grids when the model has them, and kind names the
     family for dispatch ("linear", "sqrt", "plinear", "mm", or "custom").
     """
@@ -132,20 +131,42 @@ class RegressionModel:
             raise ValueError("model must cover at least one observation")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        # each thread's values at the last parameter value it read; not a
+        # field, so ==, hash, repr and dataclasses.replace ignore it
+        object.__setattr__(self, "_point", threading.local())
 
-    def values(self, name: str, t) -> np.ndarray:
+    def values(self, name: str, t, *, keep: bool = True) -> np.ndarray:
         """The evaluator {name}_values at t, name one of f, f_prime, f_second, w, w_prime.
+
+        Each thread keeps the values at the last parameter value it read,
+        keyed by the bytes of t.  The domain is checked once, when that
+        value changes, and a value that fails the check is not kept; each
+        evaluator then runs once there, through core._evaluate.  keep=False
+        evaluates without keeping the values, for an evaluator read once per
+        parameter value: they would hold a vector of length n (a block of
+        them) until the next value.  The values are shared, so a caller
+        must not write to them.
 
         Raises DomainError (NonFiniteError) unless t lies in the domain,
         MissingDerivativeError when the model does not carry the evaluator,
         and ValueError when it gives neither n values per row nor one 0-d
         value for every index (core._evaluate's width rule).
         """
-        _require_in_domain(t, self.domain)
-        values = getattr(self, f"{name}_values")
-        if values is None:
+        arr = np.asarray(t)
+        key = (arr.shape, arr.dtype.str, arr.tobytes())
+        point = self._point
+        if getattr(point, "key", None) != key:
+            _require_in_domain(t, self.domain)
+            point.key, point.values = key, {}
+        if name in point.values:
+            return point.values[name]
+        evaluator = getattr(self, f"{name}_values")
+        if evaluator is None:
             raise MissingDerivativeError(f"model carries no {name}_values")
-        return _evaluate(values, self.n, t)
+        values = _evaluate(evaluator, self.n, t)
+        if keep:
+            point.values[name] = values
+        return values
 
 
 @dataclass(frozen=True)
@@ -358,57 +379,29 @@ def mm_model(
 
 # --- adapters to the core layer ---
 
-def _reader(model: RegressionModel) -> Callable[..., np.ndarray]:
-    """at(name, t): model.values(name, t), evaluated once per parameter value in each thread.
-
-    Each thread keeps the model's values at the last parameter value it
-    evaluated, keyed by the bytes of t.  The domain is checked once, when
-    that value changes, and a value that fails the check is not kept; each
-    evaluator then runs once there, through core._evaluate.  at(name, t,
-    keep=False) evaluates without keeping the values, for an evaluator read
-    once per parameter value: they would hold a vector of length n (a block
-    of them) until the next value.  The adapters read only the evaluators
-    the model carries.
-    """
-    point = threading.local()
-
-    def at(name: str, t, keep: bool = True) -> np.ndarray:
-        arr = np.asarray(t)
-        key = (arr.shape, arr.dtype.str, arr.tobytes())
-        if getattr(point, "key", None) != key:
-            _require_in_domain(t, model.domain)
-            point.key, point.values = key, {}
-        if not keep:
-            return _evaluate(getattr(model, f"{name}_values"), model.n, t)
-        if name not in point.values:
-            point.values[name] = _evaluate(getattr(model, f"{name}_values"), model.n, t)
-        return point.values[name]
-
-    return at
-
-
 def to_families(model: RegressionModel) -> tuple[EstimatingFamily, WeightFamily]:
     """Quasi-likelihood families: M_i = x - f_i(t), h_i = w_i(t) f_i'(t).
 
     The weight derivative h' = w' f' + w f'' is attached when the model
     carries both f'' and w'; otherwise the family carries no h'.  The
-    families read the model through _reader, so the terms of one update or
-    studentizer check the domain once and evaluate f, f', w and their
-    derivatives once each.  Only M reads f, once per parameter value, so f
-    is not kept.
+    families read the model through model.values, so the terms of one
+    update or studentizer check the domain once and evaluate f, f', w and
+    their derivatives once each in each thread.  Only M reads f, once per
+    parameter value, so f is not kept.
     """
-    at = _reader(model)
     fam = EstimatingFamily(
         domain=model.domain,
-        m_terms=lambda t, xs: xs - at("f", t, keep=False),
-        m_prime_terms=lambda t, xs: -at("f_prime", t),
+        m_terms=lambda t, xs: xs - model.values("f", t, keep=False),
+        m_prime_terms=lambda t, xs: -model.values("f_prime", t),
     )
     h_prime_values = None
     if model.f_second_values is not None and model.w_prime_values is not None:
         h_prime_values = lambda t: (
-            at("w_prime", t) * at("f_prime", t) + at("w", t) * at("f_second", t)
+            model.values("w_prime", t) * model.values("f_prime", t)
+            + model.values("w", t) * model.values("f_second", t)
         )
-    return fam, WeightFamily(lambda t: at("w", t) * at("f_prime", t), h_prime_values)
+    h_values = lambda t: model.values("w", t) * model.values("f_prime", t)
+    return fam, WeightFamily(h_values, h_prime_values)
 
 
 def generalized_families(
@@ -424,22 +417,24 @@ def generalized_families(
     but the one-step update differs because the frozen weights differ.
     g_values and g_prime_values evaluate g and g' at every index at once, or
     give one 0-d value for all.  Raises DivisionByZeroError wherever
-    g_i(t) = 0.  The model is read through _reader, as to_families reads it.
+    g_i(t) = 0.  The model is read through model.values, as to_families
+    reads it.
     """
-    at = _reader(model)
     g_vec = lambda t: _evaluate(g_values, model.n, t)
     gp_vec = lambda t: _evaluate(g_prime_values, model.n, t)
     fam = EstimatingFamily(
         domain=model.domain,
-        m_terms=lambda t, xs: g_vec(t) * (xs - at("f", t)),
-        m_prime_terms=lambda t, xs: gp_vec(t) * (xs - at("f", t)) - g_vec(t) * at("f_prime", t),
+        m_terms=lambda t, xs: g_vec(t) * (xs - model.values("f", t)),
+        m_prime_terms=lambda t, xs: (
+            gp_vec(t) * (xs - model.values("f", t)) - g_vec(t) * model.values("f_prime", t)
+        ),
     )
 
     def h_values(t: float) -> np.ndarray:
         gv = g_vec(t)
         if np.any(gv == 0.0):
             raise DivisionByZeroError(f"transform factor vanishes at t={t!r}")
-        return at("w", t) * at("f_prime", t) / gv
+        return model.values("w", t) * model.values("f_prime", t) / gv
 
     return fam, WeightFamily(h_values=h_values)
 
@@ -462,17 +457,18 @@ def lse_one_step(
 
     theta_hat = theta_star + sum (x - f) f' / sum (f'^2 - (x - f) f'').
     Requires the model's second derivative.  The model is read through
-    _reader, so theta_star is checked against the domain once.
+    model.values, so theta_star is checked against the domain once, and f'
+    is kept for the studentizer, which reads it there too; f and f'' are
+    read once and not kept.
     """
     _check_sample(model, s)
     if model.f_second_values is None:
         raise MissingDerivativeError("least-squares step needs f''")
-    at = _reader(model)
     t = _column(theta_star, s)
-    fp = at("f_prime", t)
-    misfit = at("f", t) - s.x
+    fp = model.values("f_prime", t)
+    misfit = model.values("f", t, keep=False) - s.x
     return _newton_update(
-        theta_star, misfit * fp, fp * fp + misfit * at("f_second", t),
+        theta_star, misfit * fp, fp * fp + misfit * model.values("f_second", t, keep=False),
         "curvature sum is numerically zero", _UPDATE_TERMS,
     )
 

@@ -48,7 +48,6 @@ from onestep.regression import (
     lse_one_step,
     mm_closed_form,
     preliminary_mm,
-    to_families,
 )
 
 # --- row-wise exact sums ---
@@ -230,8 +229,8 @@ def test_threads_share_ragged_blocks():
 
 
 def test_threads_keep_their_own_model_values():
-    # to_families remembers the model's values at the last parameter value in
-    # each thread; more threads than cores, switching every microsecond over
+    # model.values remembers the model's values at the last parameter value
+    # in each thread; more threads than cores, switching every microsecond over
     # one scenario, must still give every block the records it gives alone
     cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 12 * rows_per_block(500))
     scn = build_scenario(cfg)
@@ -272,31 +271,38 @@ def test_reused_generator_draws_as_fresh_ones(noise):
 
 
 def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
-    # per block: f, f' and w once at theta_star and once at theta_hat, and five
-    # row-wise sums (two each for the preliminary and the update, one for the
+    # build_scenario reads f, f' and w once each at theta_true (the moments,
+    # the weight family's h and the mean share them); then per block: f, f'
+    # and w once at theta_star and once at theta_hat, and five row-wise sums
+    # (two each for the preliminary and the update, one for the
     # studentizer's variance; its centering sum is the update's denominator)
     cfg = campaign("mm", "one_step_weighted", "gaussian", 500, 1)
-    scn = build_scenario(cfg)
     calls, row_sums = {}, [0]
     summed = core._exact_sum
+    build_model = montecarlo.build_model
+    names = ("f", "f_prime", "f_second", "w", "w_prime")
 
-    def counted(name):
-        evaluate = getattr(scn.model, f"{name}_values")
-
+    def counted(name, evaluate):
         def values(t):
             calls[name] = calls.get(name, 0) + 1
             return evaluate(t)
 
         return values
 
+    def counted_model(*args):
+        model = build_model(*args)
+        return replace(model, **{
+            f"{name}_values": counted(name, getattr(model, f"{name}_values")) for name in names
+        })
+
     def counted_sum(v, extremes=None):
         row_sums[0] += np.ndim(v) == 2
         return summed(v, extremes)
 
-    names = ("f", "f_prime", "f_second", "w", "w_prime")
-    model = replace(scn.model, **{f"{name}_values": counted(name) for name in names})
-    fam, wf = to_families(model)
-    scn = replace(scn, model=model, fam=fam, wf=wf)
+    monkeypatch.setattr(montecarlo, "build_model", counted_model)
+    scn = build_scenario(cfg)
+    assert calls == {"f": 1, "f_prime": 1, "w": 1}
+    calls.clear()
     # every exact sum, exact_sum's and the checked sums' alike, goes through it
     monkeypatch.setattr(core, "_exact_sum", counted_sum)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
@@ -305,8 +311,14 @@ def test_mm_block_evaluates_each_term_once_per_parameter_value(monkeypatch):
     assert row_sums[0] == 5
 
 
-def _domain_checks_per_block(monkeypatch, pipeline):
-    """Domain checks made by one 65-row mm block at n = 500 under pipeline."""
+@pytest.mark.parametrize("pipeline", ["one_step_weighted", "lse_one_step", "mm_closed_form"])
+def test_mm_block_checks_the_domain_once_per_parameter_value(monkeypatch, pipeline):
+    # a sim-small-n block at n = 500 makes four checks: model.values checks
+    # each of theta_star and theta_hat once, when the block first reads the
+    # model there, and the update and the studentizer share what it keeps.
+    # one_step_weighted's update checks theta_star and its studentizer
+    # theta_hat (the update's denominator is its centering sum);
+    # lse_one_step's and mm_closed_form's studentizer checks both
     cfg = campaign("mm", pipeline, "gaussian", 500, 1)
     scn = build_scenario(cfg)
     checks = [0]
@@ -320,21 +332,7 @@ def _domain_checks_per_block(monkeypatch, pipeline):
         monkeypatch.setattr(module, "_require_in_domain", counted)
     records = _replicate_block(cfg, scn, range(rows_per_block(cfg.n)))
     assert len(records) == 65 and not any(row[-1] for row in records)
-    return checks[0]
-
-
-def test_mm_block_checks_the_domain_once_per_parameter_value(monkeypatch):
-    # a sim-small-n block: the update and the studentizer each check their
-    # parameter column against the domain once, and the families' reader
-    # once more when it first evaluates the model there
-    assert _domain_checks_per_block(monkeypatch, "one_step_weighted") == 4
-
-
-def test_mm_lse_block_checks_the_domain_once_per_parameter_value(monkeypatch):
-    # lse_one_step reads f, f' and f'' at theta_star through its own reader,
-    # one check; the studentizer checks theta_star and theta_hat, and the
-    # families' reader each of them once more
-    assert _domain_checks_per_block(monkeypatch, "lse_one_step") == 5
+    assert checks[0] == 4
 
 
 def test_studentize_takes_the_newton_first_derivative_bit_for_bit():

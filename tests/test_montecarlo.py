@@ -177,15 +177,19 @@ def test_workers_are_capped_by_the_processors_the_process_may_run_on(monkeypatch
         ("sqrt", "newton_oracle", 10),
         ("plinear", "one_step_weighted", 11),
         ("mm", "one_step_factorized", 17),
+        ("mm", "lse_one_step", 12),
+        ("mm", "mm_closed_form", 9),
     ],
 )
 def test_a_campaign_holds_few_vectors_of_length_n(model_id, pipeline, vectors):
     # at large n the vectors of length n set the memory: frozen arrays are
     # not copied, constants (noise_sd, mm's all-ones coefficients) are not
-    # filled out, f is not kept once M has read it, and a sum whose first
-    # extraction round is certified holds one buffer of its length, so the
-    # scenario and one replication at a time stay within this many of them
-    # (numpy's buffers are what tracemalloc sees)
+    # filled out, f is not kept once M has read it (nor f and f'' once
+    # lse_one_step has), the update and the studentizer share the model's
+    # values at theta_star, and a sum whose first extraction round is
+    # certified holds one buffer of its length, so the scenario and one
+    # replication at a time stay within this many of them (numpy's buffers
+    # are what tracemalloc sees)
     n = 100_000
     cfg = small_cfg(model_id=model_id, pipeline=pipeline, n=n, replications=2, sigma=0.1)
     run(dataclasses.replace(cfg, n=50))  # what any first run allocates once

@@ -1,5 +1,5 @@
 """Tests for the package's structure: each module's ``__all__`` is the one list of lazy names,
-and only core reduces over observations."""
+only core reduces over observations, and only RegressionModel.values reads a model."""
 
 import ast
 import importlib
@@ -79,3 +79,41 @@ def test_only_core_reduces_over_observations():
                 assert node.func.attr not in reductions, (path.name, node.lineno)
             if isinstance(node, ast.ImportFrom):
                 assert not reductions & {alias.name for alias in node.names}, (path.name, node.lineno)
+
+
+def _fetched_name(node: ast.expr) -> str:
+    """The attribute name a getattr argument spells: a string, or an f-string's last literal part."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[-1]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_only_model_values_reads_a_model_evaluator():
+    # RegressionModel.values is the one reader of a model: no other code
+    # calls, passes on or fetches with getattr f_values, f_prime_values,
+    # f_second_values, w_values or w_prime_values; testing one against None
+    # (whether the model carries it) stays allowed
+    evaluators = {"f_values", "f_prime_values", "f_second_values", "w_values", "w_prime_values"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RegressionModel":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "values":
+                        allowed.update(map(id, ast.walk(item)))
+            if (
+                isinstance(node, ast.Compare)
+                and all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and all(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+            ):
+                allowed.add(id(node.left))
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in evaluators, (path.name, node.lineno)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr":
+                assert not (
+                    len(node.args) > 1 and _fetched_name(node.args[1]).endswith("_values")
+                ), (path.name, node.lineno)

@@ -1,6 +1,8 @@
 """Tests for the regression model zoo, adapters, and explicit estimators."""
 
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,6 +143,96 @@ def test_model_evaluators_refuse_the_domain_bound():
             with pytest.raises(DomainError):
                 evaluate()
     assert bounded == 5
+
+
+def counting_model(calls):
+    """A model on (0, inf) whose f, f' and w append their name to calls when they run."""
+
+    def counted(name, evaluate):
+        def values(t):
+            calls.append(name)
+            return evaluate(t)
+
+        return values
+
+    return RegressionModel(
+        n=2, sigma=1.0, domain=Interval(0.0, math.inf),
+        f_values=counted("f", lambda t: np.array([1.0, 2.0]) * t),
+        f_prime_values=counted("f_prime", lambda t: np.array([1.0, 2.0])),
+        w_values=counted("w", lambda t: 1.0 + t),
+    )
+
+
+def test_model_values_evaluate_once_per_parameter_value():
+    # repeated reads at one t run each evaluator once and give the same
+    # object; t is keyed by its bytes, so a numpy scalar of the same value
+    # hits and a (1, 1) column does not
+    calls = []
+    model = counting_model(calls)
+    f = model.values("f", 1.0)
+    assert model.values("f", 1.0) is f and model.values("f", np.float64(1.0)) is f
+    assert model.values("w", 1.0) is model.values("w", 1.0)
+    assert calls == ["f", "w"]
+    assert model.values("f", np.array([[1.0]])).shape == (1, 2)
+    assert calls == ["f", "w", "f"]
+    # keep=False evaluates without keeping, and takes a kept value as it is
+    assert model.values("f_prime", 2.0, keep=False) is not model.values("f_prime", 2.0, keep=False)
+    assert calls[3:] == ["f_prime", "f_prime"]
+    w = model.values("w", 2.0)
+    assert model.values("w", 2.0, keep=False) is w
+    assert calls[5:] == ["w"]
+
+
+def test_model_values_keep_no_value_outside_the_domain():
+    # a value outside the domain, or not finite, raises on every call
+    # without running an evaluator, and the values kept at the last value in
+    # the domain stay; a missing evaluator raises on every call too
+    calls = []
+    model = counting_model(calls)
+    f = model.values("f", 1.0)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            model.values("f", -1.0)
+        with pytest.raises(DomainError):
+            model.values("w", 0.0)
+        with pytest.raises(NonFiniteError):
+            model.values("f", math.nan)
+        with pytest.raises(MissingDerivativeError, match="model carries no f_second_values"):
+            model.values("f_second", 1.0)
+        with pytest.raises(MissingDerivativeError, match="model carries no w_prime_values"):
+            model.values("w_prime", 1.0)
+    assert model.values("f", 1.0) is f
+    assert calls == ["f"]
+
+
+def test_model_values_stay_out_of_the_fields():
+    # ==, the hash, repr and dataclasses.fields ignore what values keeps,
+    # and a model made by dataclasses.replace starts with nothing kept
+    calls = []
+    model = counting_model(calls)
+    before = (hash(model), repr(model))
+    model.values("f", 1.0)
+    assert (hash(model), repr(model)) == before
+    fields = [field.name for field in dataclasses.fields(model)]
+    assert fields == list(RegressionModel.__annotations__) == list(dataclasses.asdict(model))
+    copy = dataclasses.replace(model)
+    assert copy == model and hash(copy) == hash(model) and repr(copy) == repr(model)
+    copy.values("f", 1.0)
+    assert calls == ["f", "f"]
+    assert copy.values("f", 1.0) is not model.values("f", 1.0)
+    assert calls == ["f", "f"]
+
+
+def test_model_values_are_kept_per_thread():
+    # another thread reading at another value leaves this thread's values
+    calls = []
+    model = counting_model(calls)
+    f = model.values("f", 1.0)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        other = pool.submit(model.values, "f", 2.0).result()
+        assert pool.submit(model.values, "f", 2.0).result() is other
+    assert model.values("f", 1.0) is f
+    assert calls == ["f", "f"]
 
 
 @pytest.mark.parametrize("width", [1, 2])
